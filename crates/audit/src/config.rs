@@ -212,10 +212,9 @@ impl AuditConfig {
                 s("first_seed_group_operands"),
                 s("canonical_key"),
                 s("pack_ffd"),
-                // The member-granular memo keys sit on the same
-                // pre-execution path as canonical_key.
-                s("member_request_key"),
-                s("member_activity_key"),
+                // The unit-store key sits on the same pre-execution path
+                // as canonical_key.
+                s("unit_key"),
             ],
             metric_readme_heading: s("#### Metrics"),
             metric_consumer_files: vec![s("src/serving_bench.rs"), s("examples/wattd_load.rs")],

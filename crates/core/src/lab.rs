@@ -114,19 +114,32 @@ pub fn first_seed_operands(req: &RunRequest) -> (Matrix, Matrix) {
     generate_member_operands(req, member, 0, &streams)
 }
 
-/// Generate the first seed's operand pair of **one member**, addressed by
-/// its effective dims and duplicate ordinal (see [`member_ordinals`]) —
-/// the member-granular slice of [`first_seed_group_operands`], used to
-/// build per-member feature chunks that cache across requests. A member
-/// of ordinal 0 yields exactly [`first_seed_operands`] of the equivalent
-/// plain request.
+/// Generate seed `seed`'s operand pair of **one member**, addressed by its
+/// effective dims and duplicate ordinal (see [`member_ordinals`]) —
+/// exactly the matrices [`PowerLab::run`] executes for that member and
+/// seed. The pair depends on the request's shared knobs, `(member,
+/// ordinal)` and the seed index alone, never on the seed count or the
+/// rest of the group, so it is the operand walk behind one cacheable
+/// `(member, seed)` unit.
+pub fn member_seed_operands(
+    req: &RunRequest,
+    member: GemmDims,
+    ordinal: u64,
+    seed: u64,
+) -> (Matrix, Matrix) {
+    generate_member_operands(req, member, ordinal, &seed_streams(req.base_seed, seed))
+}
+
+/// Generate the first seed's operand pair of **one member** — the seed-0
+/// case of [`member_seed_operands`] and the member-granular slice of
+/// [`first_seed_group_operands`]. A member of ordinal 0 yields exactly
+/// [`first_seed_operands`] of the equivalent plain request.
 pub fn first_seed_member_operands(
     req: &RunRequest,
     member: GemmDims,
     ordinal: u64,
 ) -> (Matrix, Matrix) {
-    let streams = seed_streams(req.base_seed, 0);
-    generate_member_operands(req, member, ordinal, &streams)
+    member_seed_operands(req, member, ordinal, 0)
 }
 
 /// Generate the first seed's operand pairs of **every member** of a
@@ -190,8 +203,7 @@ pub fn member_seed_activities(
 ) -> Vec<ActivityRecord> {
     (0..req.seeds)
         .map(|s| {
-            let streams = seed_streams(req.base_seed, s);
-            let (a, b) = generate_member_operands(req, member, ordinal, &streams);
+            let (a, b) = member_seed_operands(req, member, ordinal, s);
             simulate_member_activity(req, member, &a, &b)
         })
         .collect()
@@ -1178,6 +1190,40 @@ mod tests {
                 "replay from cached activities must be bit-identical"
             );
         }
+    }
+
+    #[test]
+    fn member_seed_operands_ignore_the_seed_count() {
+        // A seed's operands are fixed by its index alone, so requests that
+        // average different seed counts draw the same data for every seed
+        // they share — what lets them share cached (member, seed) units.
+        let two = quick(DType::Int8, PatternKind::Gaussian)
+            .with_group(vec![GemmDims::square(64), GemmDims::square(64)]);
+        let five = two.clone().with_seeds(5);
+        for (m, ord) in member_ordinals(&two) {
+            assert_eq!(
+                member_seed_operands(&two, m, ord, 0),
+                first_seed_member_operands(&two, m, ord)
+            );
+            let activities = member_seed_activities(&five, m, ord);
+            for s in 0..two.seeds {
+                let (a, b) = member_seed_operands(&two, m, ord, s);
+                assert_eq!(
+                    (a.clone(), b.clone()),
+                    member_seed_operands(&five, m, ord, s)
+                );
+                assert_eq!(
+                    simulate_member_activity(&five, m, &a, &b),
+                    activities[s as usize]
+                );
+            }
+        }
+        let m = GemmDims::square(64);
+        assert_ne!(
+            member_seed_operands(&two, m, 0, 0),
+            member_seed_operands(&two, m, 0, 1),
+            "seeds draw decorrelated operands"
+        );
     }
 
     #[test]

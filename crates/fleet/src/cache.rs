@@ -1,32 +1,31 @@
 //! Sharded memo cache with in-flight deduplication.
 //!
-//! Results are keyed on the canonical hash from [`crate::hash`] and stored
-//! behind `Arc`, so a hit hands every caller the *same* allocation —
-//! repeated queries are bit-identical by construction. A second caller
+//! Values are keyed on the canonical hashes from [`crate::hash`] and
+//! stored behind `Arc`, so a hit hands every caller the *same* allocation
+//! — repeated queries are bit-identical by construction. A second caller
 //! arriving while the first is still computing joins the in-flight entry
-//! (waits on the shard's condvar) instead of recomputing: identical
-//! queries never run `simulate` twice, which is the scheduler's
-//! acceptance-criterion counter.
+//! (waits on the shard's condvar) instead of recomputing: identical work
+//! never runs twice.
 //!
 //! Two stores share the machinery:
 //!
 //! * the **result store** (`canonical_key -> Arc<RunResult>`): whole
 //!   requests, device- and VM-specific;
-//! * the **member store** (`member_activity_key -> Arc<Vec<ActivityRecord>>`):
-//!   one canonical group member's per-seed activity records, the unit the
-//!   O(bytes) simulation actually produces. Activity is device-independent,
-//!   so one member entry serves every device, and — because the seed
-//!   derivation fixes a member's operand streams by `(dims, ordinal)`
-//!   alone — a plain single request and a group containing the same member
-//!   share the entry. A grouped request answers covered members from here
-//!   and simulates only the *residue*.
+//! * the **unit store** (`unit_key -> Arc<Unit>`): one canonical group
+//!   member's work for one seed index, from a single operand walk
+//!   ([`Unit::compute`]). Units are device-independent, and a member's
+//!   seed-`s` operands depend on `(dims, ordinal, s)` alone, so plain
+//!   requests and groups share units, as do requests that differ only in
+//!   seed or iteration counts.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use wm_core::RunResult;
+use wm_core::{member_seed_operands, simulate_member_activity, RunRequest, RunResult};
+use wm_gpu::GemmDims;
 use wm_kernels::ActivityRecord;
+use wm_predict::FeatureAccumulator;
 
 enum Slot<T> {
     /// A worker is computing this entry; waiters sleep on the shard condvar.
@@ -198,30 +197,68 @@ impl<T> ShardSet<T> {
     }
 }
 
-/// Sharded memo cache: whole-request results plus the member-granular
-/// activity index grouped requests draw partial reuse from.
+/// One canonical group member's work for one seed index: everything a
+/// single walk over that seed's generated operands yields.
+#[derive(Debug)]
+pub struct Unit {
+    /// The seed's simulated switching activity.
+    pub activity: ActivityRecord,
+    /// The member's input-feature chunk: present on seed 0 only, the seed
+    /// the feature extractor walks.
+    pub chunk: Option<Box<FeatureAccumulator>>,
+    /// Id of the request whose job computed the unit. A member counts as
+    /// cached only when a *different* request computed its units.
+    pub computed_by: u64,
+}
+
+impl Unit {
+    /// Generate seed `seed`'s operands of member `(member, ordinal)` once
+    /// ([`member_seed_operands`]) and walk them for both products: the
+    /// kernel simulation and, on seed 0, the feature chunk. Bit-identical
+    /// to `wm_core::member_seed_activities(..)[seed]` and
+    /// `wm_predict::member_feature_chunk(..)`.
+    pub fn compute(
+        req: &RunRequest,
+        member: GemmDims,
+        ordinal: u64,
+        seed: u64,
+        computed_by: u64,
+    ) -> Self {
+        let (a, b) = member_seed_operands(req, member, ordinal, seed);
+        let chunk = (seed == 0).then(|| {
+            let mut acc = FeatureAccumulator::new(req.dtype);
+            acc.add_matrix(&a);
+            acc.add_matrix(&b);
+            Box::new(acc)
+        });
+        Self {
+            activity: simulate_member_activity(req, member, &a, &b),
+            chunk,
+            computed_by,
+        }
+    }
+}
+
+/// Sharded memo cache: whole-request results plus the `(member, seed)`
+/// unit store every stage below them reads from.
 pub struct MemoCache {
     results: ShardSet<RunResult>,
-    members: ShardSet<Vec<ActivityRecord>>,
+    units: ShardSet<Unit>,
     hits: AtomicU64,
     misses: AtomicU64,
     joins: AtomicU64,
-    member_hits: AtomicU64,
-    member_residues: AtomicU64,
 }
 
 impl MemoCache {
     /// A cache with `shards` shards (rounded up to a power of two) in each
-    /// of the result and member stores.
+    /// of the result and unit stores.
     pub fn new(shards: usize) -> Self {
         Self {
             results: ShardSet::new(shards),
-            members: ShardSet::new(shards),
+            units: ShardSet::new(shards),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             joins: AtomicU64::new(0),
-            member_hits: AtomicU64::new(0),
-            member_residues: AtomicU64::new(0),
         }
     }
 
@@ -286,42 +323,22 @@ impl MemoCache {
         }
     }
 
-    /// Whether a member's activity unit is ready. Uncounted, like
-    /// [`Self::contains`].
-    pub fn member_contains(&self, key: u64) -> bool {
-        self.members.contains(key)
+    /// Non-blocking, uncounted read of a ready unit.
+    pub fn peek_unit(&self, key: u64) -> Option<Arc<Unit>> {
+        self.units.peek(key)
     }
 
-    /// Non-blocking member lookup: `Some` (counted as a member hit) iff
-    /// the activity unit is ready.
-    pub fn member_peek(&self, key: u64) -> Option<Arc<Vec<ActivityRecord>>> {
-        let v = self.members.peek(key)?;
-        self.member_hits.fetch_add(1, Ordering::Relaxed);
-        Some(v)
-    }
-
-    /// Member-granular [`Self::get_or_compute`]: answer a canonical group
-    /// member's per-seed activity records from cache, or simulate the
-    /// *residue job* and publish it. Concurrent callers — a single request
-    /// and a group sharing the member, or two overlapping groups — dedup
-    /// exactly like result entries: one simulation, everyone else joins
-    /// and counts as a member hit. Returns the unit and whether it was
-    /// served from cache.
-    pub fn member_get_or_compute<F>(&self, key: u64, compute: F) -> (Arc<Vec<ActivityRecord>>, bool)
+    /// The unit under `key`: ready, joined while in flight, or computed
+    /// here and published. Concurrent callers — one request's stages, or
+    /// overlapping requests sharing a member — run `compute` once, and an
+    /// unwinding `compute` frees the key exactly like a result entry's.
+    /// Uncounted: who computed a unit is recorded in
+    /// [`Unit::computed_by`].
+    pub fn unit<F>(&self, key: u64, compute: F) -> Arc<Unit>
     where
-        F: FnOnce() -> Vec<ActivityRecord>,
+        F: FnOnce() -> Unit,
     {
-        let (value, fetch) = self.members.get_or_compute(key, compute);
-        match fetch {
-            Fetch::Computed => {
-                self.member_residues.fetch_add(1, Ordering::Relaxed);
-                (value, false)
-            }
-            Fetch::Hit | Fetch::Joined => {
-                self.member_hits.fetch_add(1, Ordering::Relaxed);
-                (value, true)
-            }
-        }
+        self.units.get_or_compute(key, compute).0
     }
 
     /// Number of *ready* result entries across all shards.
@@ -334,9 +351,9 @@ impl MemoCache {
         self.len() == 0
     }
 
-    /// Number of *ready* member activity units across all shards.
-    pub fn member_len(&self) -> usize {
-        self.members.ready_len()
+    /// Number of *ready* units across all shards.
+    pub fn unit_len(&self) -> usize {
+        self.units.ready_len()
     }
 
     /// Calls served from cache (including in-flight joins).
@@ -353,27 +370,18 @@ impl MemoCache {
     pub fn joins(&self) -> u64 {
         self.joins.load(Ordering::Relaxed)
     }
-
-    /// Member lookups answered from a prior request's activity unit.
-    pub fn member_hits(&self) -> u64 {
-        self.member_hits.load(Ordering::Relaxed)
-    }
-
-    /// Member units that had to be simulated (residue jobs).
-    pub fn member_residues(&self) -> u64 {
-        self.member_residues.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use wm_core::{member_seed_activities, PowerLab, RunRequest};
+    use wm_core::{member_ordinals, member_seed_activities, PowerLab};
     use wm_gpu::spec::a100_pcie;
-    use wm_kernels::Sampling;
+    use wm_kernels::{KernelClass, Sampling};
     use wm_numerics::DType;
     use wm_patterns::{PatternKind, PatternSpec};
+    use wm_predict::member_feature_chunk;
 
     fn quick_request() -> RunRequest {
         RunRequest::new(DType::Int8, 64, PatternSpec::new(PatternKind::Zeros))
@@ -385,9 +393,9 @@ mod tests {
         PowerLab::new(a100_pcie()).run(&quick_request())
     }
 
-    fn quick_unit() -> Vec<ActivityRecord> {
+    fn quick_unit() -> Unit {
         let req = quick_request();
-        member_seed_activities(&req, req.dims(), 0)
+        Unit::compute(&req, req.dims(), 0, 0, 1)
     }
 
     #[test]
@@ -447,30 +455,28 @@ mod tests {
     }
 
     #[test]
-    fn member_store_counts_residues_and_hits_independently() {
+    fn unit_store_shares_one_allocation_and_counts_nothing() {
         let cache = MemoCache::new(8);
-        let (a, hit_a) = cache.member_get_or_compute(11, quick_unit);
-        let (b, hit_b) = cache.member_get_or_compute(11, quick_unit);
-        assert!(!hit_a, "first member lookup is a residue job");
-        assert!(hit_b, "second member lookup reuses the unit");
+        let computed = AtomicUsize::new(0);
+        let make = || {
+            computed.fetch_add(1, Ordering::Relaxed);
+            quick_unit()
+        };
+        assert!(cache.peek_unit(11).is_none());
+        let a = cache.unit(11, make);
+        let b = cache.unit(11, make);
+        assert_eq!(computed.load(Ordering::Relaxed), 1, "one walk per unit");
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.member_residues(), 1);
-        assert_eq!(cache.member_hits(), 1);
-        assert_eq!(cache.member_len(), 1);
-        assert!(cache.member_contains(11));
-        assert!(!cache.member_contains(12));
-        // member_peek counts; member_contains does not.
-        assert!(cache.member_peek(11).is_some());
-        assert_eq!(cache.member_hits(), 2);
-        // The member store never touches the result-store counters and
-        // vice versa.
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 0);
+        assert!(Arc::ptr_eq(&a, &cache.peek_unit(11).unwrap()));
+        assert!(cache.peek_unit(12).is_none());
+        assert_eq!(cache.unit_len(), 1);
+        // Units never touch the result-store counters.
+        assert_eq!((cache.hits(), cache.misses(), cache.joins()), (0, 0, 0));
         assert!(cache.is_empty());
     }
 
     #[test]
-    fn concurrent_member_lookups_simulate_once() {
+    fn concurrent_unit_lookups_compute_once() {
         let cache = Arc::new(MemoCache::new(8));
         let computed = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
@@ -478,20 +484,66 @@ mod tests {
             let cache = Arc::clone(&cache);
             let computed = Arc::clone(&computed);
             handles.push(std::thread::spawn(move || {
-                let (v, _) = cache.member_get_or_compute(3, || {
-                    computed.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    quick_unit()
-                });
-                v.len()
+                cache
+                    .unit(3, || {
+                        computed.fetch_add(1, Ordering::Relaxed);
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        quick_unit()
+                    })
+                    .computed_by
             }));
         }
         for h in handles {
-            assert_eq!(h.join().unwrap(), 1, "one record per seed");
+            assert_eq!(h.join().unwrap(), 1, "every caller sees the one unit");
         }
-        assert_eq!(computed.load(Ordering::Relaxed), 1, "member dedup failed");
-        assert_eq!(cache.member_residues(), 1);
-        assert_eq!(cache.member_hits(), 5);
+        assert_eq!(computed.load(Ordering::Relaxed), 1, "unit dedup failed");
+        assert_eq!(cache.unit_len(), 1);
+    }
+
+    #[test]
+    fn units_are_bit_identical_to_the_per_member_walks() {
+        // One operand walk per (member, seed) must reproduce both walks it
+        // replaces: the seed's activity record of the execution path and,
+        // on seed 0, the member's feature chunk.
+        let base = RunRequest::new(
+            DType::Fp16Tensor,
+            64,
+            PatternSpec::new(PatternKind::Sparse { sparsity: 0.4 }),
+        )
+        .with_seeds(3)
+        .with_sampling(Sampling::Lattice { rows: 4, cols: 4 });
+        let gemm = base.clone().with_group(vec![
+            GemmDims::square(64),
+            GemmDims::square(64),
+            GemmDims {
+                n: 32,
+                m: 48,
+                k: 96,
+            },
+        ]);
+        let gemv = base
+            .with_kernel(KernelClass::Gemv)
+            .with_shape(GemmDims { n: 96, m: 1, k: 48 });
+        for req in [gemm, gemv] {
+            for (m, ord) in member_ordinals(&req) {
+                let activities = member_seed_activities(&req, m, ord);
+                for s in 0..req.seeds {
+                    let unit = Unit::compute(&req, m, ord, s, 7);
+                    assert_eq!(
+                        unit.activity, activities[s as usize],
+                        "{m:?}#{ord} seed {s}"
+                    );
+                    assert_eq!(unit.computed_by, 7);
+                    match unit.chunk {
+                        Some(chunk) => {
+                            assert_eq!(s, 0, "only seed 0 carries a chunk");
+                            assert_eq!(*chunk, member_feature_chunk(&req, m, ord));
+                        }
+                        None => assert_ne!(s, 0, "seed 0 must carry its chunk"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

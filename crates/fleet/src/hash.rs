@@ -245,15 +245,12 @@ pub fn write_request(h: &mut CanonicalHasher, req: &RunRequest) {
     }
 }
 
-/// Device-independent key of a request, used for the placement probe and
-/// feature caches: switching activity does not depend on the device, and
-/// both the probe and the feature extractor walk only the first seed's
-/// operands. Fields that cannot move either — `iterations` (a repeat
-/// count) and `seeds` (how many operand sets a *run* averages) — are
-/// deliberately excluded, so requests differing only in those share one
-/// probe instead of re-simulating it. The full memo key
-/// ([`canonical_key`]) keeps them: they do change a run's averaged
-/// result.
+/// Device-independent key of a request's first-seed data, used as
+/// placement's tie salt: only the fields that shape the operands are
+/// folded. `iterations` (a repeat count) and `seeds` (how many operand
+/// sets a *run* averages) are deliberately excluded, so requests differing
+/// only there place alike. The full memo key ([`canonical_key`]) keeps
+/// them: they do change a run's averaged result.
 pub fn request_key(req: &RunRequest) -> u64 {
     let mut h = CanonicalHasher::new();
     write_activity_fields(&mut h, req);
@@ -271,21 +268,25 @@ pub fn canonical_key(req: &RunRequest, gpu: &GpuSpec, vm_id: u64) -> u64 {
     h.finish()
 }
 
-// Leading domain tags keep the member-granular keys from ever colliding
-// with each other or with the request-level folds above (which start with
-// a 0/1 kernel tag byte).
-const MEMBER_REQUEST_DOMAIN: u8 = 0xA1;
-const MEMBER_ACTIVITY_DOMAIN: u8 = 0xA2;
+// A leading domain tag keeps unit keys from ever colliding with the
+// request-level folds above (which start with a 0/1 kernel tag byte).
+const UNIT_DOMAIN: u8 = 0xA1;
 
-/// Fold the knobs that determine one canonical member's operand streams:
-/// the request-wide data shapers (kernel, dtype, patterns, transpose,
-/// base seed, sampling) plus the member's *effective* dims and its
-/// ordinal among equal-dims members in canonical order. Deliberately no
-/// group-structure fields: the seed derivation fixes each member's
-/// streams by `(dims, ordinal)` alone, so the same member inside any
-/// group — or standing alone as a plain request (ordinal 0) — draws the
-/// same data and may share one cache entry.
-fn write_member_fields(h: &mut CanonicalHasher, req: &RunRequest, member: GemmDims, ordinal: u64) {
+/// Key of one `(member, seed)` unit of the memo cache's unit store
+/// ([`crate::cache::Unit`]): the request-wide data shapers (kernel, dtype,
+/// patterns, transpose, base seed, sampling), the member's *effective*
+/// dims, its ordinal among equal-dims members in canonical order, and the
+/// seed index. Deliberately no group-structure fields and no seed or
+/// iteration count: the seed derivation fixes a member's seed-`s`
+/// operands by `(dims, ordinal, s)` alone, so the same member inside any
+/// group — or standing alone as a plain request (ordinal 0) — shares its
+/// units, and so do requests that differ only in how many seeds they
+/// average or iterations they run. Device-independent: neither simulation
+/// nor feature extraction reads the `GpuSpec`, so one unit serves every
+/// device and VM.
+pub fn unit_key(req: &RunRequest, member: GemmDims, ordinal: u64, seed: u64) -> u64 {
+    let mut h = CanonicalHasher::new();
+    h.write_u8(UNIT_DOMAIN);
     h.write_u8(match req.kernel {
         KernelClass::Gemm => 0,
         KernelClass::Gemv => 1,
@@ -295,36 +296,12 @@ fn write_member_fields(h: &mut CanonicalHasher, req: &RunRequest, member: GemmDi
     h.write_usize(member.m);
     h.write_usize(member.k);
     h.write_u64(ordinal);
-    write_pattern(h, &req.pattern_a);
-    write_pattern(h, &req.pattern_b);
+    write_pattern(&mut h, &req.pattern_a);
+    write_pattern(&mut h, &req.pattern_b);
     h.write_bool(req.b_transposed);
     h.write_u64(req.base_seed);
-    write_sampling(h, req.sampling);
-}
-
-/// Device-independent key of one canonical member's first-seed operand
-/// stream, used for the member-granular feature-chunk cache. No `seeds`
-/// fold — feature extraction walks only the first seed, so requests
-/// differing only in seed count share each member's chunk. A plain
-/// request's single member is `(req.dims(), 0)` and hashes identically
-/// to a group member of those dims at ordinal 0: that aliasing is the
-/// point — single-request work answers group members and vice versa.
-pub fn member_request_key(req: &RunRequest, member: GemmDims, ordinal: u64) -> u64 {
-    let mut h = CanonicalHasher::new();
-    h.write_u8(MEMBER_REQUEST_DOMAIN);
-    write_member_fields(&mut h, req, member, ordinal);
-    h.finish()
-}
-
-/// Key of one canonical member's full per-seed activity unit (one
-/// [`wm_kernels::ActivityRecord`] per seed): the member stream fields
-/// plus `seeds`. Device-independent — simulation never reads the
-/// `GpuSpec` — so one entry serves every device and VM in the fleet.
-pub fn member_activity_key(req: &RunRequest, member: GemmDims, ordinal: u64) -> u64 {
-    let mut h = CanonicalHasher::new();
-    h.write_u8(MEMBER_ACTIVITY_DOMAIN);
-    write_member_fields(&mut h, req, member, ordinal);
-    h.write_u64(req.seeds);
+    write_sampling(&mut h, req.sampling);
+    h.write_u64(seed);
     h.finish()
 }
 
@@ -413,9 +390,9 @@ mod tests {
 
     #[test]
     fn probe_key_ignores_iterations_and_seed_count() {
-        // The probe and feature caches walk only the first seed's
-        // operands; neither `iterations` nor `seeds` changes that data,
-        // so requests differing only there must share one probe entry.
+        // The tie salt folds only the first seed's data; neither
+        // `iterations` nor `seeds` changes it, so requests differing only
+        // there must place alike.
         let base = request_key(&req());
         assert_eq!(base, request_key(&req().with_iterations(100)));
         assert_eq!(base, request_key(&req().with_iterations(20_000)));
@@ -615,10 +592,10 @@ mod tests {
     }
 
     #[test]
-    fn member_keys_alias_plain_and_group_spellings() {
+    fn unit_keys_alias_plain_and_group_spellings() {
         // The load-bearing aliasing: a plain request's single member and
-        // the same dims at ordinal 0 inside any group share both member
-        // keys, so single-request cache entries answer group members.
+        // the same dims at ordinal 0 inside any group share every unit, so
+        // single-request work answers group members and vice versa.
         let dims = GemmDims {
             n: 256,
             m: 64,
@@ -626,74 +603,55 @@ mod tests {
         };
         let plain = req().with_shape(dims);
         let grouped = req().with_group(vec![dims, GemmDims::square(128)]);
-        assert_eq!(
-            member_request_key(&plain, dims, 0),
-            member_request_key(&grouped, dims, 0)
-        );
-        assert_eq!(
-            member_activity_key(&plain, dims, 0),
-            member_activity_key(&grouped, dims, 0)
-        );
         // Group structure is invisible: a different sibling set changes
-        // nothing about this member's keys.
+        // nothing about this member's units.
         let other_group = req().with_group(vec![dims, GemmDims::square(32)]);
-        assert_eq!(
-            member_activity_key(&grouped, dims, 0),
-            member_activity_key(&other_group, dims, 0)
-        );
+        for seed in 0..3 {
+            assert_eq!(
+                unit_key(&plain, dims, 0, seed),
+                unit_key(&grouped, dims, 0, seed)
+            );
+            assert_eq!(
+                unit_key(&grouped, dims, 0, seed),
+                unit_key(&other_group, dims, 0, seed)
+            );
+        }
     }
 
     #[test]
-    fn member_keys_are_ordinal_and_field_sensitive() {
+    fn unit_keys_are_ordinal_seed_and_field_sensitive() {
         let dims = GemmDims::square(256);
-        let base_rk = member_request_key(&req(), dims, 0);
-        let base_ak = member_activity_key(&req(), dims, 0);
-        // Twin members (same dims, higher ordinal) draw different data.
-        assert_ne!(base_rk, member_request_key(&req(), dims, 1));
-        assert_ne!(base_ak, member_activity_key(&req(), dims, 1));
-        // Every data-shaping knob moves both keys.
-        for (rk, ak) in [
-            (
-                member_request_key(&req().with_base_seed(1), dims, 0),
-                member_activity_key(&req().with_base_seed(1), dims, 0),
+        let base = unit_key(&req(), dims, 0, 0);
+        // Twin members (same dims, higher ordinal) and later seeds draw
+        // different data.
+        assert_ne!(base, unit_key(&req(), dims, 1, 0));
+        assert_ne!(base, unit_key(&req(), dims, 0, 1));
+        assert_ne!(unit_key(&req(), dims, 1, 0), unit_key(&req(), dims, 0, 1));
+        // Every data-shaping knob moves the key.
+        for key in [
+            unit_key(&req().with_base_seed(1), dims, 0, 0),
+            unit_key(&req().with_b_transposed(false), dims, 0, 0),
+            unit_key(&req(), GemmDims::square(255), 0, 0),
+            unit_key(
+                &req().with_pattern_b(PatternSpec::new(PatternKind::Zeros)),
+                dims,
+                0,
+                0,
             ),
-            (
-                member_request_key(&req().with_b_transposed(false), dims, 0),
-                member_activity_key(&req().with_b_transposed(false), dims, 0),
-            ),
-            (
-                member_request_key(&req(), GemmDims::square(255), 0),
-                member_activity_key(&req(), GemmDims::square(255), 0),
-            ),
-            (
-                member_request_key(
-                    &req().with_pattern_b(PatternSpec::new(PatternKind::Zeros)),
-                    dims,
-                    0,
-                ),
-                member_activity_key(
-                    &req().with_pattern_b(PatternSpec::new(PatternKind::Zeros)),
-                    dims,
-                    0,
-                ),
-            ),
+            unit_key(&req().with_kernel(KernelClass::Gemv), dims, 0, 0),
         ] {
-            assert_ne!(base_rk, rk);
-            assert_ne!(base_ak, ak);
+            assert_ne!(base, key);
         }
-        // Seeds: invisible to the chunk key (first-seed walk), load-bearing
-        // for the activity unit (one record per seed).
-        assert_ne!(base_ak, member_activity_key(&req().with_seeds(3), dims, 0));
-        assert_eq!(base_rk, member_request_key(&req().with_seeds(3), dims, 0));
-        // Iterations are a repeat count; activities never depend on them.
+        // Seed and iteration counts never change a seed's data: requests
+        // differing only there share every seed they have in common.
+        assert_eq!(base, unit_key(&req().with_seeds(3), dims, 0, 0));
         assert_eq!(
-            base_ak,
-            member_activity_key(&req().with_iterations(100), dims, 0)
+            unit_key(&req(), dims, 0, 2),
+            unit_key(&req().with_seeds(3), dims, 0, 2)
         );
-        // Domain separation: the two member folds never alias each other
-        // or the request-level keys on identical inputs.
-        assert_ne!(base_rk, base_ak);
-        assert_ne!(base_rk, request_key(&req()));
+        assert_eq!(base, unit_key(&req().with_iterations(100), dims, 0, 0));
+        // Domain separation from the request-level key on identical inputs.
+        assert_ne!(base, request_key(&req()));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * [`hash`] — canonical hashing of `(RunRequest, GpuSpec, vm)` so the
 //!   cache keys on semantic request content.
 //! * [`cache`] — the sharded [`MemoCache`] with in-flight deduplication:
-//!   identical queries never run the simulator twice.
+//!   identical queries never run the simulator twice, and one store of
+//!   `(member, seed)` [`Unit`]s holds every operand walk, which features,
+//!   the analytic probe and execution all read.
 //! * [`placement`] — power-capped placement: price the request on every
 //!   device (learned `wm-predict` models when trained and healthy, the
 //!   activity probe + power model otherwise), plan the energy-minimal
@@ -71,11 +73,9 @@ pub mod placement;
 pub mod protocol;
 pub mod scheduler;
 
-pub use cache::MemoCache;
+pub use cache::{MemoCache, Unit};
 pub use device::{Fleet, FleetBuilder, FleetDevice};
-pub use hash::{
-    canonical_key, member_activity_key, member_request_key, request_key, CanonicalHasher,
-};
+pub use hash::{canonical_key, request_key, unit_key, CanonicalHasher};
 pub use par::parallel_map;
 pub use placement::{
     place, place_learned, probe_activity, Placement, PlacementError, PredictionSource,

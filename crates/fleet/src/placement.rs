@@ -8,10 +8,10 @@
 //! picks the cheapest device whose planned power fits under both its own
 //! cap and the fleet power budget. Two pricing paths exist:
 //!
-//! * **analytic** ([`place`]) — probe the request's switching activity
-//!   once (activity is device-independent) and evaluate the full power
-//!   model per device;
-//! * **learned** ([`place_learned`]) — skip the probe entirely: ask the
+//! * **analytic** ([`place`]) — evaluate the full power model per device
+//!   from the request's seed-0 switching activity (device-independent, so
+//!   one operand walk serves every device);
+//! * **learned** ([`place_learned`]) — skip the activity records: ask the
 //!   `wm-predict` [`PowerPredictor`] for each device's power from cheap
 //!   input features, and rebuild a plannable breakdown with
 //!   [`wm_power::predicted_breakdown`]. Models are keyed by
@@ -114,8 +114,8 @@ impl std::fmt::Display for PlacementError {
 /// kernel dispatch from [`wm_core::simulate_member_activity`], so the
 /// probe walks exactly the data — and the kernel family — the run
 /// executes. Activity depends only on the input data, not on the device,
-/// so one probe serves every candidate device (and is cached per request
-/// by the scheduler).
+/// so one probe serves every candidate device (the scheduler reads the
+/// same records from its unit store).
 pub fn probe_activity(req: &RunRequest) -> Vec<ActivityRecord> {
     let members = req.member_dims();
     first_seed_group_operands(req)

@@ -4,13 +4,13 @@
 //! per-worker deques, and idle workers steal from the back of their
 //! peers' deques. Each job flows through:
 //!
-//! 1. **Placement** — auto jobs probe their switching activity (memoised
-//!    per request: activity is device-independent) and ask
-//!    [`crate::placement::place`] for the device + clock that fits under
-//!    the fleet power budget; pinned jobs skip straight to their device.
+//! 1. **Placement** — auto jobs read their seed-0 units (below) for
+//!    features and the analytic probe, and ask [`crate::placement`] for
+//!    the device + clock that fits under the fleet power budget; pinned
+//!    jobs skip straight to their device.
 //! 2. **Memo cache** — the canonical `(RunRequest, GpuSpec, vm)` key is
-//!    looked up in the sharded [`MemoCache`]; only a miss runs the full
-//!    `PowerLab` pipeline. Identical in-flight queries join rather than
+//!    looked up in the sharded [`MemoCache`]; only a miss assembles a run
+//!    from its units. Identical in-flight queries join rather than
 //!    recompute.
 //! 3. **Reply** — the response (shared `Arc<RunResult>`, chosen device,
 //!    clock, cache-hit flag) is sent back over the job's reply channel.
@@ -20,13 +20,23 @@
 //! joules — exposed via [`Scheduler::stats`] and
 //! [`Scheduler::device_stats`].
 //!
+//! ## One operand walk per (member, seed)
+//!
+//! The [`MemoCache`] unit store holds one [`Unit`] per canonical member
+//! and seed index: the seed's activity and, on seed 0, the member's
+//! feature chunk, from one walk over operands generated once. Features
+//! (merged once per job), the analytic probe (the seed-0 activities) and
+//! execution (every seed's activities) are views over it. Each unit
+//! records the request that computed it: a member is `cached` only when a
+//! different request paid for it.
+//!
 //! ## The prediction loop
 //!
 //! The scheduler closes the `wm-predict` learning loop: every fresh
 //! (cache-miss) run feeds `(input features, measured watts)` back into
 //! the shared [`PowerPredictor`] under the run's `(architecture, kernel)`
-//! key, and placement consults the learned models *before* probing
-//! activity — once every device's model *for the requesting kernel* is
+//! key, and placement consults the learned models *before* the analytic
+//! model — once every device's model *for the requesting kernel* is
 //! trained and healthy, admission control and clock selection run from
 //! cheap input statistics alone. An untrained or drift-degraded model
 //! falls back to the analytic probe path, so prediction only ever
@@ -34,21 +44,21 @@
 //! has only learned GEMM is priced analytically, never from the wrong
 //! regime's coefficients.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use wm_core::{member_ordinals, member_seed_activities, PowerLab, RunRequest, RunResult};
+use wm_core::{member_ordinals, PowerLab, RunRequest, RunResult};
 use wm_gpu::GemmDims;
 use wm_kernels::{ActivityRecord, KernelClass};
 use wm_obs::{stage, Histogram, Registry, Tracer};
 use wm_optimizer::DvfsPlan;
 use wm_power::{evaluate_group, group_runtime, predicted_breakdown, PowerBreakdown};
 use wm_predict::{
-    features_from_member_chunks, member_feature_chunk, FeatureAccumulator, FeatureVector,
-    ModelStats, PowerPredictor, PredictorState,
+    features_from_member_chunks, FeatureAccumulator, FeatureVector, ModelStats, PowerPredictor,
+    PredictorState,
 };
 
 /// Default span capacity of a scheduler's trace ring
@@ -66,12 +76,10 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-use crate::cache::MemoCache;
+use crate::cache::{MemoCache, Unit};
 use crate::device::Fleet;
-use crate::hash::{canonical_key, member_activity_key, member_request_key, request_key};
-use crate::placement::{
-    place, place_learned, probe_activity, Placement, PlacementError, PredictionSource,
-};
+use crate::hash::{canonical_key, request_key, unit_key};
+use crate::placement::{place, place_learned, Placement, PlacementError, PredictionSource};
 
 /// One unit of work for the fleet.
 #[derive(Debug, Clone)]
@@ -151,11 +159,12 @@ pub struct FleetResponse {
     /// Whether the result came from the memo cache (or an in-flight join).
     pub cache_hit: bool,
     /// Per-member cache provenance of a grouped request, in canonical
-    /// [`RunRequest::member_dims`] order: `true` for members answered
-    /// from a previously simulated activity unit (by a single request or
-    /// another group), `false` for residue jobs this run simulated. Empty
-    /// for plain requests; all-`true` when the whole result replayed from
-    /// the memo cache.
+    /// [`RunRequest::member_dims`] order: `true` for members whose every
+    /// unit a *different* request computed (a single of the same shape,
+    /// another group, an earlier `predict`), `false` for residue members
+    /// this request walked — in its own features stage or in execution.
+    /// Empty for plain requests; all-`true` when the whole result replayed
+    /// from the memo cache.
     pub member_cached: Vec<bool>,
     /// The job's DVFS deadline, echoed back so callers can audit what the
     /// planner was (or was not) constrained by. `None` when unset.
@@ -205,10 +214,10 @@ pub struct SchedulerStats {
     pub cache_misses: u64,
     /// Cache hits that waited on an identical in-flight computation.
     pub dedup_joins: u64,
-    /// Canonical group members answered from a prior request's cached
-    /// activity unit instead of re-simulating.
+    /// Canonical members of fresh runs whose every unit another request
+    /// computed.
     pub member_cache_hits: u64,
-    /// Canonical group members that had to be simulated (residue jobs).
+    /// Canonical members of fresh runs that walked a unit (residue jobs).
     pub member_residue_jobs: u64,
     /// Tasks a worker stole from a peer's deque.
     pub steals: u64,
@@ -288,23 +297,9 @@ struct Task {
 
 struct Inner {
     fleet: Fleet,
+    /// Whole results plus the `(member, seed)` unit store that features,
+    /// the analytic probe and execution all read.
     cache: MemoCache,
-    /// Request-keyed probe cache: switching activity is device-independent,
-    /// so placement probes are shared across devices and repeats. One
-    /// record per group member (plain requests are their own single
-    /// member).
-    probes: Mutex<HashMap<u64, Arc<Vec<ActivityRecord>>>>,
-    /// Request-keyed feature cache: input features are device-independent
-    /// too, and one extraction serves placement, prediction, and the
-    /// training feedback of every repeat.
-    features: Mutex<HashMap<u64, Arc<FeatureVector>>>,
-    /// Member-keyed feature-chunk cache backing the request-keyed one:
-    /// one accumulated [`FeatureAccumulator`] per canonical member
-    /// operand stream ([`member_request_key`]), shared across every
-    /// request spelling that contains the member — a grouped request
-    /// whose members were featured before (alone or in other groups)
-    /// composes its vector without touching operand bytes.
-    feature_chunks: Mutex<HashMap<u64, Arc<FeatureAccumulator>>>,
     /// The shared online power predictor, trained from completed runs.
     predictor: Mutex<PowerPredictor>,
     /// Per-device execution accumulators (fresh computes only).
@@ -331,6 +326,10 @@ struct Inner {
     packed_batches: AtomicU64,
     pack_rounds: AtomicU64,
     last_batch_rounds: AtomicU64,
+    member_hits: AtomicU64,
+    member_residues: AtomicU64,
+    /// Pricing passes that fell back to the analytic probe.
+    analytic_pricings: AtomicU64,
     /// The metrics registry this scheduler records into (shared with the
     /// protocol layer, which exports it).
     registry: Arc<Registry>,
@@ -400,9 +399,6 @@ impl Scheduler {
         let inner = Arc::new(Inner {
             fleet,
             cache: MemoCache::new(16),
-            probes: Mutex::new(HashMap::new()),
-            features: Mutex::new(HashMap::new()),
-            feature_chunks: Mutex::new(HashMap::new()),
             predictor: Mutex::new(PowerPredictor::new()),
             device_accum: Mutex::new(vec![DeviceAccum::default(); n_devices]),
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -420,6 +416,9 @@ impl Scheduler {
             packed_batches: AtomicU64::new(0),
             pack_rounds: AtomicU64::new(0),
             last_batch_rounds: AtomicU64::new(0),
+            member_hits: AtomicU64::new(0),
+            member_residues: AtomicU64::new(0),
+            analytic_pricings: AtomicU64::new(0),
             registry,
             tracer,
             latency_gemm,
@@ -479,8 +478,9 @@ impl Scheduler {
     ///
     /// Execution order is **power-packed**, not FIFO: every auto-placed
     /// job is priced up front exactly as placement will price it (learned
-    /// models when trained and healthy, the analytic probe otherwise —
-    /// probes and features are cached, so nothing is paid twice), and the
+    /// models when trained and healthy, the analytic probe otherwise;
+    /// pricing walks each job's seed-0 units into the unit store, so
+    /// execution never walks them again), and the
     /// priced jobs are first-fit-decreasing packed into concurrency
     /// rounds against the fleet power budget ([`pack_ffd`]). Each round
     /// fills the budget with the heaviest jobs that fit together — one
@@ -543,16 +543,22 @@ impl Scheduler {
     /// marker. `wm-serve` streams one response line per callback.
     pub fn run_batch_rounds(
         &self,
-        jobs: Vec<FleetJob>,
+        mut jobs: Vec<FleetJob>,
         parent_rid: u64,
         mut on_round: impl FnMut(BatchRound),
     ) {
         let inner = &*self.inner;
+        // Ids first: the seed-0 units pricing walks must record the job
+        // that will execute them, or its own walk reads as another's.
+        for job in &mut jobs {
+            job.request_id
+                .get_or_insert_with(|| inner.tracer.next_request_id());
+        }
         let pack_span = inner.tracer.start(parent_rid, stage::PACK);
         // Price the whole batch in parallel (order-preserving fan-out;
-        // probes and features land in the shared per-request caches, so
-        // the workers executing the rounds reuse them). `None` marks a
-        // job the packer must not touch.
+        // each job's seed-0 units land in the unit store, so the workers
+        // executing the rounds walk no operand twice). `None` marks a job
+        // the packer must not touch.
         let pricing: Vec<Option<(usize, f64)>> =
             crate::par::parallel_map((0..jobs.len()).collect(), |i| {
                 let job = &jobs[i];
@@ -579,8 +585,8 @@ impl Scheduler {
                 // and comes back as a clean error. Infeasible jobs hold no
                 // budget; the worker re-derives and answers the error.
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let features = request_features(inner, &job.request);
-                    plan_placement(inner, &job.request, job.deadline_s, &features)
+                    let first = first_seed(inner, &job.request, job.request_id.unwrap_or(0));
+                    plan_placement(inner, &job.request, job.deadline_s, &first)
                 }))
                 .ok()
                 .and_then(Result::ok)
@@ -667,8 +673,8 @@ impl Scheduler {
             cache_hits: self.inner.cache.hits(),
             cache_misses: self.inner.cache.misses(),
             dedup_joins: self.inner.cache.joins(),
-            member_cache_hits: self.inner.cache.member_hits(),
-            member_residue_jobs: self.inner.cache.member_residues(),
+            member_cache_hits: self.inner.member_hits.load(Ordering::Relaxed),
+            member_residue_jobs: self.inner.member_residues.load(Ordering::Relaxed),
             steals: self.inner.steals.load(Ordering::Relaxed),
             packed_batches: self.inner.packed_batches.load(Ordering::Relaxed),
             pack_rounds: self.inner.pack_rounds.load(Ordering::Relaxed),
@@ -751,12 +757,12 @@ impl Scheduler {
         self.inner.cache.len()
     }
 
-    /// Number of distinct activity probes cached. Probes are keyed by
-    /// the device-independent [`request_key`], which drops
-    /// activity-irrelevant fields (`iterations`, `seeds`), so identical
-    /// requests differing only there share one probe.
+    /// Jobs priced on the analytic path: the requesting kernel's learned
+    /// model was untrained or degraded on some device, or its rejection
+    /// needed confirming. Counts pricing passes — a batch job is priced
+    /// once to pack it and again when it executes, a `predict` once.
     pub fn probed_requests(&self) -> usize {
-        lock_clean(&self.inner.probes).len()
+        self.inner.analytic_pricings.load(Ordering::Relaxed) as usize
     }
 
     /// The highest instantaneous committed fleet draw observed so far,
@@ -815,14 +821,15 @@ impl Scheduler {
         Ok(())
     }
 
-    /// Predict a job's power without executing (or caching) anything:
+    /// Predict a job's power without executing it (no result is cached):
     /// the same placement logic `submit` would run, stopping at the
     /// estimate. Learned models serve when trained and healthy; otherwise
-    /// the analytic probe path answers.
+    /// the analytic probe path answers. The seed-0 units it walks stay
+    /// cached for a later run of the request.
     pub fn predict(&self, job: &FleetJob) -> Result<PredictOutcome, FleetError> {
         let inner = &*self.inner;
         let kernel = job.request.kernel;
-        let features = request_features(inner, &job.request);
+        let first = first_seed(inner, &job.request, job.request_id.unwrap_or(0));
         match job.pin {
             Some(id) => {
                 let dev = inner
@@ -832,7 +839,7 @@ impl Scheduler {
                 let (learned, observations) = {
                     let p = lock_clean(&inner.predictor);
                     (
-                        p.predict(dev.gpu.name, kernel, &features),
+                        p.predict(dev.gpu.name, kernel, &first.features),
                         p.observations(dev.gpu.name, kernel),
                     )
                 };
@@ -856,7 +863,7 @@ impl Scheduler {
                     None => {
                         // Analytic evaluation plus the device's VM offset,
                         // matching what a run on it would measure.
-                        let activity = probe(inner, &job.request);
+                        let activity = analytic_probe(inner, &first);
                         (
                             evaluate_group(&dev.gpu, &activity).total_w + dev.vm.offset_w,
                             PredictionSource::Analytic,
@@ -875,7 +882,7 @@ impl Scheduler {
                 })
             }
             None => {
-                let placement = plan_placement(inner, &job.request, job.deadline_s, &features)?;
+                let placement = plan_placement(inner, &job.request, job.deadline_s, &first)?;
                 let dev = inner
                     .fleet
                     .device(placement.device)
@@ -915,7 +922,7 @@ impl Scheduler {
             .fleet
             .device(device)
             .ok_or(FleetError::UnknownDevice(device))?;
-        let features = request_features(&self.inner, req);
+        let features = first_seed(&self.inner, req, 0).features;
         lock_clean(&self.inner.predictor).observe(dev.gpu.name, req.kernel, &features, measured_w);
         Ok(())
     }
@@ -1084,92 +1091,80 @@ fn effective_group(req: &RunRequest) -> Vec<GemmDims> {
     }
 }
 
-fn probe(inner: &Inner, req: &RunRequest) -> Arc<Vec<ActivityRecord>> {
-    let key = request_key(req);
-    if let Some(a) = lock_clean(&inner.probes).get(&key) {
-        return Arc::clone(a);
-    }
-    let activity = Arc::new(probe_activity(req));
-    lock_clean(&inner.probes)
-        .entry(key)
-        .or_insert(activity)
-        .clone()
+/// A request's seed-0 view of the unit store: every canonical member's
+/// seed-0 unit, whose activities are the analytic probe, and the input
+/// features merged from their chunks.
+struct FirstSeed {
+    units: Vec<Arc<Unit>>,
+    features: FeatureVector,
 }
 
-/// One canonical member's feature chunk, from the member-keyed chunk
-/// cache or a fresh accumulation over that member's first-seed operands.
-fn member_chunk(
-    inner: &Inner,
-    req: &RunRequest,
-    member: GemmDims,
-    ordinal: u64,
-) -> Arc<FeatureAccumulator> {
-    let key = member_request_key(req, member, ordinal);
-    if let Some(c) = lock_clean(&inner.feature_chunks).get(&key) {
-        return Arc::clone(c);
-    }
-    let chunk = Arc::new(member_feature_chunk(req, member, ordinal));
-    lock_clean(&inner.feature_chunks)
-        .entry(key)
-        .or_insert(chunk)
-        .clone()
+/// Every member's seed-0 unit, with the feature chunks merged in
+/// canonical member order — bit-identical to the sequential full-stream
+/// extraction, since the accumulator merge charges the boundary toggles.
+fn first_seed(inner: &Inner, req: &RunRequest, rid: u64) -> FirstSeed {
+    let units = fetch_units(inner, req, rid, 1);
+    let chunks: Vec<&FeatureAccumulator> =
+        units.iter().filter_map(|u| u.chunk.as_deref()).collect();
+    let features = features_from_member_chunks(req, &chunks);
+    FirstSeed { units, features }
 }
 
-fn request_features(inner: &Inner, req: &RunRequest) -> Arc<FeatureVector> {
-    let key = request_key(req);
-    if let Some(f) = lock_clean(&inner.features).get(&key) {
-        return Arc::clone(f);
-    }
-    // Compose from per-member chunks: members featured before (alone or
-    // inside other groups) are Arc clones out of the chunk cache; only
-    // the residue walks operand bytes, and a multi-member residue walks
-    // them chunk-parallel. Merging chunks in canonical member order is
-    // bit-identical to the sequential full-stream extraction — the
-    // mergeable-accumulator contract charges the chunk-boundary toggles.
-    let chunks: Vec<Arc<FeatureAccumulator>> =
-        crate::par::parallel_map(member_ordinals(req), |(m, ord)| {
-            member_chunk(inner, req, m, ord)
-        });
-    let refs: Vec<&FeatureAccumulator> = chunks.iter().map(Arc::as_ref).collect();
-    let features = Arc::new(features_from_member_chunks(req, &refs));
-    lock_clean(&inner.features)
-        .entry(key)
-        .or_insert(features)
-        .clone()
+/// The analytic probe: every member's seed-0 activity — exactly what the
+/// run executes for seed 0 — counted as one analytic pricing.
+fn analytic_probe(inner: &Inner, first: &FirstSeed) -> Vec<ActivityRecord> {
+    inner.analytic_pricings.fetch_add(1, Ordering::Relaxed);
+    first.units.iter().map(|u| u.activity.clone()).collect()
 }
 
-/// Execute a request at member granularity: answer each canonical member
-/// from the fleet-wide member activity store when a prior request — a
-/// single of the same shape, or another group sharing the member —
-/// already simulated it, simulate only the *residue* (chunk-parallel for
-/// multi-member groups), and assemble the run through
-/// [`PowerLab::run_from_activities`]. Bit-identical to a cold
-/// [`PowerLab::run`]: member operand streams and the per-seed measurement
-/// seed are fixed by the request alone, independent of which members were
-/// freshly simulated. Returns the result and the per-member cached flags
-/// in canonical member order.
+/// Units `0..seeds` of every canonical member, member-major. When all are
+/// ready nothing is spawned; otherwise the missing ones are walked in
+/// parallel, recording `rid` as the request that computed them (a unit
+/// another request is walking right now is joined, not recomputed).
+fn fetch_units(inner: &Inner, req: &RunRequest, rid: u64, seeds: u64) -> Vec<Arc<Unit>> {
+    let wanted: Vec<(u64, GemmDims, u64, u64)> = member_ordinals(req)
+        .into_iter()
+        .flat_map(|(m, ord)| (0..seeds).map(move |s| (unit_key(req, m, ord, s), m, ord, s)))
+        .collect();
+    let ready: Option<Vec<Arc<Unit>>> = wanted.iter().map(|w| inner.cache.peek_unit(w.0)).collect();
+    ready.unwrap_or_else(|| {
+        crate::par::parallel_map(wanted, |(key, m, ord, s)| {
+            inner.cache.unit(key, || Unit::compute(req, m, ord, s, rid))
+        })
+    })
+}
+
+/// Execute a request from the unit store — walking only the units no
+/// request walked before — and assemble the run through
+/// [`PowerLab::run_from_activities`]: bit-identical to a cold
+/// [`PowerLab::run`], since operand streams and measurement seeds are
+/// fixed by the request alone. Returns the result and, per canonical
+/// member, whether a different request computed all of its units (a
+/// member request `rid` walked any unit of is its residue).
 fn run_with_member_reuse(
     inner: &Inner,
     req: &RunRequest,
     gpu: wm_gpu::GpuSpec,
     vm_id: u64,
+    rid: u64,
 ) -> (RunResult, Vec<bool>) {
-    let units: Vec<(Arc<Vec<ActivityRecord>>, bool)> =
-        crate::par::parallel_map(member_ordinals(req), |(m, ord)| {
-            inner
-                .cache
-                .member_get_or_compute(member_activity_key(req, m, ord), || {
-                    member_seed_activities(req, m, ord)
-                })
-        });
-    let flags = units.iter().map(|(_, hit)| *hit).collect();
-    let refs: Vec<&[ActivityRecord]> = units.iter().map(|(u, _)| u.as_slice()).collect();
-    (
-        PowerLab::new(gpu)
-            .with_vm(vm_id)
-            .run_from_activities(req, &refs),
-        flags,
-    )
+    let units = fetch_units(inner, req, rid, req.seeds);
+    let mut flags = Vec::new();
+    let mut per_member: Vec<Vec<ActivityRecord>> = Vec::new();
+    for member in units.chunks(req.seeds as usize) {
+        flags.push(member.iter().all(|u| u.computed_by != rid));
+        per_member.push(member.iter().map(|u| u.activity.clone()).collect());
+    }
+    let hits = flags.iter().filter(|&&cached| cached).count() as u64;
+    inner.member_hits.fetch_add(hits, Ordering::Relaxed);
+    inner
+        .member_residues
+        .fetch_add(flags.len() as u64 - hits, Ordering::Relaxed);
+    let refs: Vec<&[ActivityRecord]> = per_member.iter().map(Vec::as_slice).collect();
+    let result = PowerLab::new(gpu)
+        .with_vm(vm_id)
+        .run_from_activities(req, &refs);
+    (result, flags)
 }
 
 /// Placement with the request's canonical key as the tie salt: the
@@ -1179,25 +1174,34 @@ fn plan_placement(
     inner: &Inner,
     req: &RunRequest,
     deadline_s: Option<f64>,
-    features: &FeatureVector,
+    first: &FirstSeed,
 ) -> Result<Placement, FleetError> {
     let salt = request_key(req);
     let learned = {
         let predictor = lock_clean(&inner.predictor);
-        place_learned(&inner.fleet, &predictor, features, req, salt, deadline_s)
+        place_learned(
+            &inner.fleet,
+            &predictor,
+            &first.features,
+            req,
+            salt,
+            deadline_s,
+        )
     };
     let outcome = match learned {
         Some(Ok(placement)) => Ok(placement),
         // A learned *rejection* is always confirmed analytically: a
         // rejected job never executes, so the model would get no
         // corrective observation and a high-biased model could make
-        // feasible work unservable forever. Admissions stay probe-free
-        // (mispredicted admissions self-correct through the feedback
-        // loop); only the rare reject pays for the probe.
-        Some(Err(_)) | None => {
-            let activity = probe(inner, req);
-            place(&inner.fleet, &activity, salt, deadline_s)
-        }
+        // feasible work unservable forever. The features stage already
+        // walked the seed-0 activities, so the fallback costs one power
+        // evaluation per device, never an operand walk.
+        Some(Err(_)) | None => place(
+            &inner.fleet,
+            &analytic_probe(inner, first),
+            salt,
+            deadline_s,
+        ),
     };
     outcome.map_err(|e: PlacementError| FleetError::Infeasible(e.to_string()))
 }
@@ -1238,9 +1242,11 @@ struct SlotGuard<'a> {
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        if let Ok(mut load) = self.inner.load_w.lock() {
-            load[self.device] = (load[self.device] - self.watts).max(0.0);
-        }
+        // Release through a poisoned lock too: skipping the release would
+        // hold the device's slot forever and wedge every later job on it.
+        let mut load = lock_clean(&self.inner.load_w);
+        load[self.device] = (load[self.device] - self.watts).max(0.0);
+        drop(load);
         self.inner.load_freed.notify_all();
     }
 }
@@ -1285,12 +1291,14 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     // around it (none today) and keeps the trail well-formed regardless.
     let rid = job.request_id.unwrap_or(0);
     let tracer = &inner.tracer;
-    let (device_id, plan) = match job.pin {
+    // Auto jobs merge their features once, before pricing, and hand them
+    // on to feedback; pinned jobs merge them only if they run fresh.
+    let (device_id, plan, features) = match job.pin {
         Some(id) => {
             if inner.fleet.device(id).is_none() {
                 return Err(FleetError::UnknownDevice(id));
             }
-            (id, None)
+            (id, None, None)
         }
         None => {
             // Answer stability across model evolution: if *any* device
@@ -1334,11 +1342,13 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
                 });
             }
             lookup.finish("miss");
+            // The operand walk: every member's seed-0 unit, computed here
+            // unless some request already walked it.
             let feat_span = tracer.start(rid, stage::FEATURES);
-            let features = request_features(inner, &job.request);
+            let first = first_seed(inner, &job.request, rid);
             feat_span.finish("ok");
             let pricing = tracer.start(rid, stage::PRICING);
-            let placement = match plan_placement(inner, &job.request, job.deadline_s, &features) {
+            let placement = match plan_placement(inner, &job.request, job.deadline_s, &first) {
                 Ok(p) => {
                     pricing.finish(p.source.label());
                     p
@@ -1358,7 +1368,7 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
                     .map(|p| p.clock_scale)
                     .unwrap_or(1.0)
             ));
-            (placement.device, Some(placement))
+            (placement.device, Some(placement), Some(first.features))
         }
     };
 
@@ -1426,12 +1436,12 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     let gpu = dev.gpu.clone();
     let vm_id = dev.vm.id;
     let req = job.request.clone();
-    // Fresh computes report which members the member store answered; the
-    // side channel stays `None` on a join (the closure never ran — the
+    // Fresh computes report which members other requests' units answered;
+    // the side channel stays `None` on a join (the closure never ran — the
     // twin that computed the result covered every member for us).
     let mut fresh_member_flags: Option<Vec<bool>> = None;
     let (result, cache_hit) = inner.cache.get_or_compute(key, || {
-        let (res, flags) = run_with_member_reuse(inner, &req, gpu, vm_id);
+        let (res, flags) = run_with_member_reuse(inner, &req, gpu, vm_id, rid);
         fresh_member_flags = Some(flags);
         res
     });
@@ -1459,11 +1469,10 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
             }
             a.util_pct_sum += result.utilization_pct;
         }
-        // Features are fetched here (not up front) so pinned jobs and
-        // cache hits never pay for an extraction they don't need; for
-        // auto jobs this is an Arc clone out of the per-request cache.
+        // A pinned job merges its features only now that it ran fresh,
+        // from the seed-0 units execution just walked.
         let feedback = tracer.start(rid, stage::FEEDBACK);
-        let features = request_features(inner, &job.request);
+        let features = features.unwrap_or_else(|| first_seed(inner, &job.request, rid).features);
         lock_clean(&inner.predictor).observe(
             dev.gpu.name,
             job.request.kernel,
@@ -1598,9 +1607,10 @@ mod tests {
         )
         .with_seeds(1)
         .with_sampling(Sampling::Lattice { rows: 4, cols: 4 });
-        // Auto path panics in the placement probe; pinned path panics
-        // inside the cache's compute closure (exercising the pending
-        // guard). Both must answer, twice each, on the single worker.
+        // Auto path panics in the features stage's operand walk; pinned
+        // path panics inside the cache's compute closure (exercising the
+        // pending guards). Both must answer, twice each, on the single
+        // worker.
         for _ in 0..2 {
             let err = sched.submit(FleetJob::new(bad.clone())).recv().unwrap_err();
             assert!(matches!(err, FleetError::Internal(_)), "{err:?}");
@@ -1777,15 +1787,16 @@ mod tests {
 
     #[test]
     fn probe_cache_hits_across_iteration_counts() {
-        // Switching activity does not depend on the iteration count, so
-        // identical requests differing only there (or in the seed count)
-        // must share one probe instead of re-simulating it.
+        // Switching activity depends on neither the iteration count nor,
+        // seed by seed, the seed count, so identical requests differing
+        // only there must share their seed-0 unit instead of re-walking it.
         let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
+        let units = || sched.inner.cache.unit_len();
         let req = quick(PatternKind::Gaussian, 31);
         sched
             .predict(&FleetJob::new(req.clone().with_iterations(10)))
             .unwrap();
-        assert_eq!(sched.probed_requests(), 1);
+        assert_eq!(units(), 1);
         sched
             .predict(&FleetJob::new(req.clone().with_iterations(20_000)))
             .unwrap();
@@ -1793,16 +1804,12 @@ mod tests {
         sched
             .predict(&FleetJob::new(req.clone().with_seeds(7)))
             .unwrap();
-        assert_eq!(
-            sched.probed_requests(),
-            1,
-            "iteration/seed variants must reuse the probe"
-        );
-        // An activity-relevant change probes afresh.
+        assert_eq!(units(), 1, "iteration/seed variants must reuse the unit");
+        // An activity-relevant change walks afresh.
         sched
             .predict(&FleetJob::new(req.with_base_seed(99)))
             .unwrap();
-        assert_eq!(sched.probed_requests(), 2);
+        assert_eq!(units(), 2);
     }
 
     #[test]
@@ -2108,8 +2115,14 @@ mod tests {
         let mut completed = 0u64;
         let mut witnessed = false;
         for attempt in 0..5u64 {
+            // Three seeds per job: batch pricing already walked seed 0, so
+            // execution still simulates seeds 1-2, long enough for
+            // round-mates' slot reservations to overlap.
             let jobs: Vec<FleetJob> = (0..9)
-                .map(|i| FleetJob::new(quick(PatternKind::Gaussian, 7000 + 100 * attempt + i)))
+                .map(|i| {
+                    let seed = 7000 + 100 * attempt + i;
+                    FleetJob::new(quick(PatternKind::Gaussian, seed).with_seeds(3))
+                })
                 .collect();
             let answers = sched.run_batch(jobs);
             assert!(answers.iter().all(|a| a.is_ok()), "{answers:?}");
@@ -2190,7 +2203,7 @@ mod tests {
     fn singles_warm_a_group_that_executes_only_the_residue() {
         let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
         // Warm two member shapes with plain singles. Each is itself one
-        // residue job in the member store; plain responses never carry
+        // residue job in the unit store; plain responses never carry
         // member flags.
         for d in [64, 96] {
             let r = sched
@@ -2305,10 +2318,10 @@ mod tests {
 
     #[test]
     fn poisoned_locks_recover_instead_of_wedging() {
-        // A panic while holding a stats/cache/predictor lock poisons it;
+        // A panic while holding a stats/budget/predictor lock poisons it;
         // every read and write through those locks must recover (the data
-        // is a monotone accumulator, stale at worst) instead of cascading
-        // the panic into all later requests.
+        // is a monotone accumulator or a per-device reservation, stale at
+        // worst) instead of cascading the panic into all later requests.
         let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 1), 1);
         sched
             .submit(FleetJob::new(quick(PatternKind::Gaussian, 1)))
@@ -2320,7 +2333,7 @@ mod tests {
                 .device_accum
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
-            let _probes = inner.probes.lock().unwrap_or_else(PoisonError::into_inner);
+            let _load = inner.load_w.lock().unwrap_or_else(PoisonError::into_inner);
             let _predictor = inner
                 .predictor
                 .lock()
@@ -2329,21 +2342,97 @@ mod tests {
         })
         .join();
         assert!(sched.inner.device_accum.is_poisoned());
+        assert!(sched.inner.load_w.is_poisoned());
         // Reads recover...
         assert_eq!(sched.device_stats()[0].jobs, 1);
-        assert_eq!(sched.probed_requests(), 1);
         assert!(sched.model_stats()[0].observations >= 1);
-        // ...and so does the full serving path, fresh and cached.
+        // ...and so does the full serving path, fresh and cached. A fresh
+        // job reserves its budget slot through the poisoned lock and must
+        // release it the same way, or the device stays taken for good.
         let fresh = sched
             .submit(FleetJob::new(quick(PatternKind::Gaussian, 2)))
             .recv();
         assert!(fresh.is_ok(), "{fresh:?}");
+        assert_eq!(*lock_clean(&sched.inner.load_w), vec![0.0], "slot leaked");
         let hit = sched
             .submit(FleetJob::new(quick(PatternKind::Gaussian, 1)))
             .recv()
             .unwrap();
         assert!(hit.cache_hit);
         assert_eq!(sched.device_stats()[0].jobs, 2);
+    }
+
+    #[test]
+    fn cold_auto_submit_walks_each_member_seed_once() {
+        // A 2-member, 3-seed group computes exactly its 6 units: seed 0 in
+        // the features stage (read again by pricing and execution), seeds
+        // 1-2 in execution, nothing twice.
+        let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
+        let req = quick(PatternKind::Gaussian, 61)
+            .with_seeds(3)
+            .with_group(vec![GemmDims::square(64), GemmDims::square(96)]);
+        let r = sched.submit(FleetJob::new(req.clone())).recv().unwrap();
+        assert_eq!(r.prediction, Some(PredictionSource::Analytic));
+        assert_eq!(sched.probed_requests(), 1, "one analytic pricing");
+        assert_eq!(sched.inner.cache.unit_len(), 6);
+        for (m, ord) in member_ordinals(&req) {
+            for s in 0..3 {
+                let unit = sched
+                    .inner
+                    .cache
+                    .peek_unit(unit_key(&req, m, ord, s))
+                    .expect("every (member, seed) unit is stored");
+                assert_eq!(unit.computed_by, r.request_id);
+                assert_eq!(unit.chunk.is_some(), s == 0);
+            }
+        }
+        assert_eq!(r.member_cached, vec![false, false]);
+        // A predict, a repeat and a seed-count variant walk nothing.
+        sched.predict(&FleetJob::new(req.clone())).unwrap();
+        sched.submit(FleetJob::new(req.clone())).recv().unwrap();
+        let variant = sched
+            .submit(FleetJob::new(req.with_seeds(2)))
+            .recv()
+            .unwrap();
+        assert!(!variant.cache_hit);
+        assert_eq!(variant.member_cached, vec![true, true]);
+        assert_eq!(sched.inner.cache.unit_len(), 6);
+    }
+
+    #[test]
+    fn members_walked_in_the_own_features_stage_are_residue() {
+        // One store serves features, pricing and execution, so by the time
+        // a fresh group executes even its unseen member's seed-0 unit is
+        // ready — computed by this very request in its features stage.
+        // Provenance, not presence, decides: that member is residue.
+        let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
+        let template = || quick(PatternKind::Gaussian, 71);
+        sched
+            .submit(FleetJob::new(template().with_shape(GemmDims::square(64))))
+            .recv()
+            .unwrap();
+        let before = sched.stats();
+        let r = sched
+            .submit(FleetJob::new(
+                template().with_group(vec![GemmDims::square(64), GemmDims::square(96)]),
+            ))
+            .recv()
+            .unwrap();
+        assert_eq!(r.member_cached, vec![true, false]);
+        let after = sched.stats();
+        assert_eq!(after.member_residue_jobs - before.member_residue_jobs, 1);
+        assert_eq!(after.member_cache_hits - before.member_cache_hits, 1);
+        // The batch path prices — and so walks seed 0 — before it submits;
+        // ids are fixed up front, so that walk is still the job's own.
+        let before = sched.stats();
+        let answers = sched.run_batch(vec![FleetJob::new(
+            template().with_group(vec![GemmDims::square(64), GemmDims::square(128)]),
+        )]);
+        let r = answers[0].as_ref().unwrap();
+        assert!(!r.cache_hit);
+        assert_eq!(r.member_cached, vec![true, false]);
+        let after = sched.stats();
+        assert_eq!(after.member_residue_jobs - before.member_residue_jobs, 1);
     }
 
     #[test]

@@ -5,10 +5,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use wm_core::{member_ordinals, RunRequest};
-use wm_fleet::{
-    canonical_key, member_activity_key, member_request_key, request_key, Fleet, FleetJob,
-    MemoCache, Scheduler,
-};
+use wm_fleet::{canonical_key, request_key, unit_key, Fleet, FleetJob, MemoCache, Scheduler};
 use wm_gpu::spec::{a100_pcie, h100_sxm5, rtx6000, v100_sxm2};
 use wm_gpu::{GemmDims, GpuSpec};
 use wm_kernels::Sampling;
@@ -146,10 +143,10 @@ proptest! {
         members in arb_members(),
         perm_seed in any::<u64>(),
     ) {
-        // The canonical member decomposition — and with it every member
-        // key — is invariant under permutation of the spelled list, and
-        // an ordinal-0 member aliases the plain request of its shape (the
-        // reuse edge between single and grouped traffic).
+        // The canonical member decomposition — and with it every unit key
+        // — is invariant under permutation of the spelled list, and an
+        // ordinal-0 member aliases the plain request of its shape, seed by
+        // seed (the reuse edge between single and grouped traffic).
         let base = req.clone().with_group(members.clone());
         let mut shuffled = members;
         let mut state = perm_seed | 1;
@@ -161,21 +158,16 @@ proptest! {
         let keys = |r: &RunRequest| -> Vec<(u64, u64)> {
             member_ordinals(r)
                 .into_iter()
-                .map(|(m, o)| (member_request_key(r, m, o), member_activity_key(r, m, o)))
+                .map(|(m, o)| (unit_key(r, m, o, 0), unit_key(r, m, o, 1)))
                 .collect()
         };
         prop_assert_eq!(keys(&base), keys(&permuted));
         for (m, o) in member_ordinals(&base) {
             if o == 0 {
                 let plain = req.clone().with_shape(m);
-                prop_assert_eq!(
-                    member_request_key(&plain, m, 0),
-                    member_request_key(&base, m, 0)
-                );
-                prop_assert_eq!(
-                    member_activity_key(&plain, m, 0),
-                    member_activity_key(&base, m, 0)
-                );
+                for seed in 0..req.seeds {
+                    prop_assert_eq!(unit_key(&plain, m, 0, seed), unit_key(&base, m, 0, seed));
+                }
             }
         }
     }
