@@ -215,6 +215,10 @@ impl AuditConfig {
                 // The unit-store key sits on the same pre-execution path
                 // as canonical_key.
                 s("unit_key"),
+                // The per-word passes of a unit walk: the DRAM bus pass
+                // and the feature chunk read the operands' shared words.
+                s("bus_pass"),
+                s("FeatureAccumulator::add_words"),
             ],
             metric_readme_heading: s("#### Metrics"),
             metric_consumer_files: vec![s("src/serving_bench.rs"), s("examples/wattd_load.rs")],

@@ -125,10 +125,10 @@ pub fn slice_hamming_distance<W: BitWord>(a: &[W], b: &[W]) -> u64 {
 /// slice is streamed in order — the fundamental cost model for operand
 /// delivery in the paper's hypothesis. Returns 0 for slices shorter than 2.
 pub fn stream_toggles<W: BitWord>(words: &[W]) -> u64 {
-    words
-        .windows(2)
-        .map(|w| u64::from(w[0].distance(w[1])))
-        .sum()
+    match words {
+        [] => 0,
+        [_, later @ ..] => slice_hamming_distance(&words[..later.len()], later),
+    }
 }
 
 #[cfg(test)]

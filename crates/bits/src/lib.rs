@@ -38,7 +38,10 @@ pub mod toggle;
 
 pub use alignment::{bit_alignment, bit_alignment_slice};
 pub use entropy::{byte_entropy, histogram_entropy, ByteHistogram};
-pub use hamming::{hamming_distance, hamming_weight, slice_hamming_weight, BitWord};
+pub use hamming::{
+    hamming_distance, hamming_weight, slice_hamming_distance, slice_hamming_weight, stream_toggles,
+    BitWord,
+};
 pub use rng::Xoshiro256pp;
 pub use surgery::{
     flip_random_bits, randomize_lsbs, randomize_msbs, zero_lsbs, zero_msbs, BitSurgeon,

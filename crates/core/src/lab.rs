@@ -3,8 +3,8 @@
 use wm_bits::Xoshiro256pp;
 use wm_gpu::{GemmDims, GpuSpec};
 use wm_kernels::{
-    simulate, simulate_gemv, ActivityRecord, GemmConfig, GemmInputs, GemvConfig, KernelClass,
-    Sampling,
+    simulate_encoded, simulate_gemv_encoded, ActivityRecord, EncodedMatrix, GemmConfig, GemmInputs,
+    GemvConfig, KernelClass, Sampling,
 };
 use wm_matrix::Matrix;
 use wm_numerics::DType;
@@ -219,27 +219,40 @@ pub fn simulate_request_activity(req: &RunRequest, a: &Matrix, b: &Matrix) -> Ac
 
 /// Simulate one group member's kernel execution: the request supplies the
 /// shared configuration (kernel, dtype, transposition, sampling), the
-/// member its own `n x m x k`.
+/// member its own `n x m x k`. Encodes both operands, then
+/// [`simulate_encoded_member_activity`].
 pub fn simulate_member_activity(
     req: &RunRequest,
     member: GemmDims,
     a: &Matrix,
     b: &Matrix,
 ) -> ActivityRecord {
+    let ea = EncodedMatrix::encode(a, req.dtype);
+    let eb = EncodedMatrix::encode(b, req.dtype);
+    simulate_encoded_member_activity(req, member, (a, &ea), (b, &eb))
+}
+
+/// [`simulate_member_activity`] over operands already encoded in the
+/// request's dtype, each given as `(values, words)`: the kernel reads the
+/// words its caller encoded once and may read again (a unit walk feeds
+/// the same words to its feature chunk).
+pub fn simulate_encoded_member_activity(
+    req: &RunRequest,
+    member: GemmDims,
+    (a, ea): (&Matrix, &EncodedMatrix),
+    (b, eb): (&Matrix, &EncodedMatrix),
+) -> ActivityRecord {
     match req.kernel {
         KernelClass::Gemm => {
             let cfg = GemmConfig::new(member, req.dtype)
                 .with_b_transposed(req.b_transposed)
                 .with_sampling(req.sampling);
-            simulate(
-                &GemmInputs {
-                    a,
-                    b_stored: b,
-                    c: None,
-                },
-                &cfg,
-            )
-            .activity
+            let inputs = GemmInputs {
+                a,
+                b_stored: b,
+                c: None,
+            };
+            simulate_encoded(&inputs, ea, eb, &cfg).activity
         }
         KernelClass::Gemv => {
             let mut cfg = GemvConfig::new(req.dtype);
@@ -247,7 +260,7 @@ pub fn simulate_member_activity(
                 Sampling::Full => usize::MAX,
                 Sampling::Lattice { rows, .. } => rows,
             };
-            simulate_gemv(a, b.as_slice(), None, &cfg).activity
+            simulate_gemv_encoded(a, ea, b.as_slice(), eb, None, &cfg).activity
         }
     }
 }

@@ -28,8 +28,9 @@ pub mod lab;
 
 pub use lab::{
     first_seed_group_operands, first_seed_member_operands, first_seed_operands, member_ordinals,
-    member_seed_activities, member_seed_operands, simulate_member_activity,
-    simulate_request_activity, GroupRequest, PowerLab, RunRequest, RunResult,
+    member_seed_activities, member_seed_operands, simulate_encoded_member_activity,
+    simulate_member_activity, simulate_request_activity, GroupRequest, PowerLab, RunRequest,
+    RunResult,
 };
 
 /// Convenience re-exports for downstream users and examples.

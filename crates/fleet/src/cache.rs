@@ -22,9 +22,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use wm_core::{member_seed_operands, simulate_member_activity, RunRequest, RunResult};
+use wm_core::{member_seed_operands, simulate_encoded_member_activity, RunRequest, RunResult};
 use wm_gpu::GemmDims;
-use wm_kernels::ActivityRecord;
+use wm_kernels::{ActivityRecord, EncodedMatrix};
 use wm_predict::FeatureAccumulator;
 
 enum Slot<T> {
@@ -213,9 +213,10 @@ pub struct Unit {
 
 impl Unit {
     /// Generate seed `seed`'s operands of member `(member, ordinal)` once
-    /// ([`member_seed_operands`]) and walk them for both products: the
-    /// kernel simulation and, on seed 0, the feature chunk. Bit-identical
-    /// to `wm_core::member_seed_activities(..)[seed]` and
+    /// ([`member_seed_operands`]), encode each operand once, and read the
+    /// words for both products: the kernel simulation (MAC loop and bus
+    /// pass) and, on seed 0, the feature chunk. Bit-identical to
+    /// `wm_core::member_seed_activities(..)[seed]` and
     /// `wm_predict::member_feature_chunk(..)`.
     pub fn compute(
         req: &RunRequest,
@@ -225,14 +226,16 @@ impl Unit {
         computed_by: u64,
     ) -> Self {
         let (a, b) = member_seed_operands(req, member, ordinal, seed);
+        let ea = EncodedMatrix::encode(&a, req.dtype);
+        let eb = EncodedMatrix::encode(&b, req.dtype);
         let chunk = (seed == 0).then(|| {
             let mut acc = FeatureAccumulator::new(req.dtype);
-            acc.add_matrix(&a);
-            acc.add_matrix(&b);
+            acc.add_words(ea.words());
+            acc.add_words(eb.words());
             Box::new(acc)
         });
         Self {
-            activity: simulate_member_activity(req, member, &a, &b),
+            activity: simulate_encoded_member_activity(req, member, (&a, &ea), (&b, &eb)),
             chunk,
             computed_by,
         }
@@ -540,6 +543,67 @@ mod tests {
                             assert_eq!(*chunk, member_feature_chunk(&req, m, ord));
                         }
                         None => assert_ne!(s, 0, "seed 0 must carry its chunk"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn units_are_bit_identical_for_every_input_family() {
+        // The shared words must stand in for every pass they replace, on
+        // every family the generators produce — the NaN-bearing bit
+        // surgery ones included — in every dtype and both kernels. GEMV
+        // is the close case: its kernel quantizes x while the feature
+        // chunk reads x raw, so one encoding serves both only because
+        // quantizing never changes a word.
+        let kinds = [
+            PatternKind::Gaussian,
+            PatternKind::ValueSet { set_size: 5 },
+            PatternKind::ConstantRandom,
+            PatternKind::BitFlips { probability: 0.4 },
+            PatternKind::RandomLsbs { count: 3 },
+            PatternKind::RandomMsbs { count: 5 },
+            PatternKind::SortedRows { fraction: 0.6 },
+            PatternKind::SortedCols { fraction: 1.0 },
+            PatternKind::SortedWithinRows { fraction: 0.5 },
+            PatternKind::Sparse { sparsity: 0.5 },
+            PatternKind::SortedThenSparse { sparsity: 0.2 },
+            PatternKind::ZeroLsbs { count: 3 },
+            PatternKind::ZeroMsbs { count: 2 },
+            PatternKind::Zeros,
+        ];
+        for kind in kinds {
+            for dtype in DType::EXTENDED {
+                let gemm = RunRequest::new(dtype, 24, PatternSpec::new(kind))
+                    .with_seeds(2)
+                    .with_sampling(Sampling::Lattice { rows: 3, cols: 3 })
+                    .with_shape(GemmDims {
+                        n: 24,
+                        m: 12,
+                        k: 36,
+                    });
+                let gemv = gemm
+                    .clone()
+                    .with_kernel(KernelClass::Gemv)
+                    .with_shape(GemmDims { n: 36, m: 1, k: 20 });
+                for req in [gemm, gemv] {
+                    let m = req.dims();
+                    let activities = member_seed_activities(&req, m, 0);
+                    for s in 0..req.seeds {
+                        let unit = Unit::compute(&req, m, 0, s, 1);
+                        let at = format!("{kind:?} {dtype} {:?} seed {s}", req.kernel);
+                        assert_eq!(unit.activity, activities[s as usize], "{at}");
+                        let Some(chunk) = unit.chunk else {
+                            assert_ne!(s, 0, "{at}: seed 0 must carry its chunk");
+                            continue;
+                        };
+                        let (a, b) = member_seed_operands(&req, m, 0, s);
+                        let mut by_value = FeatureAccumulator::new(dtype);
+                        for &v in a.as_slice().iter().chain(b.as_slice()) {
+                            by_value.add_value(v);
+                        }
+                        assert_eq!(*chunk, by_value, "{at}");
                     }
                 }
             }

@@ -4,8 +4,11 @@
 //! anything incidental (struct layout, allocation addresses, derive-order).
 //! This module defines an explicit canonical byte encoding of every field
 //! that influences a [`wm_core::RunResult`], folded through FNV-1a. Two
-//! requests hash equal iff every semantically relevant field is equal —
-//! the property test in `tests/cache_properties.rs` exercises this.
+//! requests whose semantically relevant fields are all equal hash equal
+//! — the property test in `tests/cache_properties.rs` exercises this.
+//! The converse does not hold: distinct requests can collide in 64 bits,
+//! and nothing detects it yet, so a collision would serve one request's
+//! cached result to the other.
 
 use wm_core::RunRequest;
 use wm_gpu::{GemmDims, GpuSpec, MemoryKind};

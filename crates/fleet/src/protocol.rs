@@ -1057,7 +1057,7 @@ fn answer_inner(v: &Json, sched: &Scheduler, rid: u64) -> Json {
             parse.finish(if parsed.is_ok() { "predict" } else { "error" });
             match parsed {
                 Err(msg) => err_response(id, &msg),
-                Ok(job) => match sched.predict(&job) {
+                Ok(job) => match sched.predict(&job.with_request_id(rid)) {
                     Ok(p) => {
                         let mut fields = vec![
                             ("device", Json::Num(p.device as f64)),
@@ -2369,6 +2369,39 @@ mod tests {
         // Only this trace line's own parse span remains afterwards.
         let after = run_line(&s, r#"{"op": "trace"}"#);
         assert_eq!(after.get("returned"), Some(&Json::Num(1.0)), "{after}");
+    }
+
+    #[test]
+    fn predict_traces_its_walk_and_leaves_the_units_to_a_run() {
+        let s = sched();
+        let fields = r#""dtype": "fp16-t", "group": [{"dim": 96}, {"dim": 64}], "pattern": "gaussian", "seeds": 1, "lattice": 4"#;
+        let stages_of = |rid: u64| -> Vec<String> {
+            let trail = run_line(&s, &format!(r#"{{"op": "trace", "request_id": {rid}}}"#));
+            trail
+                .get("spans")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .map(|sp| sp.get("stage").and_then(Json::as_str).unwrap().to_string())
+                .collect()
+        };
+        // Auto-placed first (it walks the units), then pinned (it reads
+        // them): each predict line carries its own full trail.
+        for pin in ["", r#""gpu": "a100", "#] {
+            let p = run_line(&s, &format!(r#"{{"op": "predict", {pin}{fields}}}"#));
+            assert_eq!(p.get("ok"), Some(&Json::Bool(true)), "{p}");
+            let rid = p.get("request_id").and_then(Json::as_f64).unwrap() as u64;
+            assert_eq!(stages_of(rid), ["parse", "features", "pricing"], "{pin}{p}");
+        }
+        // The units predict walked belong to another request, so a 1-seed
+        // run of the same group reads every member from cache.
+        let run = run_line(&s, &format!("{{{fields}}}"));
+        assert_eq!(run.get("cache_hit"), Some(&Json::Bool(false)), "{run}");
+        let members = run.get("group").and_then(Json::as_arr).unwrap();
+        assert_eq!(members.len(), 2);
+        for m in members {
+            assert_eq!(m.get("cached"), Some(&Json::Bool(true)), "{m}");
+        }
     }
 
     #[test]

@@ -825,11 +825,31 @@ impl Scheduler {
     /// the same placement logic `submit` would run, stopping at the
     /// estimate. Learned models serve when trained and healthy; otherwise
     /// the analytic probe path answers. The seed-0 units it walks stay
-    /// cached for a later run of the request.
+    /// cached for a later run of the request. The walk and the estimate
+    /// are traced as the job's `features` and `pricing` stages; a job
+    /// without a request id gets the next one here, as in `submit`.
     pub fn predict(&self, job: &FleetJob) -> Result<PredictOutcome, FleetError> {
         let inner = &*self.inner;
+        let rid = job
+            .request_id
+            .unwrap_or_else(|| inner.tracer.next_request_id());
+        let feat_span = inner.tracer.start(rid, stage::FEATURES);
+        let first = first_seed(inner, &job.request, rid);
+        feat_span.finish("ok");
+        let pricing = inner.tracer.start(rid, stage::PRICING);
+        let outcome = self.estimate(job, &first);
+        pricing.finish(match &outcome {
+            Ok(p) => p.source.label(),
+            Err(_) => "rejected",
+        });
+        outcome
+    }
+
+    /// The estimate behind [`Scheduler::predict`], from the job's seed-0
+    /// units.
+    fn estimate(&self, job: &FleetJob, first: &FirstSeed) -> Result<PredictOutcome, FleetError> {
+        let inner = &*self.inner;
         let kernel = job.request.kernel;
-        let first = first_seed(inner, &job.request, job.request_id.unwrap_or(0));
         match job.pin {
             Some(id) => {
                 let dev = inner
@@ -863,7 +883,7 @@ impl Scheduler {
                     None => {
                         // Analytic evaluation plus the device's VM offset,
                         // matching what a run on it would measure.
-                        let activity = analytic_probe(inner, &first);
+                        let activity = analytic_probe(inner, first);
                         (
                             evaluate_group(&dev.gpu, &activity).total_w + dev.vm.offset_w,
                             PredictionSource::Analytic,
@@ -882,7 +902,7 @@ impl Scheduler {
                 })
             }
             None => {
-                let placement = plan_placement(inner, &job.request, job.deadline_s, &first)?;
+                let placement = plan_placement(inner, &job.request, job.deadline_s, first)?;
                 let dev = inner
                     .fleet
                     .device(placement.device)
@@ -2397,6 +2417,34 @@ mod tests {
         assert!(!variant.cache_hit);
         assert_eq!(variant.member_cached, vec![true, true]);
         assert_eq!(sched.inner.cache.unit_len(), 6);
+    }
+
+    #[test]
+    fn id_less_predict_traces_under_a_fresh_request_id() {
+        // A library predict without a request id gets the next one, as
+        // `submit` does: its spans and units carry that id, never 0.
+        let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
+        let req = quick(PatternKind::Gaussian, 83)
+            .with_group(vec![GemmDims::square(64), GemmDims::square(96)]);
+        sched.predict(&FleetJob::new(req.clone())).unwrap();
+        let spans = sched.tracer().snapshot(None, usize::MAX);
+        let stages: Vec<&str> = spans.iter().map(|s| s.stage).collect();
+        assert_eq!(stages, vec![stage::FEATURES, stage::PRICING]);
+        let rid = spans[0].request_id;
+        assert_ne!(rid, 0);
+        assert_eq!(spans[1].request_id, rid);
+        for (m, ord) in member_ordinals(&req) {
+            let unit = sched
+                .inner
+                .cache
+                .peek_unit(unit_key(&req, m, ord, 0))
+                .expect("predict walks every seed-0 unit");
+            assert_eq!(unit.computed_by, rid);
+        }
+        // The next request is a different one, so its members are cached.
+        let r = sched.submit(FleetJob::new(req)).recv().unwrap();
+        assert!(r.request_id > rid);
+        assert_eq!(r.member_cached, vec![true, true]);
     }
 
     #[test]

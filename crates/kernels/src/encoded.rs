@@ -1,50 +1,63 @@
-//! Pre-encoded matrices: the MAC loop's operand source.
+//! Encoded matrices: the words a unit walk reads.
 //!
-//! Encoding a value on every access (e.g. f32 → binary16 bits) would
-//! dominate the inner loop, so [`EncodedMatrix`] precomputes, per element:
+//! An operand is encoded once ([`EncodedMatrix::encode`]: the raw dtype
+//! word the datapath latches, per element) and every pass over its bits
+//! reads those same words: the MAC loop's operand latches and multiplier
+//! activity, the DRAM bus pass, and the input-feature chunk.
 //!
-//! * the raw dtype encoding (the word the datapath latches), and
-//! * the *significand weight*: `HW` of the multiplier's significand input
-//!   (implicit-1 | mantissa for normal floats, the mantissa alone for
-//!   subnormals, the full two's-complement word for INT8). This is the
-//!   per-operand factor of the partial-product activity model.
+//! The multiplier's per-operand factor is the *significand weight*: `HW`
+//! of the significand input (implicit-1 | mantissa for normal floats, the
+//! mantissa alone for subnormals, the full two's-complement word for
+//! INT8). It is a mask and a popcount of the word, so it is derived on
+//! access ([`EncodedMatrix::sig_weight_at`]) rather than stored.
 
 use wm_matrix::Matrix;
 use wm_numerics::{DType, Quantizer};
 
-/// A matrix's raw encodings plus per-element significand weights.
+/// The significand fields of one dtype's words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Significand {
+    mantissa: u32,
+    exponent: u32,
+    implicit: u32,
+}
+
+impl Significand {
+    const fn of(dtype: DType) -> Self {
+        let (mantissa, exponent, implicit) = match dtype {
+            DType::Int8 => (0xFF, 0, 0),
+            DType::Fp16 | DType::Fp16Tensor => (0x03FF, 0x7C00, 1 << 10),
+            DType::Bf16 => (0x007F, 0x7F80, 1 << 7),
+            DType::Fp32 => (0x007F_FFFF, 0x7F80_0000, 1 << 23),
+        };
+        Self {
+            mantissa,
+            exponent,
+            implicit,
+        }
+    }
+
+    /// Significand Hamming weight of one encoded element: the implicit
+    /// bit counts only when the exponent field is nonzero (normals).
+    #[inline(always)]
+    fn weight(self, bits: u32) -> u32 {
+        let implicit = if bits & self.exponent != 0 {
+            self.implicit
+        } else {
+            0
+        };
+        ((bits & self.mantissa) | implicit).count_ones()
+    }
+}
+
+/// A matrix's raw per-element encodings in one dtype.
 #[derive(Debug, Clone)]
 pub struct EncodedMatrix {
     rows: usize,
     cols: usize,
     dtype: DType,
+    significand: Significand,
     bits: Vec<u32>,
-    sig_weight: Vec<u8>,
-}
-
-/// Significand Hamming weight of one encoded element.
-fn significand_weight(bits: u32, dtype: DType) -> u8 {
-    match dtype {
-        DType::Int8 => (bits & 0xFF).count_ones() as u8,
-        DType::Fp16 | DType::Fp16Tensor => {
-            let mant = bits & 0x03FF;
-            let exp = (bits >> 10) & 0x1F;
-            let implicit = if exp != 0 { 1u32 << 10 } else { 0 };
-            (mant | implicit).count_ones() as u8
-        }
-        DType::Bf16 => {
-            let mant = bits & 0x007F;
-            let exp = (bits >> 7) & 0xFF;
-            let implicit = if exp != 0 { 1u32 << 7 } else { 0 };
-            (mant | implicit).count_ones() as u8
-        }
-        DType::Fp32 => {
-            let mant = bits & 0x007F_FFFF;
-            let exp = (bits >> 23) & 0xFF;
-            let implicit = if exp != 0 { 1u32 << 23 } else { 0 };
-            (mant | implicit).count_ones() as u8
-        }
-    }
 }
 
 impl EncodedMatrix {
@@ -54,21 +67,14 @@ impl EncodedMatrix {
     /// (pattern generators quantize); encoding is nevertheless a full
     /// quantizing encode, so unquantized inputs round here.
     pub fn encode(m: &Matrix, dtype: DType) -> Self {
-        let q = Quantizer::new(dtype);
-        let src = m.as_slice();
-        let mut bits = Vec::with_capacity(src.len());
-        let mut sig_weight = Vec::with_capacity(src.len());
-        for &v in src {
-            let b = q.encode(v) as u32;
-            bits.push(b);
-            sig_weight.push(significand_weight(b, dtype));
-        }
+        let mut bits = vec![0u32; m.len()];
+        Quantizer::new(dtype).encode_slice(m.as_slice(), &mut bits);
         Self {
             rows: m.rows(),
             cols: m.cols(),
             dtype,
+            significand: Significand::of(dtype),
             bits,
-            sig_weight,
         }
     }
 
@@ -99,10 +105,11 @@ impl EncodedMatrix {
     /// Significand weight at `(row, col)`.
     #[inline(always)]
     pub fn sig_weight_at(&self, row: usize, col: usize) -> u32 {
-        u32::from(self.sig_weight[row * self.cols + col])
+        self.significand.weight(self.bits_at(row, col))
     }
 
-    /// The whole encoding plane, row-major (memory-pass input).
+    /// The whole encoding plane, row-major: what the bus pass streams and
+    /// the feature chunk accumulates.
     #[inline]
     pub fn words(&self) -> &[u32] {
         &self.bits
@@ -119,54 +126,111 @@ impl EncodedMatrix {
 mod tests {
     use super::*;
 
+    /// Significand weight as first written: one `match` per element.
+    fn reference_weight(bits: u32, dtype: DType) -> u32 {
+        let (mant, exp, shift) = match dtype {
+            DType::Int8 => return (bits & 0xFF).count_ones(),
+            DType::Fp16 | DType::Fp16Tensor => (bits & 0x03FF, (bits >> 10) & 0x1F, 10),
+            DType::Bf16 => (bits & 0x007F, (bits >> 7) & 0xFF, 7),
+            DType::Fp32 => (bits & 0x007F_FFFF, (bits >> 23) & 0xFF, 23),
+        };
+        let implicit = if exp != 0 { 1u32 << shift } else { 0 };
+        (mant | implicit).count_ones()
+    }
+
+    /// Values every encoder must agree on: signed zeros, subnormals of
+    /// every target width, infinities, quiet and signalling NaN payloads
+    /// of both signs, values that must round (ties included), overflow.
+    fn probe_values() -> Vec<f32> {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x0040_0000),
+            f32::MIN_POSITIVE,
+            2.0f32.powi(-24),
+            -2.0f32.powi(-25) * 3.0,
+            6.0e-5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFF80_2001),
+            f32::from_bits(0x7FC1_2345),
+            1.0 + 2.0f32.powi(-11),
+            1.0 + 2.0f32.powi(-8),
+            0.5,
+            -2.5,
+            127.5,
+            -128.5,
+            210.37,
+            65_520.0,
+            -1.0e9,
+            f32::MAX,
+            3.4e38,
+        ];
+        let mut x = 0x2545_F491u32;
+        for _ in 0..2048 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            values.push(f32::from_bits(x));
+            values.push((x % 600) as f32 * 0.5 - 150.0);
+        }
+        values
+    }
+
     #[test]
-    fn encodings_match_quantizer() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, -2.5, 0.0, 210.0]);
-        for dtype in DType::ALL {
+    fn encodings_match_the_per_element_quantizer() {
+        let values = probe_values();
+        let m = Matrix::from_vec(values.len() / 2, 2, values.clone());
+        for dtype in DType::EXTENDED {
             let q = Quantizer::new(dtype);
             let e = EncodedMatrix::encode(&m, dtype);
-            for r in 0..2 {
-                for c in 0..2 {
-                    assert_eq!(
-                        u64::from(e.bits_at(r, c)),
-                        q.encode(m.get(r, c)),
-                        "{dtype} at ({r},{c})"
-                    );
-                }
+            assert_eq!((e.rows(), e.cols(), e.dtype()), (m.rows(), 2, dtype));
+            for (i, &v) in values.iter().enumerate() {
+                let (r, c) = (i / 2, i % 2);
+                assert_eq!(u64::from(e.bits_at(r, c)), q.encode(v), "{dtype} {v:e}");
+                assert_eq!(
+                    e.sig_weight_at(r, c),
+                    reference_weight(e.bits_at(r, c), dtype),
+                    "{dtype} {v:e}"
+                );
             }
         }
     }
 
     #[test]
-    fn significand_weight_fp16_normals() {
+    fn significand_weight_matches_reference_on_every_16_bit_word() {
+        for dtype in DType::EXTENDED {
+            let sig = Significand::of(dtype);
+            for bits in 0..=u32::from(u16::MAX) {
+                assert_eq!(sig.weight(bits), reference_weight(bits, dtype), "{dtype}");
+            }
+        }
+        let sig = Significand::of(DType::Fp32);
+        for bits in [0u32, 1, 0x007F_FFFF, 0x0080_0000, 0x3F80_0000, u32::MAX] {
+            assert_eq!(sig.weight(bits), reference_weight(bits, DType::Fp32));
+        }
+    }
+
+    #[test]
+    fn significand_weight_spot_checks() {
+        let fp16 = Significand::of(DType::Fp16);
         // 1.0 in binary16 = 0x3C00: mantissa 0, implicit 1 -> weight 1.
-        assert_eq!(significand_weight(0x3C00, DType::Fp16), 1);
+        assert_eq!(fp16.weight(0x3C00), 1);
         // 1.5 = 0x3E00: mantissa 0x200, implicit 1 -> weight 2.
-        assert_eq!(significand_weight(0x3E00, DType::Fp16), 2);
+        assert_eq!(fp16.weight(0x3E00), 2);
         // Max mantissa: 0x3FF + implicit -> 11.
-        assert_eq!(significand_weight(0x3FFF & 0x7FFF, DType::Fp16), 11);
-    }
-
-    #[test]
-    fn significand_weight_fp16_subnormals_have_no_implicit_bit() {
-        // Subnormal 0x0001: mantissa weight 1, no implicit.
-        assert_eq!(significand_weight(0x0001, DType::Fp16), 1);
-        assert_eq!(significand_weight(0x0000, DType::Fp16), 0);
-    }
-
-    #[test]
-    fn significand_weight_int8_is_word_weight() {
-        assert_eq!(significand_weight(0xFF, DType::Int8), 8);
-        assert_eq!(significand_weight(0x00, DType::Int8), 0);
-        assert_eq!(significand_weight(0x81, DType::Int8), 2);
-    }
-
-    #[test]
-    fn significand_weight_fp32() {
-        // 1.0f32 = 0x3F800000: mantissa 0 + implicit -> 1.
-        assert_eq!(significand_weight(1.0f32.to_bits(), DType::Fp32), 1);
-        // 0.0 -> 0.
-        assert_eq!(significand_weight(0, DType::Fp32), 0);
+        assert_eq!(fp16.weight(0x3FFF), 11);
+        // Subnormals have no implicit bit.
+        assert_eq!(fp16.weight(0x0001), 1);
+        assert_eq!(fp16.weight(0x0000), 0);
+        let int8 = Significand::of(DType::Int8);
+        assert_eq!(int8.weight(0xFF), 8);
+        assert_eq!(int8.weight(0x81), 2);
+        assert_eq!(Significand::of(DType::Fp32).weight(1.0f32.to_bits()), 1);
     }
 
     #[test]
@@ -175,6 +239,7 @@ mod tests {
         for dtype in DType::ALL {
             let e = EncodedMatrix::encode(&m, dtype);
             assert!(e.words().iter().all(|&w| w == 0), "{dtype}");
+            assert_eq!(e.sig_weight_at(1, 1), 0);
             assert_eq!(e.mean_hamming_weight(), 0.0);
         }
     }
@@ -184,5 +249,17 @@ mod tests {
         let m = Matrix::from_vec(1, 2, vec![-1.0, -1.0]); // INT8: 0xFF, 0xFF
         let e = EncodedMatrix::encode(&m, DType::Int8);
         assert_eq!(e.mean_hamming_weight(), 8.0);
+    }
+
+    #[test]
+    fn encoding_a_quantized_value_changes_no_word() {
+        // GEMV quantizes `x` for its numeric path but shares the raw
+        // operand's words: sound because quantizing never moves a word.
+        for dtype in DType::EXTENDED {
+            let q = Quantizer::new(dtype);
+            for v in probe_values() {
+                assert_eq!(q.encode(q.quantize(v)), q.encode(v), "{dtype} {v:e}");
+            }
+        }
     }
 }

@@ -56,12 +56,34 @@ fn sig_width(dtype: wm_numerics::DType) -> f64 {
     f64::from(dtype.mantissa_bits() + if dtype.is_float() { 1 } else { dtype.bits() })
 }
 
-/// Run one GEMM, returning numeric outputs and the activity record.
+/// Run one GEMM, returning numeric outputs and the activity record:
+/// encode both operands, then [`simulate_encoded`].
 ///
 /// # Panics
 ///
 /// Panics if operand shapes are inconsistent with the configuration.
 pub fn simulate(inputs: &GemmInputs<'_>, config: &GemmConfig) -> GemmOutcome {
+    let ea = EncodedMatrix::encode(inputs.a, config.dtype);
+    let eb = EncodedMatrix::encode(inputs.b_stored, config.dtype);
+    simulate_encoded(inputs, &ea, &eb, config)
+}
+
+/// Run one GEMM over operands already encoded in `config.dtype`: `ea` and
+/// `eb` are [`EncodedMatrix::encode`] of `inputs.a` and
+/// `inputs.b_stored`. The MAC loop multiplies the values and charges
+/// toggles and multiplier activity on the words; the bus pass streams the
+/// words.
+///
+/// # Panics
+///
+/// Panics if operand shapes are inconsistent with the configuration, or
+/// an encoding's shape or dtype differs from its operand's.
+pub fn simulate_encoded(
+    inputs: &GemmInputs<'_>,
+    ea: &EncodedMatrix,
+    eb: &EncodedMatrix,
+    config: &GemmConfig,
+) -> GemmOutcome {
     let dims = config.dims;
     assert_eq!(
         (inputs.a.rows(), inputs.a.cols()),
@@ -76,10 +98,15 @@ pub fn simulate(inputs: &GemmInputs<'_>, config: &GemmConfig) -> GemmOutcome {
     if let Some(c) = inputs.c {
         assert_eq!((c.rows(), c.cols()), (dims.n, dims.m), "C must be N x M");
     }
+    for (m, e) in [(inputs.a, ea), (inputs.b_stored, eb)] {
+        assert_eq!(
+            (e.rows(), e.cols(), e.dtype()),
+            (m.rows(), m.cols(), config.dtype),
+            "an encoding must match its operand's shape and the dtype"
+        );
+    }
 
     let q = Quantizer::new(config.dtype);
-    let ea = EncodedMatrix::encode(inputs.a, config.dtype);
-    let eb = EncodedMatrix::encode(inputs.b_stored, config.dtype);
     let word_bits = f64::from(config.dtype.bits());
     let sig_norm = sig_width(config.dtype);
 
@@ -172,7 +199,7 @@ pub fn simulate(inputs: &GemmInputs<'_>, config: &GemmConfig) -> GemmOutcome {
     }
 
     let macs = sampled_macs.max(1) as f64;
-    let bus = operand_bus_pass(&ea, &eb);
+    let bus = operand_bus_pass(ea, eb);
     let activity = ActivityRecord {
         kernel: crate::activity::KernelClass::Gemm,
         dtype: config.dtype,
@@ -444,6 +471,46 @@ mod tests {
         );
         assert_eq!(outcome.activity.mean_bit_alignment, 1.0);
         assert_eq!(outcome.activity.mean_hamming_weight_a, 3.0); // 7 = 0b111
+    }
+
+    #[test]
+    fn encoded_entry_point_is_simulate() {
+        let dtype = DType::Fp16Tensor;
+        let a = gaussian_matrix(24, 40, dtype, 14);
+        let b = gaussian_matrix(16, 40, dtype, 15);
+        let inputs = GemmInputs {
+            a: &a,
+            b_stored: &b,
+            c: None,
+        };
+        let cfg = GemmConfig {
+            dims: GemmDims {
+                n: 24,
+                m: 16,
+                k: 40,
+            },
+            ..GemmConfig::square(24, dtype)
+        }
+        .with_sampling(Sampling::Lattice { rows: 4, cols: 4 });
+        let ea = EncodedMatrix::encode(&a, dtype);
+        let eb = EncodedMatrix::encode(&b, dtype);
+        let encoded = simulate_encoded(&inputs, &ea, &eb, &cfg);
+        let plain = simulate(&inputs, &cfg);
+        assert_eq!(encoded.activity, plain.activity);
+        assert_eq!(encoded.outputs, plain.outputs);
+    }
+
+    #[test]
+    #[should_panic(expected = "must match its operand")]
+    fn encoded_operands_are_checked_against_the_dtype() {
+        let a = Matrix::zeros(8, 8);
+        let ea = EncodedMatrix::encode(&a, DType::Fp16);
+        let inputs = GemmInputs {
+            a: &a,
+            b_stored: &a,
+            c: None,
+        };
+        simulate_encoded(&inputs, &ea, &ea, &full_config(8, DType::Fp32));
     }
 
     #[test]

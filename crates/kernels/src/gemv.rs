@@ -60,7 +60,8 @@ pub struct GemvOutcome {
     pub outputs: Vec<(usize, f32)>,
 }
 
-/// Simulate `y = alpha * A x + beta * y0`.
+/// Simulate `y = alpha * A x + beta * y0`: encode `A` and `x`, then
+/// [`simulate_gemv_encoded`].
 ///
 /// # Panics
 ///
@@ -72,14 +73,43 @@ pub fn simulate_gemv(
     config: &GemvConfig,
 ) -> GemvOutcome {
     assert_eq!(x.len(), a.cols(), "x must have K entries");
+    let ea = EncodedMatrix::encode(a, config.dtype);
+    let ex = EncodedMatrix::encode(&Matrix::from_vec(x.len(), 1, x.to_vec()), config.dtype);
+    simulate_gemv_encoded(a, &ea, x, &ex, y0, config)
+}
+
+/// Simulate `y = alpha * A x + beta * y0` over operands already encoded in
+/// `config.dtype`: `ea` encodes `a` and `ex` the `k x 1` vector `x`. The
+/// numeric path multiplies by `x` quantized to the dtype; its words are
+/// the raw vector's, since quantizing never changes a value's encoding.
+///
+/// # Panics
+///
+/// Panics if `x.len() != a.cols()`, a provided `y0` has the wrong length,
+/// or an encoding's shape or dtype differs from its operand's.
+pub fn simulate_gemv_encoded(
+    a: &Matrix,
+    ea: &EncodedMatrix,
+    x: &[f32],
+    ex: &EncodedMatrix,
+    y0: Option<&[f32]>,
+    config: &GemvConfig,
+) -> GemvOutcome {
+    assert_eq!(x.len(), a.cols(), "x must have K entries");
     if let Some(y0) = y0 {
         assert_eq!(y0.len(), a.rows(), "y0 must have N entries");
     }
     let dtype = config.dtype;
+    assert_eq!(
+        [
+            (ea.rows(), ea.cols(), ea.dtype()),
+            (ex.rows(), ex.cols(), ex.dtype())
+        ],
+        [(a.rows(), a.cols(), dtype), (x.len(), 1, dtype)],
+        "an encoding must match its operand's shape and the dtype"
+    );
     let q = Quantizer::new(dtype);
-    let ea = EncodedMatrix::encode(a, dtype);
-    let x_matrix = Matrix::from_vec(x.len(), 1, x.iter().map(|&v| q.quantize(v)).collect());
-    let ex = EncodedMatrix::encode(&x_matrix, dtype);
+    let x_values: Vec<f32> = x.iter().map(|&v| q.quantize(v)).collect();
     let word_bits = f64::from(dtype.bits());
     let sig_norm =
         f64::from(dtype.mantissa_bits() + if dtype.is_float() { 1 } else { dtype.bits() });
@@ -116,7 +146,7 @@ pub fn simulate_gemv(
             align_distance += u64::from((a_bits ^ x_bits).count_ones());
             hw_a += u64::from(a_bits.count_ones());
             hw_x += u64::from(x_bits.count_ones());
-            let x_val = x_matrix.get(k, 0);
+            let x_val = x_values[k];
             if a_val != 0.0 && x_val != 0.0 {
                 nonzero += 1;
                 mult_activity += f64::from(ea.sig_weight_at(i, k))
@@ -139,8 +169,8 @@ pub fn simulate_gemv(
     let macs = sampled_macs.max(1) as f64;
     // Memory side: A streams once (no reuse — the defining GEMV property);
     // x is negligible but included for completeness.
-    let bus_a = bus_pass(&ea);
-    let bus_x = bus_pass(&ex);
+    let bus_a = bus_pass(ea);
+    let bus_x = bus_pass(ex);
     let activity = ActivityRecord {
         kernel: KernelClass::Gemv,
         dtype,
@@ -275,6 +305,29 @@ mod tests {
         assert!(rel < 0.05, "estimator off by {rel}");
         // Memory pass is exact in both.
         assert_eq!(sampled.dram_toggles, full.dram_toggles);
+    }
+
+    #[test]
+    fn raw_and_quantized_x_share_one_encoding() {
+        // `inputs` draws x unquantized: encoding it raw (what a unit walk
+        // shares) or after the kernel's quantize gives the same outcome.
+        for dtype in DType::EXTENDED {
+            let (a, x) = inputs(40, dtype, 5);
+            let q = Quantizer::new(dtype);
+            let xq: Vec<f32> = x.iter().map(|&v| q.quantize(v)).collect();
+            let ea = EncodedMatrix::encode(&a, dtype);
+            let cfg = GemvConfig::new(dtype);
+            let raw = EncodedMatrix::encode(&Matrix::from_vec(40, 1, x.clone()), dtype);
+            let quantized = EncodedMatrix::encode(&Matrix::from_vec(40, 1, xq), dtype);
+            assert_eq!(raw.words(), quantized.words(), "{dtype}");
+            let shared = simulate_gemv_encoded(&a, &ea, &x, &raw, None, &cfg);
+            let plain = simulate_gemv(&a, &x, None, &cfg);
+            assert_eq!(shared.activity, plain.activity, "{dtype}");
+            let bits = |o: &GemvOutcome| -> Vec<(usize, u32)> {
+                o.outputs.iter().map(|&(i, y)| (i, y.to_bits())).collect()
+            };
+            assert_eq!(bits(&shared), bits(&plain), "{dtype}");
+        }
     }
 
     #[test]

@@ -27,11 +27,13 @@
 //!
 //! * [`config`] — [`GemmConfig`]: dims, dtype, scalars, the paper's
 //!   B-transposition switch, tile shape, sampling lattice.
-//! * [`encoded`] — [`EncodedMatrix`]: pre-computed raw encodings and
-//!   significand weights so the MAC loop is branch- and conversion-free.
+//! * [`encoded`] — [`EncodedMatrix`]: an operand's raw dtype words,
+//!   encoded once and read by the MAC loop, the bus pass and (through
+//!   `wm-predict`) the feature chunk.
 //! * [`activity`] — [`ActivityRecord`]: the normalized activity summary
 //!   consumed by `wm-power`.
-//! * [`engine`] — the sampled execution engine ([`engine::simulate`]).
+//! * [`engine`] — the sampled execution engine ([`engine::simulate`],
+//!   or [`engine::simulate_encoded`] over operands encoded once).
 //! * [`memory`] — the DRAM/L2 bus pass.
 //! * [`mod@reference`] — a naive, obviously-correct GEMM used to verify
 //!   the engine's numerics in tests.
@@ -50,6 +52,6 @@ pub mod reference;
 pub use activity::{ActivityRecord, KernelClass};
 pub use config::{GemmConfig, Sampling};
 pub use encoded::EncodedMatrix;
-pub use engine::{simulate, GemmInputs, GemmOutcome, SampledOutput};
-pub use gemv::{reference_gemv, simulate_gemv, GemvConfig, GemvOutcome};
+pub use engine::{simulate, simulate_encoded, GemmInputs, GemmOutcome, SampledOutput};
+pub use gemv::{reference_gemv, simulate_gemv, simulate_gemv_encoded, GemvConfig, GemvOutcome};
 pub use reference::reference_gemm;

@@ -13,6 +13,7 @@
 //! tiny per-step distances, while random data toggles half the bus.
 
 use crate::encoded::EncodedMatrix;
+use wm_bits::{slice_hamming_distance, slice_hamming_weight};
 use wm_gpu::{GemmDims, TileShape};
 
 /// Width of one memory transaction in bits (a 64-byte sector).
@@ -34,24 +35,14 @@ pub struct BusPass {
 pub fn bus_pass(m: &EncodedMatrix) -> BusPass {
     let lanes = (BUS_BITS / m.dtype().bits()).max(1) as usize;
     let words = m.words();
-    let mut toggles = 0u64;
-    let mut weight = 0u64;
-    // Per-lane previous value; lane l sees words[l], words[l+lanes], ...
-    // Iterating in storage order with an index modulo `lanes` avoids a
-    // second pass per lane.
-    let mut prev = vec![None::<u32>; lanes];
-    for (i, &w) in words.iter().enumerate() {
-        let lane = i % lanes;
-        if let Some(p) = prev[lane] {
-            toggles += u64::from((p ^ w).count_ones());
-        }
-        prev[lane] = Some(w);
-        weight += u64::from(w.count_ones());
-    }
+    // Lane l carries words[l], words[l + lanes], ...: every word past the
+    // first bus beat toggles against the word one beat (`lanes` words)
+    // earlier, so both sums are single allocation-free sweeps.
+    let beats = words.len().saturating_sub(lanes);
     BusPass {
-        toggles,
+        toggles: slice_hamming_distance(&words[..beats], &words[words.len() - beats..]),
         words: words.len() as u64,
-        weight,
+        weight: slice_hamming_weight(words),
     }
 }
 
@@ -144,6 +135,55 @@ mod tests {
             (ts as f64) < tr as f64 * 0.85,
             "sorted toggles {ts} should be below random {tr} by >15%"
         );
+    }
+
+    /// The bus pass as first written: one `Option` latch per lane.
+    fn reference_bus_pass(m: &EncodedMatrix) -> BusPass {
+        let lanes = (BUS_BITS / m.dtype().bits()).max(1) as usize;
+        let words = m.words();
+        let mut toggles = 0u64;
+        let mut weight = 0u64;
+        let mut prev = vec![None::<u32>; lanes];
+        for (i, &w) in words.iter().enumerate() {
+            let lane = i % lanes;
+            if let Some(p) = prev[lane] {
+                toggles += u64::from((p ^ w).count_ones());
+            }
+            prev[lane] = Some(w);
+            weight += u64::from(w.count_ones());
+        }
+        BusPass {
+            toggles,
+            words: words.len() as u64,
+            weight,
+        }
+    }
+
+    #[test]
+    fn bus_pass_matches_the_per_lane_reference() {
+        use wm_bits::Xoshiro256pp;
+        let mut rng = Xoshiro256pp::seed_from_u64(9);
+        // Shorter than one beat, exactly one, ragged, and many beats, in
+        // every lane width (64/32/16 lanes).
+        for (rows, cols) in [
+            (1, 3),
+            (1, 16),
+            (2, 32),
+            (1, 64),
+            (7, 13),
+            (5, 100),
+            (33, 64),
+        ] {
+            let m = Matrix::from_fn(rows, cols, |_, _| f32::from_bits(rng.next_u32()));
+            for dtype in DType::EXTENDED {
+                let e = EncodedMatrix::encode(&m, dtype);
+                assert_eq!(
+                    bus_pass(&e),
+                    reference_bus_pass(&e),
+                    "{dtype} {rows}x{cols}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -147,10 +147,20 @@ impl Matrix {
 
     /// An owned transposed copy.
     pub fn transposed(&self) -> Self {
-        let mut t = Self::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.data[c * self.rows + r] = self.data[r * self.cols + c];
+        // Square tiles, so the lines a tile reads and the lines it writes
+        // stay cached together: walking a whole column of a wide matrix
+        // touches a line per row, and at power-of-two widths those lines
+        // compete for the same few cache sets.
+        const TILE: usize = 8;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut t = Self::zeros(cols, rows);
+        for r0 in (0..rows).step_by(TILE) {
+            for c0 in (0..cols).step_by(TILE) {
+                for r in r0..(r0 + TILE).min(rows) {
+                    for c in c0..(c0 + TILE).min(cols) {
+                        t.data[c * rows + r] = self.data[r * cols + c];
+                    }
+                }
             }
         }
         t
@@ -295,16 +305,19 @@ mod tests {
 
     #[test]
     fn transposed_copy_matches_view() {
-        let m = Matrix::from_fn(3, 5, |r, c| (r * 100 + c) as f32);
-        let t = m.transposed();
-        let v = m.view_t();
-        assert_eq!(t.rows(), 5);
-        assert_eq!(v.rows(), 5);
-        assert_eq!(v.cols(), 3);
-        for r in 0..5 {
-            for c in 0..3 {
-                assert_eq!(t.get(r, c), m.get(c, r));
-                assert_eq!(v.get(r, c), m.get(c, r));
+        // Shapes inside one tile, a whole number of tiles, and ragged
+        // edges in both directions.
+        for (rows, cols) in [(3, 5), (16, 24), (37, 21)] {
+            let m = Matrix::from_fn(rows, cols, |r, c| (r * 100 + c) as f32);
+            let t = m.transposed();
+            let v = m.view_t();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            assert_eq!((v.rows(), v.cols()), (cols, rows));
+            for r in 0..cols {
+                for c in 0..rows {
+                    assert_eq!(t.get(r, c), m.get(c, r));
+                    assert_eq!(v.get(r, c), m.get(c, r));
+                }
             }
         }
     }

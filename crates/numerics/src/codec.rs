@@ -9,6 +9,9 @@
 //!   to nearest value").
 //! * [`Quantizer::encode`] — the raw bit pattern the hardware would hold,
 //!   which is what the toggle engine counts.
+//! * [`Quantizer::quantize_slice`] / [`Quantizer::encode_slice`] — the
+//!   same two maps over whole buffers, with the dtype chosen once per
+//!   call instead of once per element.
 //! * [`Quantizer::product`] / [`Accumulator`] — the multiply-accumulate
 //!   semantics of each pipeline (SIMT FMA vs. tensor core), so the
 //!   simulated GEMM produces numerically faithful outputs *and* faithful
@@ -59,23 +62,18 @@ impl Quantizer {
 
     /// Round a logical `f32` to the nearest representable value.
     ///
-    /// INT8 rounds half-away-from-zero (matching C++ `lrintf` semantics
-    /// under default rounding for the paper's value ranges) and saturates
-    /// to `[-128, 127]`.
+    /// INT8 rounds to the nearest integer with ties **away from zero**
+    /// (C `roundf`, not `lrintf`, whose default mode rounds ties to even:
+    /// 2.5 becomes 3 here, not 2), keeps the sign of a zero result
+    /// (-0.3 becomes -0.0), saturates to `[-128, 127]` (infinities
+    /// included) and maps NaN to +0.0.
     #[inline]
     pub fn quantize(self, value: f32) -> f32 {
         match self.dtype {
             DType::Fp32 => value,
             DType::Fp16 | DType::Fp16Tensor => round_f32_to_f16(value),
             DType::Bf16 => round_f32_to_bf16(value),
-            DType::Int8 => {
-                let r = value.round().clamp(-128.0, 127.0);
-                if r.is_nan() {
-                    0.0
-                } else {
-                    r
-                }
-            }
+            DType::Int8 => quantize_int8(value),
         }
     }
 
@@ -87,10 +85,43 @@ impl Quantizer {
             DType::Fp32 => u64::from(value.to_bits()),
             DType::Fp16 | DType::Fp16Tensor => u64::from(f32_to_f16_bits(value)),
             DType::Bf16 => u64::from(f32_to_bf16_bits(value)),
-            DType::Int8 => {
-                let q = self.quantize(value) as i32 as i8;
-                u64::from(q as u8)
+            DType::Int8 => u64::from(int8_bits(value)),
+        }
+    }
+
+    /// [`Quantizer::quantize`] every value of `values` in place.
+    pub fn quantize_slice(self, values: &mut [f32]) {
+        fn each(values: &mut [f32], f: impl Fn(f32) -> f32) {
+            for v in values {
+                *v = f(*v);
             }
+        }
+        match self.dtype {
+            DType::Fp32 => {}
+            DType::Fp16 | DType::Fp16Tensor => each(values, round_f32_to_f16),
+            DType::Bf16 => each(values, round_f32_to_bf16),
+            DType::Int8 => each(values, quantize_int8),
+        }
+    }
+
+    /// [`Quantizer::encode`] every value of `src` into the same index of
+    /// `dst` (every encoding fits a `u32`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub fn encode_slice(self, src: &[f32], dst: &mut [u32]) {
+        assert_eq!(src.len(), dst.len(), "one word per value");
+        fn each(src: &[f32], dst: &mut [u32], f: impl Fn(f32) -> u32) {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = f(v);
+            }
+        }
+        match self.dtype {
+            DType::Fp32 => each(src, dst, f32::to_bits),
+            DType::Fp16 | DType::Fp16Tensor => each(src, dst, |v| u32::from(f32_to_f16_bits(v))),
+            DType::Bf16 => each(src, dst, |v| u32::from(f32_to_bf16_bits(v))),
+            DType::Int8 => each(src, dst, |v| u32::from(int8_bits(v))),
         }
     }
 
@@ -134,6 +165,40 @@ impl Quantizer {
             AccumKind::I32 => Accumulator::I32(0),
         }
     }
+}
+
+/// [`Quantizer::quantize`] for INT8, exactly `value.round()` saturated to
+/// `[-128, 127]` with NaN to +0.0, but without a libm call or a branch on
+/// the value, so loops over whole buffers vectorize.
+#[inline]
+fn quantize_int8(value: f32) -> f32 {
+    // Past 128 every magnitude saturates alike (`min` also maps NaN there;
+    // NaN is zeroed below). Adding 2^23, where the ulp is 1, rounds the
+    // capped magnitude to an integer, ties to even; the subtraction after
+    // it and the tie test are exact at these magnitudes.
+    let abs = value.abs().min(128.0);
+    let even = (abs + 8_388_608.0) - 8_388_608.0;
+    // A tie rounded down to even goes up instead: ties away from zero.
+    let rounded = if abs - even == 0.5 { even + 1.0 } else { even };
+    let cap = if value.is_sign_negative() {
+        128.0
+    } else {
+        127.0
+    };
+    if value.is_nan() {
+        0.0
+    } else {
+        rounded.min(cap).copysign(value)
+    }
+}
+
+/// [`Quantizer::encode`] for INT8: the two's-complement byte. Adding
+/// 1.5 * 2^23 lands every integer of `[-128, 127]` in the binade whose ulp
+/// is 1, so the sum's low mantissa byte is the integer's byte (a float to
+/// integer cast would have to saturate, which does not vectorize).
+#[inline]
+fn int8_bits(value: f32) -> u8 {
+    (quantize_int8(value) + 12_582_912.0).to_bits() as u8
 }
 
 /// A running K-reduction accumulator with dtype-faithful rounding, plus the
@@ -222,15 +287,112 @@ mod tests {
         }
     }
 
+    /// The INT8 contract as first written: libm `roundf`, then saturate.
+    fn int8_reference(value: f32) -> f32 {
+        let r = value.round().clamp(-128.0, 127.0);
+        if r.is_nan() {
+            0.0
+        } else {
+            r
+        }
+    }
+
+    /// Probe values: zeros, subnormals, infinities, NaN payloads, every
+    /// tie in and just past the INT8 range, and a spread of bit patterns.
+    fn probe_values() -> Vec<f32> {
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7F80_0001), // signalling NaN
+            f32::from_bits(0xFFC0_1234), // negative quiet NaN with payload
+            0.499_999_97,
+            -0.499_999_97,
+            f32::MAX,
+            f32::MIN,
+            65_520.0,
+            1.0 + f32::EPSILON,
+        ];
+        for i in -300..=300 {
+            let t = i as f32 * 0.5;
+            values.extend([t, t.next_up(), t.next_down()]);
+        }
+        let mut x = 0x9E37_79B9u32;
+        for _ in 0..4096 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            values.push(f32::from_bits(x));
+        }
+        values
+    }
+
     #[test]
-    fn int8_rounds_and_saturates() {
+    fn int8_rounds_ties_away_from_zero_and_saturates() {
         let q = Quantizer::new(DType::Int8);
-        assert_eq!(q.quantize(3.4), 3.0);
-        assert_eq!(q.quantize(3.5), 4.0);
-        assert_eq!(q.quantize(-3.5), -4.0);
-        assert_eq!(q.quantize(200.0), 127.0);
-        assert_eq!(q.quantize(-200.0), -128.0);
-        assert_eq!(q.quantize(f32::NAN), 0.0);
+        let cases: [(f32, f32); 16] = [
+            (0.5, 1.0),
+            (-0.5, -1.0),
+            (1.5, 2.0),
+            (-1.5, -2.0),
+            (2.5, 3.0),
+            (-2.5, -3.0),
+            (127.5, 127.0),
+            (-127.5, -128.0),
+            (128.5, 127.0),
+            (-128.5, -128.0),
+            (3.4, 3.0),
+            (200.0, 127.0),
+            (-200.0, -128.0),
+            (-0.3, -0.0),
+            (f32::INFINITY, 127.0),
+            (f32::NEG_INFINITY, -128.0),
+        ];
+        for (value, want) in cases {
+            let got = q.quantize(value);
+            assert_eq!(got.to_bits(), want.to_bits(), "quantize({value}) = {got}");
+            assert_eq!(got.to_bits(), int8_reference(value).to_bits());
+            assert_eq!(q.encode(value), u64::from(want as i32 as i8 as u8));
+        }
+        for nan in [f32::NAN, -f32::NAN, f32::from_bits(0x7F80_0001)] {
+            assert_eq!(q.quantize(nan).to_bits(), 0.0f32.to_bits(), "NaN is +0.0");
+            assert_eq!(q.encode(nan), 0);
+        }
+    }
+
+    #[test]
+    fn int8_matches_the_libm_reference_everywhere() {
+        let q = Quantizer::new(DType::Int8);
+        for v in probe_values() {
+            let want = int8_reference(v);
+            assert_eq!(q.quantize(v).to_bits(), want.to_bits(), "{v:e}");
+            assert_eq!(q.encode(v), u64::from(want as i32 as i8 as u8), "{v:e}");
+        }
+    }
+
+    #[test]
+    fn slice_maps_match_the_per_value_maps() {
+        let values = probe_values();
+        for dtype in DType::EXTENDED {
+            let q = Quantizer::new(dtype);
+            let mut words = vec![0u32; values.len()];
+            q.encode_slice(&values, &mut words);
+            let mut quantized = values.clone();
+            q.quantize_slice(&mut quantized);
+            for (i, &v) in values.iter().enumerate() {
+                assert_eq!(u64::from(words[i]), q.encode(v), "{dtype} encode {v:e}");
+                assert_eq!(
+                    quantized[i].to_bits(),
+                    q.quantize(v).to_bits(),
+                    "{dtype} quantize {v:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,8 +22,19 @@ pub const F16_MAX: f32 = 65504.0;
 /// Smallest positive normal binary16 value (2⁻¹⁴).
 pub const F16_MIN_POSITIVE: f32 = 6.103_515_6e-5;
 
+/// `|x|` bits of the smallest normal binary16 value, 2^-14.
+const F16_MIN_NORMAL_BITS: u32 = 0x3880_0000;
+/// `|x|` bits of 2^16, the first magnitude past binary16's range (its
+/// largest finite value rounds up to it only at 65520).
+const F16_OVERFLOW_BITS: u32 = 0x4780_0000;
+/// `|x|` bits of `f32` infinity; anything above is a NaN.
+const F32_INFINITY_BITS: u32 = 0x7F80_0000;
+
 /// Convert an `f32` to the nearest binary16 bit pattern
 /// (round-to-nearest, ties-to-even).
+///
+/// Every case is computed and one is selected, without branching on the
+/// value, so loops over whole buffers vectorize.
 ///
 /// ```
 /// use wm_numerics::{f32_to_f16_bits, f16_bits_to_f32};
@@ -31,90 +42,56 @@ pub const F16_MIN_POSITIVE: f32 = 6.103_515_6e-5;
 /// assert_eq!(f32_to_f16_bits(-2.0), 0xC000);
 /// assert_eq!(f16_bits_to_f32(f32_to_f16_bits(0.5)), 0.5);
 /// ```
+#[inline]
 pub fn f32_to_f16_bits(value: f32) -> u16 {
     let bits = value.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp32 = ((bits >> 23) & 0xFF) as i32;
-    let mant32 = bits & 0x007F_FFFF;
-
-    if exp32 == 0xFF {
-        // Infinity or NaN.
-        return if mant32 == 0 {
-            sign | 0x7C00
-        } else {
-            // Quiet NaN, preserving the top mantissa bits that fit.
-            sign | 0x7C00 | 0x0200 | ((mant32 >> 13) as u16 & 0x01FF)
-        };
-    }
-
-    // Unbiased exponent of the f32 value.
-    let unbiased = exp32 - 127;
-    if unbiased > 15 {
-        // Overflows binary16 -> infinity.
-        return sign | 0x7C00;
-    }
-
-    if unbiased >= -14 {
-        // Normal range for binary16.
-        let exp16 = (unbiased + F16_BIAS) as u32;
-        // 13 mantissa bits are dropped; round to nearest even.
-        let mant16 = mant32 >> 13;
-        let round_bit = (mant32 >> 12) & 1;
-        let sticky = mant32 & 0x0FFF;
-        let mut out = ((exp16 << F16_MANT_BITS) | mant16) as u16;
-        if round_bit == 1 && (sticky != 0 || (mant16 & 1) == 1) {
-            out += 1; // may carry into the exponent: that is correct
-                      // rounding up to the next binade or to infinity.
-        }
-        return sign | out;
-    }
-
-    // Subnormal range (or underflow to zero). The implicit leading 1 of
-    // the f32 mantissa becomes explicit and is shifted right.
-    if unbiased < -25 {
-        // Too small even for the largest rounding: signed zero.
-        return sign;
-    }
-    let full_mant = mant32 | 0x0080_0000; // make the implicit bit explicit
-    let shift = (-14 - unbiased) as u32 + 13;
-    let mant16 = full_mant >> shift;
-    let round_bit = (full_mant >> (shift - 1)) & 1;
-    let sticky = full_mant & ((1u32 << (shift - 1)) - 1);
-    let mut out = mant16 as u16;
-    if round_bit == 1 && (sticky != 0 || (mant16 & 1) == 1) {
-        out += 1; // may round up into the smallest normal, also correct
-    }
-    sign | out
+    let abs = bits & 0x7FFF_FFFF;
+    // Normal range: rebias the exponent and round the 13 dropped mantissa
+    // bits to nearest even; a carry may run into the exponent, up to
+    // infinity.
+    let normal = ((abs + 0x0FFF + ((abs >> 13) & 1)) >> 13)
+        .wrapping_sub(((127 - F16_BIAS) as u32) << F16_MANT_BITS);
+    // Below it (gradual underflow): 0.5's ulp is 2^-24, binary16's
+    // subnormal step, so adding 0.5 rounds |value| to the nearest even
+    // step — zero and the smallest normal included — leaving the step
+    // count in the low mantissa bits.
+    let subnormal = (f32::from_bits(abs) + 0.5).to_bits() - 0.5f32.to_bits();
+    let magnitude = if abs > F32_INFINITY_BITS {
+        // Quiet NaN, preserving the top mantissa bits that fit.
+        0x7C00 | 0x0200 | ((abs >> 13) & 0x01FF)
+    } else if abs >= F16_OVERFLOW_BITS {
+        // Infinity, or past binary16's range: infinity.
+        0x7C00
+    } else if abs >= F16_MIN_NORMAL_BITS {
+        normal
+    } else {
+        subnormal
+    };
+    (((bits >> 16) & 0x8000) | magnitude) as u16
 }
 
 /// Convert a binary16 bit pattern to the exactly-representable `f32`.
 ///
 /// Every binary16 value is exactly representable in binary32, so this
-/// direction is lossless.
+/// direction is lossless. Like [`f32_to_f16_bits`], it selects between
+/// its cases without branching on the value.
 pub fn f16_bits_to_f32(bits: u16) -> f32 {
-    let sign = u32::from(bits >> 15) << 31;
-    let exp16 = i32::from((bits >> F16_MANT_BITS) & 0x1F);
-    let mant16 = u32::from(bits & 0x03FF);
-
-    if exp16 == 0x1F {
-        // Infinity or NaN.
-        let mant32 = mant16 << 13;
-        return f32::from_bits(sign | 0x7F80_0000 | mant32);
-    }
-    if exp16 == 0 {
-        if mant16 == 0 {
-            return f32::from_bits(sign); // signed zero
-        }
-        // Subnormal: value = mant16 * 2^-24. Normalize into f32: with h the
-        // position of the highest set bit, value = 2^(h-24) * 1.frac, so the
-        // f32 biased exponent is h + 103.
-        let h = 31 - mant16.leading_zeros(); // 0..=9
-        let exp32 = h + 103;
-        let mant = (mant16 << (10 - h)) & 0x03FF; // drop the leading 1
-        return f32::from_bits(sign | (exp32 << 23) | (mant << 13));
-    }
-    let exp32 = (exp16 - F16_BIAS + 127) as u32;
-    f32::from_bits(sign | (exp32 << 23) | (mant16 << 13))
+    let bits = u32::from(bits);
+    let exp16 = (bits >> F16_MANT_BITS) & 0x1F;
+    // Normal range: widen the mantissa by 13 bits and rebias the exponent.
+    let rebias = ((127 - F16_BIAS) as u32) << 23;
+    let normal = ((bits & 0x7FFF) << 13) + rebias;
+    let magnitude = if exp16 == 0x1F {
+        // Infinity or NaN: rebiasing twice lands on the all-ones exponent,
+        // and the payload is kept.
+        normal + rebias
+    } else if exp16 == 0 {
+        // Zero or subnormal: the mantissa times the step 2^-24, exact.
+        ((bits & 0x03FF) as f32 * (1.0 / 16_777_216.0)).to_bits()
+    } else {
+        normal
+    };
+    f32::from_bits(((bits & 0x8000) << 16) | magnitude)
 }
 
 /// Round an `f32` to the nearest binary16-representable value, returned as
@@ -216,6 +193,120 @@ mod tests {
             } else {
                 assert_eq!(f32_to_f16_bits(x), bits, "pattern {bits:#06x}");
             }
+        }
+    }
+
+    /// The narrowing codec as first written, one branch per IEEE case: the
+    /// reference the branch-free [`f32_to_f16_bits`] must reproduce.
+    fn reference_f32_to_f16_bits(value: f32) -> u16 {
+        let bits = value.to_bits();
+        let sign = ((bits >> 16) & 0x8000) as u16;
+        let exp32 = ((bits >> 23) & 0xFF) as i32;
+        let mant32 = bits & 0x007F_FFFF;
+        if exp32 == 0xFF {
+            return if mant32 == 0 {
+                sign | 0x7C00
+            } else {
+                sign | 0x7C00 | 0x0200 | ((mant32 >> 13) as u16 & 0x01FF)
+            };
+        }
+        let unbiased = exp32 - 127;
+        if unbiased > 15 {
+            return sign | 0x7C00;
+        }
+        if unbiased >= -14 {
+            let exp16 = (unbiased + F16_BIAS) as u32;
+            let mant16 = mant32 >> 13;
+            let round_bit = (mant32 >> 12) & 1;
+            let sticky = mant32 & 0x0FFF;
+            let mut out = ((exp16 << F16_MANT_BITS) | mant16) as u16;
+            if round_bit == 1 && (sticky != 0 || (mant16 & 1) == 1) {
+                out += 1;
+            }
+            return sign | out;
+        }
+        if unbiased < -25 {
+            return sign;
+        }
+        let full_mant = mant32 | 0x0080_0000;
+        let shift = (-14 - unbiased) as u32 + 13;
+        let mant16 = full_mant >> shift;
+        let round_bit = (full_mant >> (shift - 1)) & 1;
+        let sticky = full_mant & ((1u32 << (shift - 1)) - 1);
+        let mut out = mant16 as u16;
+        if round_bit == 1 && (sticky != 0 || (mant16 & 1) == 1) {
+            out += 1;
+        }
+        sign | out
+    }
+
+    /// Every exponent (all binades, subnormals, inf/NaN) and sign, with
+    /// the mantissa patterns around each rounding decision — ties, just
+    /// off ties, carries into the next binade — and random payloads.
+    fn probe_values() -> Vec<f32> {
+        let mut values = Vec::new();
+        let mut x = 0x2545_F491u32;
+        for exp in 0..=0xFFu32 {
+            for sign in [0, 0x8000_0000u32] {
+                let mut mantissas = vec![0, 1, 0x0FFF, 0x1000, 0x1001, 0x2000, 0x3000];
+                mantissas.extend([0x7F_E000, 0x7F_EFFF, 0x7F_F000, 0x7F_F001, 0x7F_FFFF]);
+                for _ in 0..64 {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    mantissas.push(x & 0x7F_FFFF);
+                }
+                values.extend(
+                    mantissas
+                        .iter()
+                        .map(|m| f32::from_bits(sign | (exp << 23) | m)),
+                );
+            }
+        }
+        values
+    }
+
+    #[test]
+    fn branch_free_codec_matches_the_reference() {
+        for v in probe_values() {
+            assert_eq!(
+                f32_to_f16_bits(v),
+                reference_f32_to_f16_bits(v),
+                "{v:e} ({:#010x})",
+                v.to_bits()
+            );
+        }
+    }
+
+    /// The widening codec as first written, one branch per IEEE case: the
+    /// reference the branch-free [`f16_bits_to_f32`] must reproduce.
+    fn reference_f16_bits_to_f32(bits: u16) -> f32 {
+        let sign = u32::from(bits >> 15) << 31;
+        let exp16 = i32::from((bits >> F16_MANT_BITS) & 0x1F);
+        let mant16 = u32::from(bits & 0x03FF);
+        if exp16 == 0x1F {
+            return f32::from_bits(sign | 0x7F80_0000 | (mant16 << 13));
+        }
+        if exp16 == 0 {
+            if mant16 == 0 {
+                return f32::from_bits(sign);
+            }
+            let h = 31 - mant16.leading_zeros();
+            let mant = (mant16 << (10 - h)) & 0x03FF;
+            return f32::from_bits(sign | ((h + 103) << 23) | (mant << 13));
+        }
+        let exp32 = (exp16 - F16_BIAS + 127) as u32;
+        f32::from_bits(sign | (exp32 << 23) | (mant16 << 13))
+    }
+
+    #[test]
+    fn branch_free_decode_matches_the_reference_on_every_pattern() {
+        for bits in 0..=u16::MAX {
+            assert_eq!(
+                f16_bits_to_f32(bits).to_bits(),
+                reference_f16_bits_to_f32(bits).to_bits(),
+                "pattern {bits:#06x}"
+            );
         }
     }
 

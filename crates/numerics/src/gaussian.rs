@@ -63,18 +63,15 @@ impl Gaussian {
         if let Some(z) = self.spare.take() {
             return self.mean + self.std * z;
         }
-        // Marsaglia polar method: draw (u, v) uniform on the square until
-        // inside the unit disc, then transform.
-        loop {
-            let u = 2.0 * rng.next_f64() - 1.0;
-            let v = 2.0 * rng.next_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let factor = (-2.0 * s.ln() / s).sqrt();
-                self.spare = Some(v * factor);
-                return self.mean + self.std * (u * factor);
+        let point = loop {
+            let point = candidate(rng);
+            if inside_disc(point) {
+                break point;
             }
-        }
+        };
+        let (z0, z1) = polar_transform(point);
+        self.spare = Some(z1);
+        self.mean + self.std * z0
     }
 
     /// Draw one variate as `f32` (the paper generates FP32 values).
@@ -83,12 +80,69 @@ impl Gaussian {
         self.sample(rng) as f32
     }
 
-    /// Fill a buffer with independent variates.
+    /// Fill a buffer with independent variates: exactly the
+    /// [`Gaussian::sample_f32`] stream (a pending spare comes first, and
+    /// an odd tail leaves one pending), drawn a block at a time.
     pub fn fill(&mut self, rng: &mut Xoshiro256pp, out: &mut [f32]) {
-        for slot in out {
-            *slot = self.sample_f32(rng);
+        let (mean, std) = (self.mean, self.std);
+        let start = match (self.spare, out.first_mut()) {
+            (Some(z), Some(first)) => {
+                *first = (mean + std * z) as f32;
+                self.spare = None;
+                1
+            }
+            _ => 0,
+        };
+        // A block's accepted points are drawn first, kept without a branch
+        // on the acceptance test, and transformed after: a rejected point
+        // then no longer stalls the logarithm, division and square root,
+        // which overlap across the block instead.
+        let mut points = [(0.0, 0.0, 0.0); FILL_BLOCK];
+        for block in out[start..].chunks_mut(2 * FILL_BLOCK) {
+            let pairs = block.len() / 2;
+            let mut accepted = 0;
+            while accepted < pairs {
+                let point = candidate(rng);
+                points[accepted] = point;
+                accepted += usize::from(inside_disc(point));
+            }
+            for (pair, &point) in block.chunks_exact_mut(2).zip(&points[..pairs]) {
+                let (z0, z1) = polar_transform(point);
+                pair[0] = (mean + std * z0) as f32;
+                pair[1] = (mean + std * z1) as f32;
+            }
+        }
+        if (out.len() - start) % 2 == 1 {
+            out[out.len() - 1] = self.sample_f32(rng);
         }
     }
+}
+
+/// Pairs of variates [`Gaussian::fill`] draws per block.
+const FILL_BLOCK: usize = 128;
+
+/// Marsaglia polar method, step one: a point `(u, v)` uniform on the
+/// square `[-1, 1)^2`, with its squared radius `s`.
+#[inline]
+fn candidate(rng: &mut Xoshiro256pp) -> (f64, f64, f64) {
+    let u = 2.0 * rng.next_f64() - 1.0;
+    let v = 2.0 * rng.next_f64() - 1.0;
+    (u, v, u * u + v * v)
+}
+
+/// Whether a candidate lies inside the unit disc, off its centre: only
+/// those are transformed, the rest are drawn again.
+#[inline]
+fn inside_disc((_, _, s): (f64, f64, f64)) -> bool {
+    s > 0.0 && s < 1.0
+}
+
+/// Marsaglia polar method, step two: an accepted point's two independent
+/// standard normals.
+#[inline]
+fn polar_transform((u, v, s): (f64, f64, f64)) -> (f64, f64) {
+    let factor = (-2.0 * s.ln() / s).sqrt();
+    (u * factor, v * factor)
 }
 
 #[cfg(test)]
@@ -170,14 +224,27 @@ mod tests {
 
     #[test]
     fn fill_matches_individual_draws() {
-        let mut r1 = Xoshiro256pp::seed_from_u64(7);
-        let mut r2 = Xoshiro256pp::seed_from_u64(7);
-        let mut g1 = Gaussian::new(3.0, 2.0);
-        let mut g2 = Gaussian::new(3.0, 2.0);
-        let mut buf = [0.0f32; 64];
-        g1.fill(&mut r1, &mut buf);
-        for &b in &buf {
-            assert_eq!(b, g2.sample_f32(&mut r2));
+        // Block fills at odd and even lengths, within one block and across
+        // several, starting with and without a pending spare, continue the
+        // per-draw stream bit for bit — and leave the sampler (spare
+        // included) where the draws would.
+        for (lead, lens) in [(0, [64, 7, 1, 0, 33, 1001]), (1, [5, 2, 9, 1, 512, 64])] {
+            let mut r1 = Xoshiro256pp::seed_from_u64(7);
+            let mut r2 = Xoshiro256pp::seed_from_u64(7);
+            let mut g1 = Gaussian::new(3.0, 2.0);
+            let mut g2 = Gaussian::new(3.0, 2.0);
+            for _ in 0..lead {
+                assert_eq!(g1.sample(&mut r1).to_bits(), g2.sample(&mut r2).to_bits());
+            }
+            for len in lens {
+                let mut buf = vec![0.0f32; len];
+                g1.fill(&mut r1, &mut buf);
+                for &b in &buf {
+                    assert_eq!(b.to_bits(), g2.sample_f32(&mut r2).to_bits(), "len {len}");
+                }
+                assert_eq!(g1.spare.map(f64::to_bits), g2.spare.map(f64::to_bits));
+            }
+            assert_eq!(r1.next_u64(), r2.next_u64(), "same stream position");
         }
     }
 

@@ -14,9 +14,10 @@ pub fn gaussian_matrix(
     dtype: DType,
     rng: &mut Xoshiro256pp,
 ) -> Matrix {
-    let q = Quantizer::new(dtype);
-    let mut g = Gaussian::new(mean, std);
-    Matrix::from_fn(rows, cols, |_, _| q.quantize(g.sample_f32(rng)))
+    let mut data = vec![0.0; rows * cols];
+    Gaussian::new(mean, std).fill(rng, &mut data);
+    Quantizer::new(dtype).quantize_slice(&mut data);
+    Matrix::from_vec(rows, cols, data)
 }
 
 /// Fill a matrix by sampling uniformly **with replacement** from a set of

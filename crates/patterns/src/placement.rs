@@ -21,6 +21,53 @@
 
 use wm_matrix::Matrix;
 
+/// The unsigned key whose order is [`f32::total_cmp`]'s: negative values
+/// flip every bit, the rest only the sign bit.
+#[inline]
+fn total_order_key(v: f32) -> u32 {
+    let bits = v.to_bits();
+    bits ^ (((bits as i32 >> 31) as u32) | 0x8000_0000)
+}
+
+/// The value whose [`total_order_key`] is `key`.
+#[inline]
+fn from_total_order_key(key: u32) -> f32 {
+    f32::from_bits(key ^ (!((key as i32 >> 31) as u32) | 0x8000_0000))
+}
+
+/// Sort ascending in [`f32::total_cmp`] order: an LSD radix sort over the
+/// total-order key, one byte per pass, skipping bytes every key shares.
+/// Equal keys are equal bit patterns, so the result is exactly
+/// `sort_unstable_by(f32::total_cmp)`'s.
+fn sort_total(data: &mut [f32]) {
+    let mut keys: Vec<u32> = data.iter().map(|&v| total_order_key(v)).collect();
+    let mut counts = [[0usize; 256]; 4];
+    for &key in &keys {
+        for (pass, count) in counts.iter_mut().enumerate() {
+            count[(key >> (8 * pass)) as usize & 0xFF] += 1;
+        }
+    }
+    let mut out = vec![0u32; keys.len()];
+    for (pass, count) in counts.iter().enumerate() {
+        if count.contains(&keys.len()) {
+            continue;
+        }
+        let mut next = [0usize; 256];
+        for digit in 1..256 {
+            next[digit] = next[digit - 1] + count[digit - 1];
+        }
+        for &key in &keys {
+            let digit = (key >> (8 * pass)) as usize & 0xFF;
+            out[next[digit]] = key;
+            next[digit] += 1;
+        }
+        std::mem::swap(&mut keys, &mut out);
+    }
+    for (v, &key) in data.iter_mut().zip(&keys) {
+        *v = from_total_order_key(key);
+    }
+}
+
 /// Sort the lowest `fraction` of `data`'s values into the leading
 /// `fraction` of its indices (ascending); the remaining values keep their
 /// original relative order in the tail.
@@ -35,7 +82,7 @@ pub fn sort_lowest_fraction(data: &mut [f32], fraction: f64) {
         return;
     }
     if k >= n {
-        data.sort_unstable_by(f32::total_cmp);
+        sort_total(data);
         return;
     }
     // Select the k lowest (value, index) pairs.
@@ -59,7 +106,7 @@ pub fn sort_lowest_fraction(data: &mut [f32], fraction: f64) {
             rest.push(v);
         }
     }
-    low.sort_unstable_by(f32::total_cmp);
+    sort_total(&mut low);
     data[..k].copy_from_slice(&low);
     data[k..].copy_from_slice(&rest);
 }
@@ -223,6 +270,64 @@ mod tests {
         assert_eq!(m, base);
         sort_into_rows(&mut m, 7.0);
         assert_eq!(adjacent_inversions(m.as_slice()), 0);
+    }
+
+    /// Bit patterns, since NaN payloads and signed zeros must survive.
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Awkward values: NaNs of both signs and several payloads, signed
+    /// zeros and infinities, subnormals, and heavy duplication.
+    fn awkward(n: usize, seed: u64) -> Vec<f32> {
+        let special = [
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFFC0_0042),
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+            1.5,
+            -1.5,
+        ];
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut g = Gaussian::new(0.0, 210.0);
+        (0..n)
+            .map(|_| match rng.next_bounded(4) {
+                0 => special[rng.next_bounded(special.len())],
+                1 => f32::from_bits(rng.next_u32()),
+                _ => g.sample_f32(&mut rng),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn radix_sort_is_the_total_cmp_sort() {
+        for (n, seed) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (7, 4),
+            (65, 5),
+            (1000, 6),
+            (4099, 7),
+        ] {
+            let mut values = awkward(n, seed);
+            let mut reference = values.clone();
+            reference.sort_unstable_by(f32::total_cmp);
+            sort_total(&mut values);
+            assert_eq!(bits(&values), bits(&reference), "n = {n}");
+        }
+        // Constant input skips every pass.
+        let mut same = vec![-0.0f32; 300];
+        sort_total(&mut same);
+        assert_eq!(bits(&same), vec![0x8000_0000; 300]);
     }
 
     #[test]

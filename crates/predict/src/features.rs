@@ -4,11 +4,13 @@
 //! at fixed shape and clocks, so a fleet needs a per-request power signal
 //! that is far cheaper than simulating the kernel. This module computes a
 //! fixed-width [`FeatureVector`] of exactly such signals in a single pass
-//! over the operand data: byte and value entropy (Bhalachandra et al.
-//! show entropy tracks FPU/GPU dynamic power), mean Hamming weight and
-//! adjacent-word toggle density (the raw currency of the switching
-//! activity model, via `wm-bits`), sparsity, dynamic range, and
-//! dtype/shape descriptors.
+//! over the operands' encoded words — the words a unit walk encodes once
+//! and the kernel simulation reads too
+//! ([`FeatureAccumulator::add_words`]): byte and value entropy
+//! (Bhalachandra et al. show entropy tracks FPU/GPU dynamic power), mean
+//! Hamming weight and adjacent-word toggle density (the raw currency of
+//! the switching activity model, via `wm-bits`), sparsity, dynamic range,
+//! and dtype/shape descriptors.
 //!
 //! ## Determinism across worker counts
 //!
@@ -19,12 +21,14 @@
 //! stream order is **bit-identical** to a single sequential pass. The
 //! property tests in `tests/properties.rs` pin this down.
 
-use wm_bits::{hamming_distance, hamming_weight, ByteHistogram};
+use wm_bits::{
+    hamming_distance, hamming_weight, slice_hamming_weight, stream_toggles, ByteHistogram,
+};
 use wm_core::RunRequest;
 use wm_gpu::GemmDims;
 use wm_kernels::KernelClass;
 use wm_matrix::Matrix;
-use wm_numerics::{DType, Quantizer};
+use wm_numerics::{bf16_bits_to_f32, f16_bits_to_f32, DType, Quantizer};
 
 /// Width of a [`FeatureVector`].
 pub const FEATURE_DIM: usize = 17;
@@ -147,8 +151,8 @@ impl FeatureAccumulator {
     }
 
     /// Accumulate one logical value (quantized and encoded per the dtype,
-    /// exactly as the datapath would latch it).
-    #[inline]
+    /// exactly as the datapath would latch it). The per-value reference
+    /// for [`FeatureAccumulator::add_words`], which every pass uses.
     pub fn add_value(&mut self, value: f32) {
         let q = Quantizer::new(self.dtype);
         let word = q.encode(value);
@@ -174,10 +178,105 @@ impl FeatureAccumulator {
         self.words += 1;
     }
 
-    /// Accumulate a whole matrix in row-major stream order.
+    /// Accumulate a whole matrix in row-major stream order: encode it a
+    /// block at a time on the stack, then [`FeatureAccumulator::add_words`].
     pub fn add_matrix(&mut self, m: &Matrix) {
-        for &v in m.as_slice() {
-            self.add_value(v);
+        let q = Quantizer::new(self.dtype);
+        let mut block = [0u32; 1024];
+        for values in m.as_slice().chunks(block.len()) {
+            let words = &mut block[..values.len()];
+            q.encode_slice(values, words);
+            self.add_words(words);
+        }
+    }
+
+    /// Accumulate a stream of this dtype's encoded words (as
+    /// [`wm_numerics::Quantizer::encode`] produces them): bit-identical
+    /// to [`FeatureAccumulator::add_value`] over the values they encode,
+    /// because a word decodes to exactly the quantized value.
+    pub fn add_words(&mut self, words: &[u32]) {
+        // Float magnitudes are the word without its sign bit (ordered like
+        // |value|; above the infinity pattern lie the NaNs, which
+        // `add_value` never lets move an extreme); INT8's is |byte|.
+        match self.dtype {
+            DType::Fp32 => self.accumulate::<4>(
+                words,
+                |w| (w & 0x7FFF_FFFF) as i32,
+                0x7F80_0000,
+                |m| f32::from_bits(m as u32),
+            ),
+            DType::Fp16 | DType::Fp16Tensor => self.accumulate::<2>(
+                words,
+                |w| (w & 0x7FFF) as i32,
+                0x7C00,
+                |m| f16_bits_to_f32(m as u16),
+            ),
+            DType::Bf16 => self.accumulate::<2>(
+                words,
+                |w| (w & 0x7FFF) as i32,
+                0x7F80,
+                |m| bf16_bits_to_f32(m as u16),
+            ),
+            DType::Int8 => self.accumulate::<1>(
+                words,
+                |w| i32::from(w as u8 as i8).abs(),
+                i32::MAX,
+                |m| m as f32,
+            ),
+        }
+    }
+
+    /// The word loop behind [`FeatureAccumulator::add_words`] for a dtype
+    /// `BYTES` wide: `magnitude` maps a word to a non-negative key ordered
+    /// like its value's `abs()` (keys above `inf` are NaNs) and `decode`
+    /// maps a key back to that `abs()`. The extremes are tracked as keys
+    /// and decoded once per call.
+    #[inline(always)]
+    fn accumulate<const BYTES: usize>(
+        &mut self,
+        words: &[u32],
+        magnitude: impl Fn(u32) -> i32,
+        inf: i32,
+        decode: impl Fn(i32) -> f32,
+    ) {
+        let (Some(&first), Some(&last)) = (words.first(), words.last()) else {
+            return;
+        };
+        let prev = match self.last_word {
+            Some(prev) => prev as u32,
+            None => {
+                self.first_word = Some(u64::from(first));
+                first
+            }
+        };
+        // Counters and extremes first, in sweeps free of memory
+        // dependencies (signed keys: their lanes vectorize better); the
+        // two histograms after them.
+        let (mut max_key, mut min_key) = (0, i32::MAX);
+        for &w in words {
+            let key = magnitude(w);
+            let not_nan = key <= inf;
+            max_key = max_key.max(if not_nan { key } else { 0 });
+            min_key = min_key.min(if not_nan && key != 0 { key } else { i32::MAX });
+        }
+        for &w in words {
+            self.byte_hist.add_word(u64::from(w), BYTES);
+            self.value_hist[value_bin(u64::from(w))] += 1;
+        }
+        self.last_word = Some(u64::from(last));
+        self.toggle_total += stream_toggles(words) + u64::from(hamming_distance(prev, first));
+        self.hamming_total += slice_hamming_weight(words);
+        self.zero_words += words.iter().filter(|&&w| w == 0).count() as u64;
+        self.words += words.len() as u64;
+        let max_abs = decode(max_key);
+        if max_abs > self.max_abs {
+            self.max_abs = max_abs;
+        }
+        if min_key != i32::MAX {
+            let min_abs = decode(min_key);
+            if min_abs < self.min_nonzero_abs {
+                self.min_nonzero_abs = min_abs;
+            }
         }
     }
 
@@ -503,6 +602,101 @@ mod tests {
             }
             assert_eq!(seq, merged, "chunk_len {chunk_len}");
         }
+    }
+
+    const EVERY_KIND: [PatternKind; 14] = [
+        PatternKind::Gaussian,
+        PatternKind::ValueSet { set_size: 16 },
+        PatternKind::ConstantRandom,
+        PatternKind::BitFlips { probability: 0.3 },
+        PatternKind::RandomLsbs { count: 5 },
+        PatternKind::RandomMsbs { count: 6 },
+        PatternKind::SortedRows { fraction: 0.5 },
+        PatternKind::SortedCols { fraction: 1.0 },
+        PatternKind::SortedWithinRows { fraction: 0.7 },
+        PatternKind::Sparse { sparsity: 0.6 },
+        PatternKind::SortedThenSparse { sparsity: 0.3 },
+        PatternKind::ZeroLsbs { count: 4 },
+        PatternKind::ZeroMsbs { count: 3 },
+        PatternKind::Zeros,
+    ];
+
+    /// `add_value` over `values`, the reference every word path matches.
+    fn by_value(dtype: DType, values: &[f32]) -> FeatureAccumulator {
+        let mut acc = FeatureAccumulator::new(dtype);
+        for &v in values {
+            acc.add_value(v);
+        }
+        acc
+    }
+
+    fn assert_words_match_values(dtype: DType, values: &[f32], what: &str) {
+        let reference = by_value(dtype, values);
+        let mut words = vec![0u32; values.len()];
+        Quantizer::new(dtype).encode_slice(values, &mut words);
+        for split in [1, 7, 100, words.len()] {
+            let mut streamed = FeatureAccumulator::new(dtype);
+            let mut merged = FeatureAccumulator::new(dtype);
+            for chunk in words.chunks(split) {
+                streamed.add_words(chunk);
+                let mut part = FeatureAccumulator::new(dtype);
+                part.add_words(chunk);
+                merged.merge(&part);
+            }
+            assert_eq!(streamed, reference, "{what} {dtype}: split {split}");
+            assert_eq!(merged, reference, "{what} {dtype}: merged split {split}");
+        }
+        let mut via_matrix = FeatureAccumulator::new(dtype);
+        via_matrix.add_matrix(&Matrix::from_vec(values.len(), 1, values.to_vec()));
+        assert_eq!(via_matrix, reference, "{what} {dtype}: add_matrix");
+    }
+
+    #[test]
+    fn add_words_matches_add_value_for_every_pattern_and_dtype() {
+        for kind in EVERY_KIND {
+            for dtype in DType::EXTENDED {
+                // 40 x 40 operands: add_matrix crosses its encode blocks.
+                let (a, b) = operands(kind, dtype, 40, 21);
+                let stream: Vec<f32> = a.as_slice().iter().chain(b.as_slice()).copied().collect();
+                assert_words_match_values(dtype, &stream, &format!("{kind:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn add_words_matches_add_value_on_raw_values() {
+        // Unquantized values, including every special the encoders treat
+        // apart: the word path must still reproduce the value path.
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x0001_0000),
+            2.0f32.powi(-24),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7F80_0001),
+            0.5,
+            -2.5,
+            127.5,
+            -300.0,
+            65_520.0,
+            f32::MAX,
+        ];
+        let mut rng = Xoshiro256pp::seed_from_u64(4);
+        values.extend((0..500).map(|_| f32::from_bits(rng.next_u32())));
+        for dtype in DType::EXTENDED {
+            assert_words_match_values(dtype, &values, "raw");
+            assert_words_match_values(dtype, &[0.0, -0.0, 0.0], "zeros");
+            assert_words_match_values(dtype, &[f32::NAN, f32::NAN], "nans");
+        }
+        // An empty word slice changes nothing.
+        let mut acc = by_value(DType::Fp16, &[1.0, 2.0]);
+        let before = acc.clone();
+        acc.add_words(&[]);
+        assert_eq!(acc, before);
     }
 
     #[test]
