@@ -247,9 +247,8 @@ struct MetricRef {
 }
 
 /// Scan one file for `.counter("…")` / `.gauge("…")` / `.histogram("…")`
-/// references with a literal name. `live_only` skips `#[cfg(test)]`
-/// regions.
-fn metric_refs(src: &SourceFile, live_only: bool, out: &mut Vec<MetricRef>) {
+/// references with a literal name, skipping `#[cfg(test)]` regions.
+fn metric_refs(src: &SourceFile, out: &mut Vec<MetricRef>) {
     let lexed = lex(&src.text);
     let toks = lexed.tokens();
     let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
@@ -261,7 +260,7 @@ fn metric_refs(src: &SourceFile, live_only: bool, out: &mut Vec<MetricRef>) {
         {
             continue;
         }
-        if live_only && !src.is_live(&lexed, toks[i].offset) {
+        if !src.is_live(&lexed, toks[i].offset) {
             continue;
         }
         let paren = toks[i + 1].offset;
@@ -284,22 +283,14 @@ fn metric_refs(src: &SourceFile, live_only: bool, out: &mut Vec<MetricRef>) {
 }
 
 /// metric-drift: metric names registered in code ⇔ the README metrics
-/// table ⇔ the names the configured consumer harnesses read, three-way
-/// cross-checked.
+/// table, cross-checked in both directions.
 pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut Vec<Violation>) {
     if cfg.metric_readme_heading.is_empty() {
         return;
     }
-    let is_consumer = |rel: &str| cfg.metric_consumer_files.iter().any(|f| f == rel);
-
     let mut registered: Vec<MetricRef> = Vec::new();
-    let mut consumed: Vec<MetricRef> = Vec::new();
-    for src in sources {
-        if is_consumer(&src.rel) {
-            metric_refs(src, false, &mut consumed);
-        } else if !src.is_test_file {
-            metric_refs(src, true, &mut registered);
-        }
+    for src in sources.iter().filter(|s| !s.is_test_file) {
+        metric_refs(src, &mut registered);
     }
     let mut names: BTreeSet<&str> = BTreeSet::new();
     let mut first_site: Vec<&MetricRef> = Vec::new();
@@ -374,22 +365,6 @@ pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut V
                 *line,
                 "metric-drift",
                 format!("metrics table documents {d:?}, which no producer registers"),
-            ));
-        }
-    }
-    let mut seen_consumed: BTreeSet<(String, String)> = BTreeSet::new();
-    for r in &consumed {
-        if !names.contains(r.name.as_str())
-            && seen_consumed.insert((r.file.clone(), r.name.clone()))
-        {
-            out.push(Violation::new(
-                &r.file,
-                r.line,
-                "metric-drift",
-                format!(
-                    "consumer reads metric {:?}, which no producer registers",
-                    r.name
-                ),
             ));
         }
     }

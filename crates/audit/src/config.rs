@@ -64,12 +64,11 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
     ),
     (
         "metric-drift",
-        "registered metrics ⇔ README metrics table ⇔ consumer key lists",
+        "registered metrics ⇔ README metrics table",
         "Metric names are stringly-typed and silently drift. Every name \
          registered through a `.counter(…)`/`.gauge(…)/.histogram(…)` call \
-         must appear in the README metrics table; every documented name must \
-         have a producer; and every name a consumer harness reads must be \
-         produced by someone. Three-way, like protocol-drift.",
+         must appear in the README metrics table, and every documented name \
+         must have a producer.",
     ),
     (
         "hot-path-alloc",
@@ -131,7 +130,7 @@ pub struct AuditConfig {
     /// / `unreachable!` / `unimplemented!`.
     pub panic_free_crates: Vec<String>,
     /// Files allowed to read wall clocks (`Instant::now`,
-    /// `SystemTime::now`): tracers and benchmark harnesses, where time
+    /// `SystemTime::now`): the tracer and timing harnesses, where time
     /// *is* the measurement.
     pub clock_allowed_files: Vec<String>,
     /// Files that produce canonical output (hashing, JSON, metrics
@@ -160,10 +159,6 @@ pub struct AuditConfig {
     /// The exact heading line introducing the metrics table in
     /// [`AuditConfig::readme_file`]. Empty disables metric-drift.
     pub metric_readme_heading: String,
-    /// Files that *consume* metric names (bench harnesses, load
-    /// generators): their `.counter(…)`-style references are checked
-    /// against producers, not treated as registrations.
-    pub metric_consumer_files: Vec<String>,
     /// Method names that block (I/O, sleeps, channel receives); a lock
     /// guard held across one is a lock-order finding.
     pub blocking_calls: Vec<String>,
@@ -184,11 +179,9 @@ impl AuditConfig {
             root: root.to_path_buf(),
             panic_free_crates: vec![s("fleet"), s("serve"), s("obs"), s("predict"), s("power")],
             clock_allowed_files: vec![
-                // The tracer's monotonic epoch and the load/serving
-                // benches measure latency; real clocks are their job.
+                // The tracer's monotonic epoch measures latency; real
+                // clocks are its job.
                 s("crates/obs/src/trace.rs"),
-                s("crates/serve/src/bench.rs"),
-                s("src/serving_bench.rs"),
                 // The hermetic criterion stand-in is a timing harness.
                 s("shims/criterion/src/lib.rs"),
             ],
@@ -221,7 +214,6 @@ impl AuditConfig {
                 s("FeatureAccumulator::add_words"),
             ],
             metric_readme_heading: s("#### Metrics"),
-            metric_consumer_files: vec![s("src/serving_bench.rs"), s("examples/wattd_load.rs")],
             blocking_calls: vec![
                 s("write_all"),
                 s("read_exact"),

@@ -42,8 +42,7 @@
 //!   call. Findings carry the edge-by-edge witness path that proves
 //!   them.
 //! * **metric-drift** — metric names registered in code ⇔ the README
-//!   metrics table ⇔ the names the bench/load consumers read, three-way
-//!   cross-checked like protocol-drift.
+//!   metrics table, cross-checked in both directions like protocol-drift.
 //! * **hot-path-alloc** — the configured hot functions (feature
 //!   extraction, operand generation, canonical hashing, pricing) and
 //!   everything they transitively call must be allocation-free, each

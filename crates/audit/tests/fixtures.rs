@@ -45,7 +45,6 @@ impl Fixture {
         cfg.protocol_file = String::new();
         cfg.serve_layer_ops = Vec::new();
         cfg.metric_readme_heading = String::new();
-        cfg.metric_consumer_files = Vec::new();
         cfg.hot_path_functions = Vec::new();
         cfg
     }
@@ -556,18 +555,16 @@ fn lock_order_flags_guard_held_across_blocking_call() {
 
 // --------------------------------------------------------------- metric-drift
 
-/// A fixture with one well-documented metric, plus a config that points
-/// metric-drift at its README and consumer file.
+/// A config that points metric-drift at the fixture's README.
 fn metric_cfg(fx: &Fixture) -> AuditConfig {
     let mut cfg = fx.cfg();
     cfg.metric_readme_heading = "#### Metrics".to_string();
-    cfg.metric_consumer_files = vec!["src/bench.rs".to_string()];
     cfg.only_rules = vec!["metric-drift".to_string()];
     cfg
 }
 
 #[test]
-fn metric_drift_flags_all_three_directions() {
+fn metric_drift_flags_both_directions() {
     let fx = Fixture::new();
     fx.file(
         "crates/matrix/src/m.rs",
@@ -577,20 +574,13 @@ fn metric_drift_flags_all_three_directions() {
          }\n",
     )
     .file(
-        "src/bench.rs",
-        "pub fn check(reg: &Registry) {\n\
-         \x20   let _ = reg.counter(\"good_total\", &[]);\n\
-         \x20   let _ = reg.counter(\"phantom_total\", &[]);\n\
-         }\n",
-    )
-    .file(
         "README.md",
         "# T\n\n#### Metrics\n\n| Metric | Kind | Meaning |\n|---|---|---|\n\
          | `good_total` | counter | fine |\n\
          | `ghost_total` | counter | documented only |\n",
     );
     let vs = fx.run(&metric_cfg(&fx));
-    assert_eq!(vs.len(), 3, "{vs:?}");
+    assert_eq!(vs.len(), 2, "{vs:?}");
     // Documented but never registered, at its table row.
     assert_eq!(
         (vs[0].file.as_str(), vs[0].line),
@@ -605,28 +595,15 @@ fn metric_drift_flags_all_three_directions() {
         "{vs:?}"
     );
     assert!(vs[1].message.contains("\"rogue_total\""), "{}", vs[1]);
-    // Consumed but never produced, at the consumer site.
-    assert_eq!(
-        (vs[2].file.as_str(), vs[2].line),
-        ("src/bench.rs", 3),
-        "{vs:?}"
-    );
-    assert!(vs[2].message.contains("\"phantom_total\""), "{}", vs[2]);
 }
 
 #[test]
-fn metric_drift_clean_when_all_three_agree() {
+fn metric_drift_clean_when_code_and_readme_agree() {
     let fx = Fixture::new();
     fx.file(
         "crates/matrix/src/m.rs",
         "pub fn record(reg: &Registry) {\n\
          \x20   reg.counter(\"good_total\", &[]).inc();\n\
-         }\n",
-    )
-    .file(
-        "src/bench.rs",
-        "pub fn check(reg: &Registry) {\n\
-         \x20   let _ = reg.counter(\"good_total\", &[]);\n\
          }\n",
     )
     .file(

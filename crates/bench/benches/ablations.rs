@@ -1,4 +1,4 @@
-//! Ablation benches for the power model's design choices (DESIGN.md §7).
+//! Ablation benches for the power model's design choices.
 //!
 //! Each variant pins one activity component to its random-input reference
 //! level before evaluation, measuring (a) that the ablation costs nothing

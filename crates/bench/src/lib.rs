@@ -5,7 +5,8 @@
 //! doubles as a smoke-regeneration of every figure while measuring the
 //! simulation pipeline's throughput. `engine` micro-benchmarks the hot
 //! paths (activity walk, encoding, bus pass); `ablations` measures the
-//! power model under the component ablations described in DESIGN.md §7.
+//! power model under the component ablations that
+//! `examples/ablation_study.rs` reports.
 //!
 //! Shared helpers live here so the bench files stay declarative.
 

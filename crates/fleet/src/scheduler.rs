@@ -360,14 +360,20 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler over `fleet` with one worker per available core
-    /// (clamped to the job-level parallelism the fleet can express).
+    /// A scheduler over `fleet` with [`Scheduler::default_workers`]
+    /// workers.
     pub fn new(fleet: Fleet) -> Self {
+        let n = Self::default_workers(&fleet);
+        Self::with_workers(fleet, n)
+    }
+
+    /// The default worker count for `fleet`: one per available core,
+    /// clamped to the job-level parallelism the fleet can express.
+    pub fn default_workers(fleet: &Fleet) -> usize {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(2);
-        let n = cores.min(fleet.len().max(2)).max(1);
-        Self::with_workers(fleet, n)
+        cores.min(fleet.len().max(2)).max(1)
     }
 
     /// A scheduler with an explicit worker count and a fresh registry and
@@ -384,8 +390,14 @@ impl Scheduler {
     /// A scheduler recording into caller-supplied observability: `registry`
     /// receives the latency histograms (and the counters/gauges mirrored by
     /// [`Scheduler::sync_metrics`]); `tracer` allocates request ids and
-    /// buffers lifecycle spans. Sharing one registry/tracer pair across
-    /// schedulers aggregates them; the common case is one pair per daemon.
+    /// buffers lifecycle spans. The common case is one pair per daemon.
+    ///
+    /// Sharing one registry across schedulers aggregates only the live
+    /// histograms (`fleet_job_latency_us`, `wattd_request_latency_us`).
+    /// The mirrored counters and gauges do not aggregate: each
+    /// scheduler's `sync_metrics` stores its own values over the shared
+    /// ones, so the last exporter wins. Registry-owned counters (ROADMAP
+    /// item 4) are the fix.
     pub fn with_observability(
         fleet: Fleet,
         workers: usize,

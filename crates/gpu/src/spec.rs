@@ -3,9 +3,9 @@
 //! Throughput and memory figures come from the vendor whitepapers cited by
 //! the paper (Ampere/Hopper architecture whitepapers, V100/Turing specs).
 //! Power-behavioural parameters (`idle_watts`, `data_sensitivity`,
-//! `process_variation_watts`) are calibration anchors documented in
-//! DESIGN.md §6: the paper reports only relative effects, which is what the
-//! experiment suite validates.
+//! `process_variation_watts`) are calibration anchors (see the `wm-power`
+//! crate docs, Calibration): the paper reports only relative effects, which
+//! is what the experiment suite validates.
 
 use wm_numerics::DType;
 

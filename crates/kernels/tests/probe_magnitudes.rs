@@ -1,6 +1,6 @@
 //! Characterization probe: prints per-dtype activity magnitudes for
 //! random Gaussian inputs. Run with `--nocapture` to read the table used
-//! to calibrate `wm-power` coefficients (DESIGN.md §6).
+//! to calibrate `wm-power` coefficients (see that crate's Calibration docs).
 
 use wm_bits::Xoshiro256pp;
 use wm_kernels::{simulate, GemmConfig, GemmInputs, Sampling};

@@ -16,12 +16,11 @@
 //!   monotonic request ids, stamps spans against a process-local
 //!   monotonic clock, and keeps them in a bounded ring buffer that drops
 //!   the oldest spans under pressure (observability must never wedge the
-//!   serving path). Spans snapshot/drain for a protocol `trace` op and
-//!   serialize as JSONL.
+//!   serving path). Spans snapshot/drain for a protocol `trace` op.
 //!
 //! `wm-fleet` threads both through the scheduler and the `wattd`
-//! protocol (`metrics`/`trace` ops); `examples/serving_bench.rs` turns
-//! the registry into `BENCH_serving.json` perf artifacts.
+//! protocol (`metrics`/`trace` ops); `perfbench/` reads the span trail
+//! to split each request's time by stage.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +29,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    global, Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry,
 };
 pub use trace::{stage, SpanRecord, SpanTimer, Tracer};
 pub use wm_predict::LogHistogram;

@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use wm_predict::LogHistogram;
 
@@ -72,12 +72,6 @@ impl Histogram {
     /// Observations recorded so far.
     pub fn count(&self) -> u64 {
         self.lock().observations()
-    }
-
-    /// A point-in-time copy of the underlying sketch (mergeable with
-    /// other snapshots via [`LogHistogram::merge`]).
-    pub fn snapshot(&self) -> LogHistogram {
-        self.lock().clone()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, LogHistogram> {
@@ -257,8 +251,8 @@ impl Registry {
     }
 
     /// A deterministic point-in-time reading of every metric, in key
-    /// order. The neutral export format: JSON encoders, test assertions,
-    /// and the benchmark harness all consume this.
+    /// order. The neutral export format: JSON encoders, the Prometheus
+    /// renderer and test assertions all consume this.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
         self.lock()
             .values()
@@ -339,15 +333,6 @@ impl Registry {
     }
 }
 
-/// The process-global registry, for components without a scheduler to
-/// hang their metrics off. The serving stack deliberately does *not* use
-/// it — each `Scheduler` owns its registry so tests and benchmarks stay
-/// hermetic — but one-shot tools and experiments may.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -417,12 +402,5 @@ mod tests {
         assert!(a.contains("le=\"+Inf\"} 3"), "{a}");
         assert!(a.contains("reqs_total{op=\"run\"} 3"), "{a}");
         assert!(a.contains("budget_w 500"), "{a}");
-    }
-
-    #[test]
-    fn global_registry_is_shared() {
-        let c = global().counter("wm_obs_test_global_total", &[]);
-        c.inc();
-        assert!(global().counter("wm_obs_test_global_total", &[]).get() >= 1);
     }
 }

@@ -8,8 +8,7 @@
 //! against the tracer's monotonic clock. Records land in a bounded ring:
 //! when it fills, the **oldest** spans are dropped (and counted) — the
 //! serving path never blocks or panics on observability pressure. A
-//! protocol `trace` op snapshots or drains the ring; [`SpanRecord::to_jsonl`]
-//! renders one span per line for offline analysis.
+//! protocol `trace` op snapshots or drains the ring.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,34 +59,6 @@ impl SpanRecord {
     /// Span duration in microseconds.
     pub fn duration_us(&self) -> u64 {
         self.end_us.saturating_sub(self.start_us)
-    }
-
-    /// One JSONL line (no trailing newline). Strings are escaped, so the
-    /// output is always valid JSON whatever the detail contains.
-    pub fn to_jsonl(&self) -> String {
-        let escape = |s: &str| {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        };
-        format!(
-            "{{\"request_id\":{},\"stage\":\"{}\",\"detail\":\"{}\",\"start_us\":{},\"end_us\":{}}}",
-            self.request_id,
-            escape(self.stage),
-            escape(&self.detail),
-            self.start_us,
-            self.end_us
-        )
     }
 }
 
@@ -204,8 +175,7 @@ impl Tracer {
     }
 
     /// Take every buffered span out of the ring (arrival order), leaving
-    /// it empty. The JSONL dump path: drain once, write each span's
-    /// [`SpanRecord::to_jsonl`] line.
+    /// it empty (the protocol `trace` op's `"drain": true`).
     pub fn drain(&self) -> Vec<SpanRecord> {
         self.lock().drain(..).collect()
     }
@@ -276,23 +246,6 @@ mod tests {
         let drained = t.drain();
         assert_eq!(drained.len(), 2);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn jsonl_escapes_and_round_trips_shape() {
-        let span = SpanRecord {
-            request_id: 7,
-            stage: stage::PLACEMENT,
-            detail: "gpu=\"A100\"\nline2".to_string(),
-            start_us: 10,
-            end_us: 25,
-        };
-        let line = span.to_jsonl();
-        assert!(line.starts_with("{\"request_id\":7,"), "{line}");
-        assert!(line.contains("\\\"A100\\\""), "{line}");
-        assert!(line.contains("\\n"), "{line}");
-        assert!(!line.contains('\n'), "JSONL must be one physical line");
-        assert_eq!(span.duration_us(), 15);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Energy coefficients (picojoules) and architecture scale factors.
 //!
 //! The per-dtype pipeline coefficients are anchored on the A100 (see the
-//! crate docs and DESIGN.md §6). Their *relative* structure encodes two
+//! crate docs' Calibration section). Their *relative* structure encodes two
 //! hardware facts:
 //!
 //! 1. tensor cores amortize instruction and operand-delivery overhead over

@@ -1,13 +1,11 @@
 //! `wattd` — the fleet power-estimation daemon.
 //!
-//! Three modes share one fleet/scheduler setup:
+//! Two modes share one fleet/scheduler setup:
 //!
 //! ```text
 //! wattd [fleet flags]                # legacy: JSON-lines on stdin/stdout
 //! wattd serve [fleet flags] [--addr HOST:PORT] [--max-sessions N]
 //!             [--max-inflight N] [--state-dir DIR] [--snapshot-secs N]
-//! wattd bench [fleet flags] [--smoke] [--clients N] [--requests N]
-//!             [--out PATH]
 //! ```
 //!
 //! The stdio mode speaks `wm_fleet::protocol` exactly as before (see that
@@ -27,10 +25,6 @@
 //! `shutdown` op) triggers graceful drain: stop accepting, finish
 //! in-flight requests, flush predictor state, exit.
 //!
-//! `wattd bench` spawns a loopback server over the same fleet flags and
-//! drives it with the open-loop network load generator
-//! (`wm_serve::bench`), writing a validated `BENCH_network.json`.
-//!
 //! Shared fleet flags:
 //!
 //! ```text
@@ -49,13 +43,12 @@ use std::sync::Arc;
 use wm_fleet::{serve, Fleet, Scheduler, DEFAULT_TRACE_CAPACITY};
 use wm_gpu::GpuSpec;
 use wm_obs::{Registry, Tracer};
-use wm_serve::{run_load, validate, LoadConfig, ServeConfig, Server};
+use wm_serve::{ServeConfig, Server};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     Stdio,
     Serve,
-    Bench,
 }
 
 struct Options {
@@ -71,19 +64,13 @@ struct Options {
     max_inflight: usize,
     state_dir: Option<PathBuf>,
     snapshot_secs: Option<u64>,
-    // bench
-    smoke: bool,
-    clients: Option<usize>,
-    requests: Option<usize>,
-    out: String,
 }
 
 fn usage() -> &'static str {
-    "usage: wattd [serve|bench] [--gpus a100,h100,...] [--budget WATTS] [--cap WATTS]\n\
+    "usage: wattd [serve] [--gpus a100,h100,...] [--budget WATTS] [--cap WATTS]\n\
      \x20            [--workers N] [--trace-cap SPANS]\n\
      \x20      serve: [--addr HOST:PORT] [--max-sessions N] [--max-inflight N]\n\
      \x20             [--state-dir DIR] [--snapshot-secs N]\n\
-     \x20      bench: [--smoke] [--clients N] [--requests N] [--out PATH]\n\
      Default mode serves JSON-lines power queries on stdin/stdout; `serve` binds the\n\
      same protocol to TCP with streamed batches; see wm_fleet::protocol and wm_serve docs."
 }
@@ -102,26 +89,15 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         max_inflight: defaults.max_inflight,
         state_dir: None,
         snapshot_secs: defaults.snapshot_secs,
-        smoke: false,
-        clients: None,
-        requests: None,
-        out: "BENCH_network.json".to_string(),
     };
     let mut it = args.iter();
     let mut first = true;
     while let Some(arg) = it.next() {
         if first {
             first = false;
-            match arg.as_str() {
-                "serve" => {
-                    opts.mode = Mode::Serve;
-                    continue;
-                }
-                "bench" => {
-                    opts.mode = Mode::Bench;
-                    continue;
-                }
-                _ => {}
+            if arg == "serve" {
+                opts.mode = Mode::Serve;
+                continue;
             }
         }
         let mut value_for = |flag: &str| {
@@ -187,16 +163,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| "--snapshot-secs needs a non-negative count".to_string())?;
                 opts.snapshot_secs = Some(secs);
             }
-            "--smoke" if opts.mode == Mode::Bench => opts.smoke = true,
-            "--clients" if opts.mode == Mode::Bench => {
-                opts.clients = Some(parse_count("--clients", value_for("--clients")?)?);
-            }
-            "--requests" if opts.mode == Mode::Bench => {
-                opts.requests = Some(parse_count("--requests", value_for("--requests")?)?);
-            }
-            "--out" if opts.mode == Mode::Bench => {
-                opts.out = value_for("--out")?;
-            }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),
         }
@@ -236,14 +202,9 @@ fn build_fleet(opts: &Options) -> Result<Fleet, String> {
 }
 
 fn build_scheduler(opts: &Options, fleet: Fleet) -> Scheduler {
-    // Same default worker sizing as `Scheduler::new`: one per core,
-    // clamped to the parallelism the fleet can express.
-    let workers = opts.workers.unwrap_or_else(|| {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2);
-        cores.min(fleet.len().max(2)).max(1)
-    });
+    let workers = opts
+        .workers
+        .unwrap_or_else(|| Scheduler::default_workers(&fleet));
     Scheduler::with_observability(
         fleet,
         workers,
@@ -341,66 +302,6 @@ fn run_serve(opts: &Options, sched: Arc<Scheduler>) -> Result<(), String> {
     Ok(())
 }
 
-fn run_bench(opts: &Options, sched: Arc<Scheduler>) -> Result<(), String> {
-    let cfg = ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(cfg, Arc::clone(&sched)).map_err(|e| format!("cannot bind: {e}"))?;
-    let addr = server.local_addr().to_string();
-    let handle = server.handle();
-    let server_thread = std::thread::spawn(move || server.run());
-    let mut load = if opts.smoke {
-        LoadConfig::smoke(&addr)
-    } else {
-        LoadConfig::full(&addr)
-    };
-    if let Some(c) = opts.clients {
-        load.clients = c;
-    }
-    if let Some(r) = opts.requests {
-        load.requests_per_client = r;
-    }
-    eprintln!(
-        "wattd: bench against {addr}: {} client(s) x {} requests at {:.0} rps{}",
-        load.clients,
-        load.requests_per_client,
-        load.arrival_rate_rps,
-        if load.smoke { " [smoke]" } else { "" }
-    );
-    let result = run_load(&load);
-    handle.shutdown();
-    server_thread
-        .join()
-        // audit:allow(panic-paths): joining the server thread at process exit; nothing left to serve
-        .expect("server thread never panics")
-        .map_err(|e| format!("server failed: {e}"))?;
-    let report = result.map_err(|e| format!("load generation failed: {e}"))?;
-    validate(&report.artifact).map_err(|e| format!("emitted artifact failed validation: {e}"))?;
-    std::fs::write(&opts.out, format!("{}\n", report.artifact))
-        .map_err(|e| format!("cannot write {:?}: {e}", opts.out))?;
-    let show = |key: &str| {
-        report
-            .artifact
-            .get(key)
-            .and_then(wm_fleet::json::Json::as_f64)
-            .unwrap_or(0.0)
-    };
-    println!(
-        "requests {}  throughput {:.1} rps  p50 {:.0} us  p95 {:.0} us  p99 {:.0} us  \
-         hits {}  lines {}  -> {}",
-        show("requests"),
-        show("throughput_rps"),
-        show("p50_us"),
-        show("p95_us"),
-        show("p99_us"),
-        show("cache_hits"),
-        show("response_lines"),
-        opts.out
-    );
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match parse_args(&args) {
@@ -427,7 +328,6 @@ fn main() -> ExitCode {
         Mode::Stdio => serve(stdin().lock(), BufWriter::new(stdout().lock()), &sched)
             .map_err(|e| format!("io error: {e}")),
         Mode::Serve => run_serve(&opts, Arc::clone(&sched)),
-        Mode::Bench => run_bench(&opts, Arc::clone(&sched)),
     };
     print_summary(&sched);
     match outcome {

@@ -26,23 +26,17 @@
 //!   behind a version + feature-dimension + staleness check. A warm
 //!   start answers `predict` from learned models immediately instead of
 //!   re-paying the training ramp.
-//! * [`mod@bench`] — the open-loop network load generator behind
-//!   `examples/wattd_load.rs` and `wattd bench`: Poisson arrivals, a
-//!   prefill/decode/grouped/batch mix, N concurrent TCP clients, and a
-//!   validated `BENCH_network.json` artifact built from `wm-obs`
-//!   registry snapshots.
 //!
 //! The `wattd` binary lives here (it needs both the protocol and the
 //! server): legacy stdin/stdout mode stays the default, `wattd serve`
-//! binds the network service, `wattd bench` self-benchmarks one.
+//! binds the network service. `perfbench/` measures this server's
+//! capacity and latency over loopback TCP (its `serve-warm` workload).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod persist;
 pub mod server;
 
-pub use bench::{run_load, validate, LoadConfig, LoadReport};
 pub use persist::{load_predictor, save_predictor, LoadOutcome, STATE_FILE, STATE_VERSION};
 pub use server::{ServeConfig, Server, ServerHandle, SessionSnapshot};

@@ -4,10 +4,10 @@
 //! cargo run --release --example ablation_study
 //! ```
 //!
-//! DESIGN.md §7 calls out the load-bearing design choices of the power
-//! model. This report disables one activity component at a time (by
-//! pinning it to its random-input reference level, so baseline power is
-//! unchanged) and shows which experimental effects collapse:
+//! `wm-power` composes datapath power from operand-latch, multiplier and
+//! accumulator activity. This report disables one activity component at a
+//! time (by pinning it to its random-input reference level, so baseline
+//! power is unchanged) and shows which experimental effects collapse:
 //!
 //! * without operand-latch toggles, sorting stops saving power;
 //! * without zero-operand gating (multiplier activity), sparsity savings
@@ -96,7 +96,6 @@ fn main() {
 
     println!(
         "\nReading: the operand-latch row erases most of the sorting saving; \
-         the multiplier row cuts deep into the sparsity saving — matching \
-         DESIGN.md's attribution of each paper effect to a component."
+         the multiplier row cuts deep into the sparsity saving."
     );
 }

@@ -2,8 +2,8 @@
 //!
 //! This is the umbrella crate for the `wattmul` workspace: it re-exports the
 //! public API of every member crate so downstream users can depend on a
-//! single package. See `README.md` for the architecture overview and
-//! `DESIGN.md` for the full system inventory and per-experiment index.
+//! single package. See `README.md` for the crate map, the architecture
+//! overview and how to regenerate each paper figure.
 //!
 //! The short version: the paper shows that changing *only the input data*
 //! of a GEMM — value distribution, bit similarity, placement, sparsity —
@@ -35,19 +35,16 @@
 //!   with thread-per-connection sessions sharing one scheduler, streamed
 //!   batch responses (one line per packed round), admission backpressure,
 //!   bounded request lines, per-session stats and span attribution,
-//!   graceful drain, predictor persistence across restarts, and the
-//!   open-loop network load generator behind `BENCH_network.json`.
+//!   graceful drain, and predictor persistence across restarts.
 //! * [`obs`] — the hermetic observability layer: metrics registry
 //!   (counters, gauges, mergeable log-bucketed histograms with
 //!   deterministic Prometheus-style exposition) and request tracing
 //!   (monotonic ids, lifecycle spans, bounded ring).
-//! * [`serving_bench`] — the macro-benchmark harness behind
-//!   `examples/serving_bench.rs`: open-loop mixed load, swept cache-hit
-//!   ratio, `BENCH_serving.json` emitted from the registry itself.
+//!
+//! The repository's benchmark is `perfbench/`, a cargo workspace of its
+//! own that builds against these crates by path; see `perfbench/README.md`.
 
 #![forbid(unsafe_code)]
-
-pub mod serving_bench;
 
 pub use wm_analysis as analysis;
 pub use wm_bits as bits;

@@ -14,8 +14,9 @@
 //!   get clean `busy` errors, oversized and malformed request lines are
 //!   isolated to their own response, and an abrupt client disconnect
 //!   mid-batch wedges nothing;
-//! * the open-loop network load generator emits a valid
-//!   `BENCH_network.json` artifact with positive throughput and p95.
+//! * a pipelined session — many mixed request lines written before any
+//!   answer is read — gets every line answered exactly once, in send
+//!   order.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -25,7 +26,7 @@ use std::time::Duration;
 
 use wattmul_repro::fleet::json::Json;
 use wattmul_repro::fleet::{Fleet, Scheduler};
-use wattmul_repro::serve::{run_load, validate, LoadConfig, ServeConfig, Server, ServerHandle};
+use wattmul_repro::serve::{ServeConfig, Server, ServerHandle};
 
 /// A spawned loopback server and the bits needed to talk to and stop it.
 struct TestServer {
@@ -492,18 +493,89 @@ fn admission_and_inflight_caps_reject_with_busy_errors() {
 }
 
 #[test]
-fn load_generator_emits_a_valid_network_artifact() {
+fn pipelined_session_answers_every_line_once_in_send_order() {
     let server = spawn_server(ServeConfig::default());
-    let report = run_load(&LoadConfig {
-        clients: 2,
-        requests_per_client: 8,
-        arrival_rate_rps: 400.0,
-        ..LoadConfig::smoke(&server.addr)
-    })
-    .expect("load run succeeds");
-    validate(&report.artifact).expect("artifact validates");
-    assert!(num(&report.artifact, "throughput_rps") > 0.0);
-    assert!(num(&report.artifact, "p95_us") > 0.0);
-    assert_eq!(num(&report.artifact, "errors"), 0.0, "{}", report.artifact);
+    let mut c = Client::connect(&server.addr);
+    let run = |id: u64, body: &str| format!(r#"{{"id": {id}, {body}, "seeds": 1, "lattice": 4}}"#);
+    let square = r#""dtype": "fp32", "dim": 32, "pattern": "zeros""#;
+    let lines = [
+        run(1, square),
+        run(
+            2,
+            r#""dtype": "fp16-t", "n": 48, "m": 32, "k": 64, "pattern": "gaussian""#,
+        ),
+        run(
+            3,
+            r#""dtype": "fp32", "kernel": "gemv", "n": 64, "k": 48, "pattern": "sparse", "sparsity": 0.9"#,
+        ),
+        run(4, square),
+        run(
+            5,
+            r#""op": "predict", "dtype": "fp32", "dim": 64, "pattern": "gaussian""#,
+        ),
+        r#"{"op": "batch", "id": 6, "requests": [
+            {"dtype": "fp32", "dim": 32, "pattern": "gaussian", "seeds": 1, "lattice": 4},
+            {"dtype": "fp32", "dim": 48, "pattern": "zeros", "seeds": 1, "lattice": 4},
+            {"dtype": "fp16-t", "dim": 64, "pattern": "zeros", "seeds": 1, "lattice": 4}
+        ]}"#
+        .replace('\n', " "),
+        r#"{"id": 7, "op": "stats"}"#.to_string(),
+        r#"{"id": 8, "op": "ping"}"#.to_string(),
+        run(
+            9,
+            r#""dtype": "fp32", "group": [{"n": 32, "m": 32, "k": 48}, {"n": 64, "m": 48, "k": 64}], "pattern": "zeros""#,
+        ),
+        r#"{"id": 10, "op": "ping"}"#.to_string(),
+    ];
+    // Every line goes out before any answer is read.
+    for line in &lines {
+        writeln!(c.writer, "{line}").expect("write request");
+    }
+    c.writer.flush().expect("flush requests");
+
+    let mut request_ids = std::collections::HashSet::new();
+    for id in 1..=lines.len() as u64 {
+        let first = c.recv();
+        assert_eq!(
+            num(&first, "id"),
+            id as f64,
+            "answered out of send order: {first}"
+        );
+        assert_eq!(first.get("ok"), Some(&Json::Bool(true)), "{first}");
+        let rid = num(&first, "request_id");
+        assert!(request_ids.insert(rid as u64), "request id {rid} reused");
+        match id {
+            1 => assert_eq!(first.get("cache_hit"), Some(&Json::Bool(false)), "{first}"),
+            4 => assert_eq!(
+                first.get("cache_hit"),
+                Some(&Json::Bool(true)),
+                "the repeat of line 1 is served from the cache: {first}"
+            ),
+            6 => {
+                // The streamed batch: its round lines share the batch's id
+                // and request id, and the stream closes with `"last": true`.
+                let mut members = Vec::new();
+                let mut line = first;
+                loop {
+                    assert_eq!(num(&line, "id"), 6.0, "{line}");
+                    assert_eq!(line.get("ok"), Some(&Json::Bool(true)), "{line}");
+                    assert_eq!(num(&line, "request_id"), rid, "{line}");
+                    for r in line.get("results").and_then(Json::as_arr).expect("results") {
+                        members.push(num(r, "index") as usize);
+                    }
+                    if line.get("last") == Some(&Json::Bool(true)) {
+                        break;
+                    }
+                    line = c.recv();
+                }
+                members.sort_unstable();
+                assert_eq!(members, vec![0, 1, 2], "every member answered once");
+            }
+            _ => {}
+        }
+    }
+    // Nothing is left over: the next answer on the session is the next line's.
+    let pong = c.round_trip(r#"{"id": 11, "op": "ping"}"#);
+    assert_eq!(num(&pong, "id"), 11.0, "{pong}");
     server.stop();
 }
