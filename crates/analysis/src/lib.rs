@@ -10,8 +10,8 @@
 //! * [`regression`] — ordinary least squares, Pearson and Spearman
 //!   correlation (the paper's Fig. 8 relates power to bit alignment and
 //!   Hamming weight across experiment configurations);
-//! * [`table`] — markdown and CSV table writers for EXPERIMENTS.md and the
-//!   `results/` directory.
+//! * [`table`] — markdown and CSV table writers behind the per-figure
+//!   files the `wattmul` CLI writes (`wm_experiments::io`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

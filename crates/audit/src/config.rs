@@ -202,7 +202,9 @@ impl AuditConfig {
                 // serving cannot afford to let regress: extraction,
                 // operand generation, canonical hashing, pricing.
                 s("features_for_request"),
-                s("first_seed_group_operands"),
+                // The operand walk of one (member, seed) unit, shared by
+                // the scheduler's unit store and the figure runner.
+                s("member_seed_operands"),
                 s("canonical_key"),
                 s("pack_ffd"),
                 // The unit-store key sits on the same pre-execution path

@@ -11,9 +11,8 @@
 //! The paper ran these with FP16; we use the FP16 tensor path (FP16-T) —
 //! the default AI configuration the paper highlights — because our RTX
 //! 6000 model only reproduces the reported 2048² throttling on the tensor
-//! pipeline; the substitution is recorded in EXPERIMENTS.md. Like the
-//! paper, the RTX 6000 runs at 512² (it throttles at 2048²) and shows
-//! visibly damped swings (older GDDR6 part, lower TDP).
+//! pipeline. Like the paper, the RTX 6000 runs at 512² (it throttles at
+//! 2048²) and shows visibly damped swings (older GDDR6 part, lower TDP).
 
 use crate::common::*;
 use wm_core::RunRequest;

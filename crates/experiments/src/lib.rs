@@ -1,10 +1,10 @@
 //! # wm-experiments — one runner per paper figure
 //!
 //! Each figure of the paper's evaluation has a module that constructs the
-//! corresponding parameter sweep, fans it out over seeds and configurations
-//! through the `wm-fleet` scheduler (pinned jobs, memo-cached results), and
-//! produces a [`FigureResult`] that the `wattmul` CLI binary writes as CSV
-//! plus a markdown table.
+//! corresponding parameter sweep, runs it through [`runner::execute`]
+//! (a request's seeds and group members are walked once, fanned out over
+//! cores, however many GPUs run it), and produces a [`FigureResult`] that
+//! the `wattmul` CLI binary writes as CSV plus a markdown table.
 //!
 //! | Module | Paper artifact |
 //! |---|---|

@@ -1,8 +1,25 @@
-//! Shared sweep machinery: fan a set of experiment points out over the
-//! fleet scheduler and assemble figure data.
+//! Shared sweep machinery: run a set of experiment points through the
+//! reproduction pipeline and assemble figure data.
+//!
+//! A sweep is plain [`PowerLab`] work fanned out over cores; no fleet
+//! scheduler is involved. The work item is one `(member, ordinal, seed)`
+//! unit of one distinct request rather than a whole point, so a figure
+//! with fewer points than cores still spreads each point's seeds (ten at
+//! the paper profile) across them. A unit's walk never reads the device,
+//! so a request that several GPUs run (Fig. 7) is walked once and only
+//! its assembly runs per GPU. A figure reads only the measured
+//! [`RunResult`]. The input features the scheduler extracts per request
+//! exist to train and consult its power predictor for serving traffic,
+//! so the runner never computes them. The root package's
+//! `tests/pipeline.rs` (`runner_matches_powerlab_and_the_pinned_scheduler`)
+//! pins that the runner, `PowerLab::run` and a pinned scheduler batch
+//! return equal results.
 
-use wm_core::{RunRequest, RunResult};
-use wm_fleet::{Fleet, FleetJob, Scheduler};
+use wm_core::{
+    member_ordinals, member_seed_operands, simulate_member_activity, PowerLab, RunRequest,
+    RunResult,
+};
+use wm_fleet::parallel_map;
 use wm_gpu::GpuSpec;
 
 /// Which measured quantity a figure reports.
@@ -94,51 +111,64 @@ fn extract(metric: Metric, result: &RunResult) -> (f64, f64) {
     }
 }
 
-/// Execute all points on the fleet scheduler, preserving input order.
+/// Execute all points, preserving input order.
 ///
-/// A transient fleet is built with one device per *distinct* `GpuSpec`
-/// appearing in the sweep, each provisioned as VM instance 0 — exactly the
+/// A unit's walk reads only the request, so each distinct request's
+/// units — [`member_seed_operands`] then [`simulate_member_activity`],
+/// member-major — are walked once, however many GPUs run it; the units of
+/// all distinct requests fan out over [`parallel_map`]. Each distinct
+/// `(request, gpu)` pair is then assembled once by
+/// [`PowerLab::run_from_activities`] on its GPU as VM instance 0, the
 /// paper's methodology ("we executed all experiments on the same VM
-/// instance") and bit-identical to running each point through
-/// `PowerLab::new(gpu)`. Points are pinned to their device; identical
-/// requests within the sweep are answered once by the scheduler's memo
-/// cache and shared.
+/// instance"), and every point that repeats the pair shares the result.
+/// The result is bit-identical to `PowerLab::new(gpu).run(&request)`,
+/// which walks the same units sequentially.
 pub fn execute(points: Vec<SweepPoint>) -> Vec<ExecutedPoint> {
-    if points.is_empty() {
-        return Vec::new();
-    }
-    let mut distinct: Vec<GpuSpec> = Vec::new();
-    for p in &points {
-        if !distinct.contains(&p.gpu) {
-            distinct.push(p.gpu.clone());
-        }
-    }
-    let mut builder = Fleet::builder();
-    for gpu in &distinct {
-        // Pinned sweep points bypass placement caps; TDP caps and the
-        // default budget are inert here.
-        builder = builder.device_with(gpu.clone(), 0, gpu.tdp_watts);
-    }
-    let scheduler = Scheduler::new(builder.build());
-
-    let jobs: Vec<FleetJob> = points
+    let mut requests: Vec<&RunRequest> = Vec::new();
+    let mut runs: Vec<(usize, &GpuSpec)> = Vec::new();
+    let slots: Vec<usize> = points
         .iter()
         .map(|p| {
-            let device = distinct
-                .iter()
-                .position(|g| *g == p.gpu)
-                .expect("collected");
-            FleetJob::pinned(p.request.clone(), device)
+            let request = slot(&mut requests, &p.request);
+            slot(&mut runs, (request, &p.gpu))
         })
         .collect();
-    let answers = scheduler.run_batch(jobs);
+
+    let units: Vec<_> = requests
+        .iter()
+        .flat_map(|&req| {
+            member_ordinals(req)
+                .into_iter()
+                .flat_map(move |(m, ord)| (0..req.seeds).map(move |s| (req, m, ord, s)))
+        })
+        .collect();
+    let activities = parallel_map(units, |(req, m, ord, s)| {
+        let (a, b) = member_seed_operands(req, m, ord, s);
+        simulate_member_activity(req, m, &a, &b)
+    });
+
+    let mut rest = activities.as_slice();
+    let per_member: Vec<Vec<_>> = requests
+        .iter()
+        .map(|req| {
+            let seeds = req.seeds as usize;
+            let (mine, tail) = rest.split_at(req.member_dims().len() * seeds);
+            rest = tail;
+            mine.chunks(seeds).collect()
+        })
+        .collect();
+    let results: Vec<RunResult> = runs
+        .iter()
+        .map(|&(r, gpu)| {
+            PowerLab::new(gpu.clone()).run_from_activities(requests[r], &per_member[r])
+        })
+        .collect();
 
     points
         .into_iter()
-        .zip(answers)
-        .map(|(p, answer)| {
-            let response = answer.expect("pinned sweep jobs cannot fail placement");
-            let result: RunResult = (*response.result).clone();
+        .zip(slots)
+        .map(|(p, slot)| {
+            let result = results[slot].clone();
             let (y, yerr) = extract(p.metric, &result);
             ExecutedPoint {
                 series: p.series,
@@ -148,6 +178,14 @@ pub fn execute(points: Vec<SweepPoint>) -> Vec<ExecutedPoint> {
             }
         })
         .collect()
+}
+
+/// The index of `item` in `distinct`, appending it first if it is new.
+fn slot<T: PartialEq>(distinct: &mut Vec<T>, item: T) -> usize {
+    distinct.iter().position(|d| *d == item).unwrap_or_else(|| {
+        distinct.push(item);
+        distinct.len() - 1
+    })
 }
 
 /// Group executed points into series, preserving first-appearance order of
@@ -176,7 +214,6 @@ pub fn collect_series(executed: &[ExecutedPoint]) -> Vec<Series> {
 mod tests {
     use super::*;
     use crate::profile::RunProfile;
-    use wm_core::PowerLab;
     use wm_gpu::spec::a100_pcie;
     use wm_numerics::DType;
     use wm_patterns::{PatternKind, PatternSpec};

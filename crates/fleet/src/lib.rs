@@ -41,8 +41,9 @@
 //!   placement → execute → feedback) in the scheduler's bounded trace
 //!   ring. [`answer_streamed`] additionally streams a `batch` as one
 //!   response line per packed round.
-//! * [`par`] — an order-preserving `parallel_map` over scoped threads for
-//!   non-`RunRequest` fan-outs (the GEMV sweeps).
+//! * [`par`] — an order-preserving `parallel_map` over scoped threads:
+//!   the fan-out under batch pricing, unit walks, the figure runner and
+//!   the GEMV sweeps.
 //!
 //! ```
 //! use wm_fleet::{Fleet, FleetJob, Scheduler};

@@ -1,10 +1,12 @@
 //! Order-preserving parallel map over scoped std threads.
 //!
-//! The fleet scheduler handles [`wm_core::RunRequest`] traffic; this
-//! helper covers everything else that used to fan out over rayon (GEMV
-//! sweeps, ad-hoc experiment loops) without an external thread-pool
-//! dependency. Work is distributed through a shared claim queue, so
-//! uneven item costs still balance across workers.
+//! A fan-out with no external thread-pool dependency. The scheduler
+//! prices a batch and walks a job's missing `(member, seed)` units
+//! through it, the figure runner (`wm_experiments::runner::execute`)
+//! walks every distinct sweep request's units through it, and the GEMV
+//! sweeps map their points over it. Work is distributed through a
+//! shared claim queue, so uneven item costs still balance across
+//! workers.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, PoisonError};

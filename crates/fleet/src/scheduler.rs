@@ -1457,7 +1457,7 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     }
 
     // Reserve the planned draw for auto-placed jobs while computing
-    // (pinned sweep jobs model the paper's dedicated-device methodology
+    // (pinned jobs — a wattd request's `gpu` field — name their device
     // and bypass budget accounting). The guard releases on every exit
     // path, including unwind.
     let exec = tracer.start(rid, stage::EXECUTE);

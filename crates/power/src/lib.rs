@@ -25,8 +25,9 @@
 //! random Gaussian 2048² inputs lands near the paper's operating regime
 //! (FP16-T ≈ 285 W, just under the 300 W TDP; zero matrices ≈ 38% lower —
 //! the paper's maximal swing), with per-architecture energy scales for the
-//! other devices. Absolute watts are *model anchors*, not measurements;
-//! EXPERIMENTS.md compares only shapes and ratios against the paper.
+//! other devices. Absolute watts are *model anchors*, not measurements:
+//! only shapes and ratios are comparable with the paper, and those are
+//! what the root package's `tests/takeaways.rs` asserts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -84,9 +84,10 @@ fn bf16_works_through_patterns_kernels_and_power() {
 
 #[test]
 fn bf16_quantization_collapse_compounds_t2_and_t3() {
-    // The emergent extension finding (EXPERIMENTS.md): at mean 1024 and
-    // sigma 1, BF16's ulp of 8 collapses the distribution to (nearly) a
-    // constant, so BF16's mean-shift response far exceeds FP16-T's.
+    // The emergent extension finding behind the mean-sweep panel of
+    // `wm_experiments::ext_bf16`: at mean 1024 and sigma 1, BF16's ulp of
+    // 8 collapses the distribution to (nearly) a constant, so BF16's
+    // mean-shift response far exceeds FP16-T's.
     let gpu = a100_pcie();
     let dim = 512;
     let drop_of = |dtype: DType| {

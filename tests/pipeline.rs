@@ -1,5 +1,6 @@
 //! Cross-crate integration: the full pipeline wired manually must agree
-//! with the `PowerLab` façade; the DSL must agree with the pattern specs;
+//! with the `PowerLab` façade; the figure runner and the fleet scheduler
+//! must agree with it too; the DSL must agree with the pattern specs;
 //! everything must be deterministic end to end.
 
 use wattmul_repro::optimizer::PatternProgram;
@@ -51,6 +52,87 @@ fn manual_wiring_matches_powerlab() {
     assert_eq!(lab_result.power.values[0], m.mean_power_w);
     assert_eq!(lab_result.breakdown, breakdown);
     assert_eq!(lab_result.activity, outcome.activity);
+}
+
+#[test]
+fn runner_matches_powerlab_and_the_pinned_scheduler() {
+    use wattmul_repro::experiments::runner::{execute, Metric, SweepPoint};
+    use wattmul_repro::fleet::{Fleet, FleetJob, Scheduler};
+
+    let base = |kind: PatternKind| {
+        RunRequest::new(DType::Fp16Tensor, 64, PatternSpec::new(kind))
+            .with_base_seed(0xF1C)
+            .with_sampling(Sampling::Lattice { rows: 4, cols: 4 })
+    };
+    let sparse = base(PatternKind::Sparse { sparsity: 0.5 }).with_seeds(3);
+    let twin = GemmDims {
+        n: 64,
+        m: 48,
+        k: 32,
+    };
+    let grouped = base(PatternKind::Gaussian)
+        .with_group(vec![twin, GemmDims::square(32), twin])
+        .with_seeds(2);
+    let decode = base(PatternKind::Gaussian)
+        .with_kernel(KernelClass::Gemv)
+        .with_shape(GemmDims { n: 96, m: 1, k: 64 })
+        .with_seeds(2);
+    let point = |x: f64, request: &RunRequest, gpu: GpuSpec| SweepPoint {
+        series: gpu.name.to_string(),
+        x,
+        request: request.clone(),
+        gpu,
+        metric: Metric::PowerW,
+    };
+    let points = vec![
+        point(0.0, &sparse, a100_pcie()),
+        point(1.0, &grouped, a100_pcie()),
+        point(2.0, &decode, a100_pcie()),
+        point(3.0, &sparse, h100_sxm5()),
+        point(4.0, &grouped, a100_pcie()),
+    ];
+    let ordinals = wattmul_repro::core::member_ordinals(&grouped);
+    assert!(ordinals.contains(&(twin, 1)), "{ordinals:?} has a twin");
+
+    // The serving path: one device per distinct GPU, each provisioned as
+    // VM instance 0 like `PowerLab::new`, every point pinned to its device.
+    let mut gpus: Vec<GpuSpec> = Vec::new();
+    for p in &points {
+        if !gpus.contains(&p.gpu) {
+            gpus.push(p.gpu.clone());
+        }
+    }
+    let fleet = gpus
+        .iter()
+        .fold(Fleet::builder(), |b, g| {
+            b.device_with(g.clone(), 0, g.tdp_watts)
+        })
+        .build();
+    let jobs = points
+        .iter()
+        .map(|p| {
+            let device = gpus.iter().position(|g| *g == p.gpu).unwrap();
+            FleetJob::pinned(p.request.clone(), device)
+        })
+        .collect();
+    let served = Scheduler::new(fleet).run_batch(jobs);
+
+    let executed = execute(points.clone());
+    assert_eq!(executed.len(), points.len());
+    for ((p, e), s) in points.iter().zip(&executed).zip(served) {
+        assert_eq!((e.series.as_str(), e.x), (p.series.as_str(), p.x));
+        let lab = PowerLab::new(p.gpu.clone()).run(&p.request);
+        assert_eq!(e.result, lab, "runner vs PowerLab at x={}", p.x);
+        assert_eq!(
+            *s.unwrap().result,
+            lab,
+            "scheduler vs PowerLab at x={}",
+            p.x
+        );
+        assert_eq!(e.stat.y, lab.power.mean);
+    }
+    // The H100 point must not be answerable by its A100 twin.
+    assert_ne!(executed[3].result.power, executed[0].result.power);
 }
 
 #[test]
