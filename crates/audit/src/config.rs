@@ -205,10 +205,12 @@ impl AuditConfig {
                 // The operand walk of one (member, seed) unit, shared by
                 // the scheduler's unit store and the figure runner.
                 s("member_seed_operands"),
-                s("canonical_key"),
+                // The one answer-store lookup key every job computes,
+                // hit or miss.
+                s("answer_key"),
                 s("pack_ffd"),
-                // The unit-store key sits on the same pre-execution path
-                // as canonical_key.
+                // The unit-store key sits on the miss path right after
+                // the answer lookup.
                 s("unit_key"),
                 // The per-word passes of a unit walk: the DRAM bus pass
                 // and the feature chunk read the operands' shared words.

@@ -86,32 +86,35 @@ pub fn member_ordinals(req: &RunRequest) -> Vec<(GemmDims, u64)> {
         .collect()
 }
 
-/// Generate the operands of a request's **first seed** (seed index 0) —
-/// exactly the matrices [`PowerLab::run`] executes for `s = 0` (for a
-/// grouped request: its first member; see
-/// [`first_seed_group_operands`] for the whole group).
+/// The `(member, ordinal, seed)` units of seeds `0..seeds` of a request,
+/// member-major: every seed of the first canonical member, then every
+/// seed of the next. Each unit is one operand walk
+/// ([`member_seed_operands`]); every assembler of a run lists its units
+/// here and cuts their records back apart with [`member_slices`].
+pub fn unit_layout(req: &RunRequest, seeds: u64) -> Vec<(GemmDims, u64, u64)> {
+    member_ordinals(req)
+        .into_iter()
+        .flat_map(|(m, ord)| (0..seeds).map(move |s| (m, ord, s)))
+        .collect()
+}
+
+/// Cut one record per unit of [`unit_layout`]`(req, req.seeds)`, in that
+/// order, into one slice per canonical member — the shape
+/// [`PowerLab::run_from_activities`] takes.
 ///
-/// For GEMM requests A is `n x k` and the stored B pattern follows the
-/// transposition flag (`m x k` transposed — the paper's default — or
-/// `k x m`); for GEMV requests the second operand is the `k x 1` input
-/// vector `x` (same decorrelated pattern stream, vector shape).
+/// # Panics
 ///
-/// This is the single source of the first-seed contract: the fleet's
-/// activity probe and the `wm-predict` feature extractor both walk these
-/// operands, so any change to the seed derivation here automatically
-/// propagates to every consumer instead of silently diverging.
-pub fn first_seed_operands(req: &RunRequest) -> (Matrix, Matrix) {
-    let streams = seed_streams(req.base_seed, 0);
-    // The first member in *effective* canonical order — what the run
-    // actually executes as member 0. (`dims()` would hand back the raw
-    // canonical head, which can differ for grouped GEMV requests whose
-    // execution-ignored raw `m` values reorder the sort.)
-    let member = if req.is_grouped() {
-        req.member_dims()[0]
-    } else {
-        req.dims()
-    };
-    generate_member_operands(req, member, 0, &streams)
+/// Panics unless there is exactly one record per member and seed.
+pub fn member_slices<'a, T>(req: &RunRequest, records: &'a [T]) -> Vec<&'a [T]> {
+    let seeds = req.seeds as usize;
+    // A plain request has an empty group and one member.
+    let members = req.group.len().max(1);
+    assert_eq!(
+        records.len(),
+        members * seeds,
+        "member_slices needs one record per member and seed"
+    );
+    records.chunks(seeds).collect()
 }
 
 /// Generate seed `seed`'s operand pair of **one member**, addressed by its
@@ -131,33 +134,22 @@ pub fn member_seed_operands(
 }
 
 /// Generate the first seed's operand pair of **one member** — the seed-0
-/// case of [`member_seed_operands`] and the member-granular slice of
-/// [`first_seed_group_operands`]. A member of ordinal 0 yields exactly
-/// [`first_seed_operands`] of the equivalent plain request.
+/// case of [`member_seed_operands`], and the single source of the
+/// first-seed contract: the fleet's activity probe and the `wm-predict`
+/// feature extractor walk a request's members through it, so a change
+/// to the seed derivation reaches every consumer. A member of ordinal 0
+/// draws exactly what the plain request of its dims draws.
+///
+/// For GEMM members A is `n x k` and the stored B follows the
+/// transposition flag (`m x k` transposed — the paper's default — or
+/// `k x m`); for GEMV members the second operand is the `k x 1` input
+/// vector `x` (same decorrelated pattern stream, vector shape).
 pub fn first_seed_member_operands(
     req: &RunRequest,
     member: GemmDims,
     ordinal: u64,
 ) -> (Matrix, Matrix) {
     member_seed_operands(req, member, ordinal, 0)
-}
-
-/// Generate the first seed's operand pairs of **every member** of a
-/// request, in member order — the group generalization of
-/// [`first_seed_operands`] (for a plain request: one pair, identical to
-/// it). Each member draws from its own pair of streams tagged by its
-/// duplicate *ordinal* (forks `2o` and `2o + 1` of the fixed A/B roots),
-/// so twin members never share data while every ordinal-0 member draws
-/// what its own plain request would.
-pub fn first_seed_group_operands(req: &RunRequest) -> Vec<(Matrix, Matrix)> {
-    let streams = seed_streams(req.base_seed, 0);
-    let members = req.member_dims();
-    members
-        .iter()
-        .enumerate()
-        .map(|(i, &m)| generate_member_operands(req, m, ordinal_at(&members, i), &streams))
-        // audit:allow(hot-path-alloc): the operand pairs are this function's product
-        .collect()
 }
 
 /// Generate one member's operand pair from the seed's fixed stream roots
@@ -187,15 +179,15 @@ fn generate_member_operands(
     (a, b)
 }
 
-/// Simulate one member's activity for **every seed** of `req` — the unit
-/// of member-level memo caching (`per_member[s]` is seed `s`'s record).
+/// Simulate one member's activity for **every seed** of `req`, one seed
+/// after another (`per_member[s]` is seed `s`'s record) — the sequential
+/// reference a unit store's per-`(member, seed)` walks must match.
 ///
 /// The records are bit-identical to what [`PowerLab::run`] simulates for
 /// this member, and device-independent (activity simulation never reads
-/// the GPU spec), so one cached entry answers the member on every device
-/// and VM instance. The entry is keyed by the request's shared knobs plus
-/// `(member, ordinal)`; notably a plain request is `(dims, 0)`, so single
-/// requests warm the cache for the groups that contain them.
+/// the GPU spec), so they answer the member on every device and VM
+/// instance. A plain request is member `(dims, 0)`, so its records are
+/// also those of every group that contains its shape.
 pub fn member_seed_activities(
     req: &RunRequest,
     member: GemmDims,
@@ -207,14 +199,6 @@ pub fn member_seed_activities(
             simulate_member_activity(req, member, &a, &b)
         })
         .collect()
-}
-
-/// Simulate one seed's kernel execution and return its activity record
-/// (the shared probe contract: placement's activity probe and the run
-/// pipeline both come through here). For grouped requests this is the
-/// per-member step — see [`simulate_member_activity`].
-pub fn simulate_request_activity(req: &RunRequest, a: &Matrix, b: &Matrix) -> ActivityRecord {
-    simulate_member_activity(req, req.dims(), a, b)
 }
 
 /// Simulate one group member's kernel execution: the request supplies the
@@ -642,20 +626,21 @@ impl PowerLab {
         &self.vm
     }
 
-    /// Execute a request: per member, generate every seed's operands and
-    /// simulate ([`member_seed_activities`]); then evaluate and measure
-    /// through [`PowerLab::run_from_activities`] (a grouped request's
-    /// members run back-to-back as one unit — energies and runtimes sum,
-    /// the governor resolves once), and average over seeds.
+    /// Execute a request: walk every unit of [`unit_layout`] in order —
+    /// generate the seed's operands of the member and simulate them — then
+    /// evaluate and measure through [`PowerLab::run_from_activities`] (a
+    /// grouped request's members run back-to-back as one unit — energies
+    /// and runtimes sum, the governor resolves once), and average over
+    /// seeds.
     pub fn run(&self, req: &RunRequest) -> RunResult {
-        let members = req.member_dims();
-        let per_member: Vec<Vec<ActivityRecord>> = members
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| member_seed_activities(req, m, ordinal_at(&members, i)))
+        let activities: Vec<ActivityRecord> = unit_layout(req, req.seeds)
+            .into_iter()
+            .map(|(m, ord, s)| {
+                let (a, b) = member_seed_operands(req, m, ord, s);
+                simulate_member_activity(req, m, &a, &b)
+            })
             .collect();
-        let refs: Vec<&[ActivityRecord]> = per_member.iter().map(Vec::as_slice).collect();
-        self.run_from_activities(req, &refs)
+        self.run_from_activities(req, &member_slices(req, &activities))
     }
 
     /// Assemble a [`RunResult`] from precomputed per-member, per-seed
@@ -753,6 +738,12 @@ mod tests {
     use wm_gpu::spec::a100_pcie;
     use wm_patterns::{PatternKind, PatternSpec};
 
+    /// The seed-0 operand pair of a request's first canonical member.
+    fn first_seed_pair(req: &RunRequest) -> (Matrix, Matrix) {
+        let (m, ord) = member_ordinals(req)[0];
+        first_seed_member_operands(req, m, ord)
+    }
+
     fn quick(dtype: DType, kind: PatternKind) -> RunRequest {
         RunRequest::new(dtype, 256, PatternSpec::new(kind))
             .with_seeds(2)
@@ -781,15 +772,18 @@ mod tests {
         // the helper's operands.
         let req = quick(DType::Fp16Tensor, PatternKind::Sparse { sparsity: 0.4 }).with_seeds(1);
         let r = PowerLab::new(a100_pcie()).run(&req);
-        let (a, b) = first_seed_operands(&req);
-        let act = simulate_request_activity(&req, &a, &b);
+        let (a, b) = first_seed_pair(&req);
+        let act = simulate_member_activity(&req, req.dims(), &a, &b);
         assert_eq!(r.activity, act);
         // Same contract for the GEMV kernel family.
         let req = req.with_kernel(KernelClass::Gemv);
         let r = PowerLab::new(a100_pcie()).run(&req);
-        let (a, x) = first_seed_operands(&req);
+        let (a, x) = first_seed_pair(&req);
         assert_eq!(x.cols(), 1, "GEMV streams a vector operand");
-        assert_eq!(r.activity, simulate_request_activity(&req, &a, &x));
+        assert_eq!(
+            r.activity,
+            simulate_member_activity(&req, req.dims(), &a, &x)
+        );
     }
 
     #[test]
@@ -899,14 +893,14 @@ mod tests {
         };
         let req = quick(DType::Fp16Tensor, PatternKind::Gaussian).with_shape(shape);
         assert_eq!(req.dims(), shape);
-        let (a, b) = first_seed_operands(&req);
+        let (a, b) = first_seed_pair(&req);
         assert_eq!((a.rows(), a.cols()), (96, 160), "A is n x k");
         assert_eq!(
             (b.rows(), b.cols()),
             (32, 160),
             "stored B is m x k (transposed)"
         );
-        let (_, b_plain) = first_seed_operands(&req.clone().with_b_transposed(false));
+        let (_, b_plain) = first_seed_pair(&req.clone().with_b_transposed(false));
         assert_eq!(
             (b_plain.rows(), b_plain.cols()),
             (160, 32),
@@ -1036,10 +1030,17 @@ mod tests {
         // member index feeds the fork tags.
         let req = quick(DType::Fp16Tensor, PatternKind::Gaussian)
             .with_group(vec![GemmDims::square(64), GemmDims::square(64)]);
-        let ops = first_seed_operands(&req);
-        let all = super::first_seed_group_operands(&req);
+        let all: Vec<(Matrix, Matrix)> = member_ordinals(&req)
+            .into_iter()
+            .map(|(m, ord)| first_seed_member_operands(&req, m, ord))
+            .collect();
         assert_eq!(all.len(), 2);
-        assert_eq!(all[0], ops, "member 0 is the first-seed contract");
+        let plain = req.clone().with_group(vec![GemmDims::square(64)]);
+        assert_eq!(
+            all[0],
+            first_seed_pair(&plain),
+            "member 0 draws the plain pair"
+        );
         assert_ne!(all[0].0, all[1].0, "twin members must not share A");
         assert_ne!(all[0].1, all[1].1, "twin members must not share B");
     }
@@ -1069,7 +1070,7 @@ mod tests {
                 k: 256
             }
         );
-        let (a, x) = first_seed_operands(&req);
+        let (a, x) = first_seed_pair(&req);
         assert_eq!((a.rows(), a.cols()), (64, 256), "weights are n x k");
         assert_eq!((x.rows(), x.cols()), (256, 1), "x is a k-vector");
         let r = PowerLab::new(a100_pcie()).run(&req);
@@ -1092,7 +1093,7 @@ mod tests {
             k: 128,
         });
         assert_eq!(legacy.dims(), explicit.dims());
-        assert_eq!(first_seed_operands(&legacy), first_seed_operands(&explicit));
+        assert_eq!(first_seed_pair(&legacy), first_seed_pair(&explicit));
     }
 
     #[test]
@@ -1142,7 +1143,7 @@ mod tests {
             assert!(!plain.is_grouped());
             assert_eq!(
                 first_seed_member_operands(&grouped, m, 0),
-                first_seed_operands(&plain),
+                first_seed_pair(&plain),
                 "group member {m:?} at ordinal 0 must draw the plain request's operands"
             );
             assert_eq!(
@@ -1174,6 +1175,49 @@ mod tests {
             .map(|(m, ord)| member_seed_activities(&req, m, ord).remove(0))
             .collect();
         assert_eq!(r.member_activities, walked);
+    }
+
+    #[test]
+    fn unit_layout_is_member_major_and_member_slices_cut_it_back() {
+        let req = quick(DType::Int8, PatternKind::Gaussian)
+            .with_seeds(2)
+            .with_group(vec![
+                GemmDims::square(64),
+                GemmDims::square(32),
+                GemmDims::square(64),
+            ]);
+        let (small, big) = (GemmDims::square(32), GemmDims::square(64));
+        let layout = unit_layout(&req, req.seeds);
+        assert_eq!(
+            layout,
+            vec![
+                (small, 0, 0),
+                (small, 0, 1),
+                (big, 0, 0),
+                (big, 0, 1),
+                (big, 1, 0),
+                (big, 1, 1),
+            ]
+        );
+        let slices = member_slices(&req, &layout);
+        assert_eq!(slices.len(), 3);
+        for (slice, member) in slices.iter().zip(member_ordinals(&req)) {
+            assert!(slice.iter().all(|&(m, ord, _)| (m, ord) == member));
+        }
+        assert_eq!(
+            unit_layout(&req, 1),
+            vec![(small, 0, 0), (big, 0, 0), (big, 1, 0)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "one record per member and seed")]
+    fn member_slices_rejects_an_uneven_split() {
+        let req = quick(DType::Int8, PatternKind::Gaussian)
+            .with_seeds(2)
+            .with_group(vec![GemmDims::square(32), GemmDims::square(64)]);
+        let layout = unit_layout(&req, req.seeds);
+        let _ = member_slices(&req, &layout[1..]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! return equal results.
 
 use wm_core::{
-    member_ordinals, member_seed_operands, simulate_member_activity, PowerLab, RunRequest,
-    RunResult,
+    member_seed_operands, member_slices, simulate_member_activity, unit_layout, PowerLab,
+    RunRequest, RunResult,
 };
 use wm_fleet::parallel_map;
 use wm_gpu::GpuSpec;
@@ -115,8 +115,9 @@ fn extract(metric: Metric, result: &RunResult) -> (f64, f64) {
 ///
 /// A unit's walk reads only the request, so each distinct request's
 /// units — [`member_seed_operands`] then [`simulate_member_activity`],
-/// member-major — are walked once, however many GPUs run it; the units of
-/// all distinct requests fan out over [`parallel_map`]. Each distinct
+/// in [`unit_layout`] order — are walked once, however many GPUs run it;
+/// the units of all distinct requests fan out over [`parallel_map`], and
+/// [`member_slices`] cuts each request's records back apart. Each distinct
 /// `(request, gpu)` pair is then assembled once by
 /// [`PowerLab::run_from_activities`] on its GPU as VM instance 0, the
 /// paper's methodology ("we executed all experiments on the same VM
@@ -134,13 +135,14 @@ pub fn execute(points: Vec<SweepPoint>) -> Vec<ExecutedPoint> {
         })
         .collect();
 
+    let layouts: Vec<_> = requests
+        .iter()
+        .map(|req| unit_layout(req, req.seeds))
+        .collect();
     let units: Vec<_> = requests
         .iter()
-        .flat_map(|&req| {
-            member_ordinals(req)
-                .into_iter()
-                .flat_map(move |(m, ord)| (0..req.seeds).map(move |s| (req, m, ord, s)))
-        })
+        .zip(&layouts)
+        .flat_map(|(&req, layout)| layout.iter().map(move |&(m, ord, s)| (req, m, ord, s)))
         .collect();
     let activities = parallel_map(units, |(req, m, ord, s)| {
         let (a, b) = member_seed_operands(req, m, ord, s);
@@ -150,11 +152,11 @@ pub fn execute(points: Vec<SweepPoint>) -> Vec<ExecutedPoint> {
     let mut rest = activities.as_slice();
     let per_member: Vec<Vec<_>> = requests
         .iter()
-        .map(|req| {
-            let seeds = req.seeds as usize;
-            let (mine, tail) = rest.split_at(req.member_dims().len() * seeds);
+        .zip(&layouts)
+        .map(|(req, layout)| {
+            let (mine, tail) = rest.split_at(layout.len());
             rest = tail;
-            mine.chunks(seeds).collect()
+            member_slices(req, mine)
         })
         .collect();
     let results: Vec<RunResult> = runs

@@ -1,24 +1,29 @@
 //! Sharded memo cache with in-flight deduplication.
 //!
-//! Values are keyed on the canonical hashes from [`crate::hash`] and
-//! stored behind `Arc`, so a hit hands every caller the *same* allocation
-//! — repeated queries are bit-identical by construction. A second caller
-//! arriving while the first is still computing joins the in-flight entry
-//! (waits on the shard's condvar) instead of recomputing: identical work
-//! never runs twice.
+//! Values are stored behind `Arc`, so a hit hands every caller the *same*
+//! allocation — repeated queries are bit-identical by construction. A
+//! second caller arriving while the first is still computing joins the
+//! in-flight entry (waits on the shard's condvar) instead of recomputing:
+//! identical work never runs twice.
 //!
 //! Two stores share the machinery:
 //!
-//! * the **result store** (`canonical_key -> Arc<RunResult>`): whole
-//!   requests, device- and VM-specific;
+//! * the **answer store** (`answer_key -> Arc<Answer>`): one answer per
+//!   request and pin ([`crate::hash::answer_key`]), holding the device
+//!   that ran it and the shared [`RunResult`]. The key names no device,
+//!   so an auto-placed repeat is one lookup and keeps its first device
+//!   whatever placement would choose now, and a pinned run never
+//!   answers an auto one (or a run pinned elsewhere);
 //! * the **unit store** (`unit_key -> Arc<Unit>`): one canonical group
 //!   member's work for one seed index, from a single operand walk
 //!   ([`Unit::compute`]). Units are device-independent, and a member's
 //!   seed-`s` operands depend on `(dims, ordinal, s)` alone, so plain
 //!   requests and groups share units, as do requests that differ only in
-//!   seed or iteration counts.
+//!   seed or iteration counts — and so does every answer of one request,
+//!   whichever device or pin it names.
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -39,8 +44,8 @@ struct Shard<T> {
     ready: Condvar,
 }
 
-/// Removes a stranded `Pending` slot if the owning computation unwinds,
-/// so waiters wake up and retry instead of blocking forever.
+/// Removes a stranded `Pending` slot if the owning computation fails or
+/// unwinds, so waiters wake up and retry instead of blocking forever.
 struct PendingGuard<'a, T> {
     shard: &'a Shard<T>,
     key: u64,
@@ -114,33 +119,16 @@ impl<T> ShardSet<T> {
         }
     }
 
-    /// Blocking read: wait out a `Pending` entry, return the ready value,
-    /// or `None` if the key is absent (including a computation that
-    /// unwound while we waited — the caller falls back to computing).
-    /// The bool is whether the caller actually waited.
-    fn wait_ready(&self, key: u64) -> Option<(Arc<T>, bool)> {
-        let shard = self.shard(key);
-        let mut slots = shard.slots.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut waited = false;
-        loop {
-            match slots.get(&key) {
-                Some(Slot::Ready(v)) => return Some((Arc::clone(v), waited)),
-                Some(Slot::Pending) => {
-                    waited = true;
-                    slots = shard
-                        .ready
-                        .wait(slots)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                None => return None,
-            }
-        }
-    }
-
-    fn get_or_compute<F>(&self, key: u64, compute: F) -> (Arc<T>, Fetch)
-    where
-        F: FnOnce() -> T,
-    {
+    /// The entry under `key`: ready, joined while in flight, or computed
+    /// here by `compute` (without holding the shard lock) and published.
+    /// If `compute` fails or unwinds, the pending slot is removed and
+    /// waiters wake to retry, so nothing is published and the key is not
+    /// wedged.
+    fn get_or_compute<E>(
+        &self,
+        key: u64,
+        compute: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(Arc<T>, Fetch), E> {
         let shard = self.shard(key);
         {
             let mut slots = shard.slots.lock().unwrap_or_else(PoisonError::into_inner);
@@ -149,7 +137,7 @@ impl<T> ShardSet<T> {
                 match slots.get(&key) {
                     Some(Slot::Ready(v)) => {
                         let fetch = if joined { Fetch::Joined } else { Fetch::Hit };
-                        return (Arc::clone(v), fetch);
+                        return Ok((Arc::clone(v), fetch));
                     }
                     Some(Slot::Pending) => {
                         joined = true;
@@ -165,21 +153,21 @@ impl<T> ShardSet<T> {
                 }
             }
         }
-        // From here on the Pending slot is ours: if `compute` unwinds, the
-        // guard removes it and wakes waiters so the key is not wedged.
+        // From here on the Pending slot is ours: if `compute` fails or
+        // unwinds, the guard removes it and wakes waiters.
         let mut guard = PendingGuard {
             shard,
             key,
             armed: true,
         };
-        let value = Arc::new(compute());
+        let value = Arc::new(compute()?);
         {
             let mut slots = shard.slots.lock().unwrap_or_else(PoisonError::into_inner);
             slots.insert(key, Slot::Ready(Arc::clone(&value)));
         }
         guard.armed = false;
         shard.ready.notify_all();
-        (value, Fetch::Computed)
+        Ok((value, Fetch::Computed))
     }
 
     fn ready_len(&self) -> usize {
@@ -242,10 +230,20 @@ impl Unit {
     }
 }
 
-/// Sharded memo cache: whole-request results plus the `(member, seed)`
-/// unit store every stage below them reads from.
+/// One request's answer: the device that ran it and the measurement
+/// every repeat shares.
+#[derive(Debug)]
+pub struct Answer {
+    /// Device index the answer ran on.
+    pub device: usize,
+    /// The measurement; every hit hands back this allocation.
+    pub result: Arc<RunResult>,
+}
+
+/// Sharded memo cache: one answer per request and pin, plus the
+/// `(member, seed)` unit store every stage below them reads from.
 pub struct MemoCache {
-    results: ShardSet<RunResult>,
+    answers: ShardSet<Answer>,
     units: ShardSet<Unit>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -254,10 +252,10 @@ pub struct MemoCache {
 
 impl MemoCache {
     /// A cache with `shards` shards (rounded up to a power of two) in each
-    /// of the result and unit stores.
+    /// of the answer and unit stores.
     pub fn new(shards: usize) -> Self {
         Self {
-            results: ShardSet::new(shards),
+            answers: ShardSet::new(shards),
             units: ShardSet::new(shards),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -265,65 +263,36 @@ impl MemoCache {
         }
     }
 
-    /// Whether `key` holds a *ready* entry. A probe, not a read: unlike
-    /// [`MemoCache::peek`] it counts nothing, so callers can classify
-    /// (e.g. the batch packer sifting cached repeats out of the rounds)
-    /// without inflating the hit statistics.
+    /// Whether `key` holds a *ready* answer. A probe, not a read: it
+    /// counts nothing, so callers can classify (e.g. the batch packer
+    /// sifting cached repeats out of the rounds) without inflating the
+    /// hit statistics.
     pub fn contains(&self, key: u64) -> bool {
-        self.results.contains(key)
+        self.answers.contains(key)
     }
 
-    /// Non-blocking lookup: `Some` (counted as a hit) iff the entry is
-    /// ready. Pending entries read as misses — use [`Self::get_or_compute`]
-    /// to join them.
-    pub fn peek(&self, key: u64) -> Option<Arc<RunResult>> {
-        let v = self.results.peek(key)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(v)
-    }
-
-    /// Blocking lookup that waits out an in-flight computation: `Some`
-    /// (counted as a hit, and as a join if it actually waited) once the
-    /// entry is ready, `None` if the key is absent — including an owner
-    /// that unwound while we waited, in which case the caller proceeds to
-    /// [`Self::get_or_compute`] and retries the computation.
-    pub fn wait_ready(&self, key: u64) -> Option<Arc<RunResult>> {
-        let (v, waited) = self.results.wait_ready(key)?;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if waited {
-            self.joins.fetch_add(1, Ordering::Relaxed);
-        }
-        Some(v)
-    }
-
-    /// Look up `key`; on a miss, run `compute` (without holding the shard
-    /// lock) and publish the result. Returns the cached value and whether
-    /// this call was served from cache (`true`) or computed (`false`).
-    /// Concurrent callers with the same key block until the first finishes
-    /// and then count as cache hits (they never recompute). If `compute`
-    /// panics, the pending entry is removed and waiters are woken (one of
-    /// them will retry the computation); the panic propagates to the
-    /// caller.
-    pub fn get_or_compute<F>(&self, key: u64, compute: F) -> (Arc<RunResult>, bool)
-    where
-        F: FnOnce() -> RunResult,
-    {
-        let (value, fetch) = self.results.get_or_compute(key, compute);
+    /// The answer under `key`: ready (a hit), joined while a twin computes
+    /// it (a hit and a join), or computed here by `compute` and published
+    /// (a miss). `compute` runs without the shard lock, and a caller knows
+    /// it missed by its `compute` having run. If `compute` fails or
+    /// panics, nothing is published and nothing is counted: the pending
+    /// entry is removed, waiters wake and one of them computes in turn,
+    /// and the error or panic reaches this caller.
+    pub fn answer<E>(
+        &self,
+        key: u64,
+        compute: impl FnOnce() -> Result<Answer, E>,
+    ) -> Result<Arc<Answer>, E> {
+        let (answer, fetch) = self.answers.get_or_compute(key, compute)?;
         match fetch {
-            Fetch::Computed => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                (value, false)
-            }
-            Fetch::Hit => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                (value, true)
-            }
+            Fetch::Computed => self.misses.fetch_add(1, Ordering::Relaxed),
+            Fetch::Hit => self.hits.fetch_add(1, Ordering::Relaxed),
             Fetch::Joined => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 self.joins.fetch_add(1, Ordering::Relaxed);
-                (value, true)
+                self.hits.fetch_add(1, Ordering::Relaxed)
             }
-        }
+        };
+        Ok(answer)
     }
 
     /// Non-blocking, uncounted read of a ready unit.
@@ -334,22 +303,25 @@ impl MemoCache {
     /// The unit under `key`: ready, joined while in flight, or computed
     /// here and published. Concurrent callers — one request's stages, or
     /// overlapping requests sharing a member — run `compute` once, and an
-    /// unwinding `compute` frees the key exactly like a result entry's.
+    /// unwinding `compute` frees the key exactly like an answer's.
     /// Uncounted: who computed a unit is recorded in
     /// [`Unit::computed_by`].
     pub fn unit<F>(&self, key: u64, compute: F) -> Arc<Unit>
     where
         F: FnOnce() -> Unit,
     {
-        self.units.get_or_compute(key, compute).0
+        let Ok((unit, _)) = self
+            .units
+            .get_or_compute(key, || Ok::<_, Infallible>(compute()));
+        unit
     }
 
-    /// Number of *ready* result entries across all shards.
+    /// Number of *ready* answers across all shards.
     pub fn len(&self) -> usize {
-        self.results.ready_len()
+        self.answers.ready_len()
     }
 
-    /// Whether the cache holds no ready result entries.
+    /// Whether the cache holds no ready answers.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -359,12 +331,12 @@ impl MemoCache {
         self.units.ready_len()
     }
 
-    /// Calls served from cache (including in-flight joins).
+    /// Answers served from cache (including in-flight joins).
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Calls that ran the computation.
+    /// Answers computed (and published) by their caller.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -392,8 +364,11 @@ mod tests {
             .with_sampling(Sampling::Lattice { rows: 4, cols: 4 })
     }
 
-    fn quick_result() -> RunResult {
-        PowerLab::new(a100_pcie()).run(&quick_request())
+    fn quick_answer() -> Answer {
+        Answer {
+            device: 0,
+            result: Arc::new(PowerLab::new(a100_pcie()).run(&quick_request())),
+        }
     }
 
     fn quick_unit() -> Unit {
@@ -407,15 +382,10 @@ mod tests {
         let computed = AtomicUsize::new(0);
         let make = || {
             computed.fetch_add(1, Ordering::Relaxed);
-            quick_result()
+            Ok(quick_answer())
         };
-        let (a, hit_a) = cache.get_or_compute(42, make);
-        let (b, hit_b) = cache.get_or_compute(42, || {
-            computed.fetch_add(1, Ordering::Relaxed);
-            quick_result()
-        });
-        assert!(!hit_a);
-        assert!(hit_b);
+        let a = cache.answer::<Infallible>(42, make).unwrap();
+        let b = cache.answer::<Infallible>(42, make).unwrap();
         assert_eq!(computed.load(Ordering::Relaxed), 1);
         assert!(Arc::ptr_eq(&a, &b), "hit must share the cached allocation");
         assert_eq!(cache.hits(), 1);
@@ -426,9 +396,13 @@ mod tests {
     #[test]
     fn distinct_keys_do_not_collide() {
         let cache = MemoCache::new(4);
-        let (_, h1) = cache.get_or_compute(1, quick_result);
-        let (_, h2) = cache.get_or_compute(2, quick_result);
-        assert!(!h1 && !h2);
+        cache
+            .answer::<Infallible>(1, || Ok(quick_answer()))
+            .unwrap();
+        cache
+            .answer::<Infallible>(2, || Ok(quick_answer()))
+            .unwrap();
+        assert_eq!(cache.misses(), 2);
         assert_eq!(cache.len(), 2);
     }
 
@@ -441,13 +415,15 @@ mod tests {
             let cache = Arc::clone(&cache);
             let computed = Arc::clone(&computed);
             handles.push(std::thread::spawn(move || {
-                let (v, _) = cache.get_or_compute(7, || {
-                    computed.fetch_add(1, Ordering::Relaxed);
-                    // Widen the race window so joiners actually wait.
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    quick_result()
-                });
-                v.power.mean
+                let answer = cache
+                    .answer::<Infallible>(7, || {
+                        computed.fetch_add(1, Ordering::Relaxed);
+                        // Widen the race window so joiners actually wait.
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        Ok(quick_answer())
+                    })
+                    .unwrap();
+                answer.result.power.mean
             }));
         }
         let means: Vec<f64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
@@ -455,6 +431,34 @@ mod tests {
         assert!(means.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 7);
+    }
+
+    #[test]
+    fn a_failed_answer_publishes_nothing_and_a_waiting_twin_computes_it() {
+        let cache = Arc::new(MemoCache::new(4));
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let owner = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache.answer(9, || {
+                    started_tx.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    Err("rejected")
+                })
+            })
+        };
+        // The owner's pending entry exists now: the twin joins it, wakes
+        // when the failure removes it, and computes the answer itself.
+        started_rx.recv().unwrap();
+        let twin = cache.answer::<&str>(9, || Ok(quick_answer())).unwrap();
+        assert_eq!(owner.join().unwrap().unwrap_err(), "rejected");
+        assert_eq!(twin.device, 0);
+        assert!(cache.contains(9));
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (0, 1),
+            "a failure counts nothing"
+        );
     }
 
     #[test]
@@ -473,7 +477,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &cache.peek_unit(11).unwrap()));
         assert!(cache.peek_unit(12).is_none());
         assert_eq!(cache.unit_len(), 1);
-        // Units never touch the result-store counters.
+        // Units never touch the answer-store counters.
         assert_eq!((cache.hits(), cache.misses(), cache.joins()), (0, 0, 0));
         assert!(cache.is_empty());
     }
@@ -608,38 +612,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn wait_ready_joins_an_in_flight_computation() {
-        let cache = Arc::new(MemoCache::new(4));
-        assert!(cache.wait_ready(9).is_none(), "absent key returns at once");
-        assert_eq!(cache.hits(), 0, "an absent wait counts nothing");
-        let owner = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                cache.get_or_compute(9, || {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                    quick_result()
-                })
-            })
-        };
-        // Spin until the owner has published its Pending slot, then wait
-        // it out.
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || loop {
-                if let Some(v) = cache.wait_ready(9) {
-                    return v.power.mean;
-                }
-                std::thread::yield_now();
-            })
-        };
-        let (owned, owner_hit) = owner.join().unwrap();
-        let waited_mean = waiter.join().unwrap();
-        assert!(!owner_hit);
-        assert_eq!(owned.power.mean, waited_mean);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.hits(), 1, "the waiter counts as one hit");
     }
 }

@@ -1,14 +1,25 @@
-//! Canonical hashing of `(RunRequest, GpuSpec)` pairs.
+//! Canonical hashing of requests for the memo cache and placement.
 //!
 //! The memo cache must key on the *semantic content* of a request, not on
 //! anything incidental (struct layout, allocation addresses, derive-order).
 //! This module defines an explicit canonical byte encoding of every field
-//! that influences a [`wm_core::RunResult`], folded through FNV-1a. Two
-//! requests whose semantically relevant fields are all equal hash equal
-//! — the property test in `tests/cache_properties.rs` exercises this.
-//! The converse does not hold: distinct requests can collide in 64 bits,
-//! and nothing detects it yet, so a collision would serve one request's
-//! cached result to the other.
+//! that influences a [`wm_core::RunResult`], folded through FNV-1a:
+//!
+//! * [`answer_key`] keys the answer store: every field [`write_request`]
+//!   folds, plus the job's pin (none for an auto-placed job, else the
+//!   pinned device id). It names no device;
+//! * [`unit_key`] keys one `(member, seed)` unit of the unit store;
+//! * [`request_key`] folds only what shapes the operands — placement's
+//!   tie salt;
+//! * [`canonical_key`] folds the request with a device model and VM id.
+//!   The serving path no longer computes it; it is kept only for
+//!   perfbench's replay.
+//!
+//! Two requests whose semantically relevant fields are all equal hash
+//! equal — the property test in `tests/cache_properties.rs` exercises
+//! this. The converse does not hold: distinct requests can collide in 64
+//! bits, and nothing detects it yet, so a collision would serve one
+//! request's cached answer to the other.
 
 use wm_core::RunRequest;
 use wm_gpu::{GemmDims, GpuSpec, MemoryKind};
@@ -252,17 +263,34 @@ pub fn write_request(h: &mut CanonicalHasher, req: &RunRequest) {
 /// placement's tie salt: only the fields that shape the operands are
 /// folded. `iterations` (a repeat count) and `seeds` (how many operand
 /// sets a *run* averages) are deliberately excluded, so requests differing
-/// only there place alike. The full memo key ([`canonical_key`]) keeps
-/// them: they do change a run's averaged result.
+/// only there place alike. The answer key ([`answer_key`]) keeps them:
+/// they do change a run's averaged result.
 pub fn request_key(req: &RunRequest) -> u64 {
     let mut h = CanonicalHasher::new();
     write_activity_fields(&mut h, req);
     h.finish()
 }
 
-/// The memo-cache key: canonical hash of `(RunRequest, GpuSpec, vm_id)`.
-/// The VM instance id participates because its process-variation offset
-/// shifts measured power.
+/// The answer-store key of a job: every field [`write_request`] folds,
+/// then a `0` tag for an auto-placed job, or a `1` tag and the pinned
+/// device id. No device model or VM id is folded, so an auto job's answer
+/// is one lookup whichever device first ran it.
+pub fn answer_key(req: &RunRequest, pin: Option<usize>) -> u64 {
+    let mut h = CanonicalHasher::new();
+    write_request(&mut h, req);
+    match pin {
+        None => h.write_u8(0),
+        Some(device) => {
+            h.write_u8(1);
+            h.write_usize(device);
+        }
+    }
+    h.finish()
+}
+
+/// Canonical hash of `(RunRequest, GpuSpec, vm_id)`. The serving path
+/// keys answers by [`answer_key`]; this is kept only for perfbench's
+/// replay, which times it.
 pub fn canonical_key(req: &RunRequest, gpu: &GpuSpec, vm_id: u64) -> u64 {
     let mut h = CanonicalHasher::new();
     write_request(&mut h, req);
@@ -534,21 +562,15 @@ mod tests {
             canonical_key(&spelled_a, &g, 0),
             canonical_key(&spelled_b, &g, 0)
         );
-        // And the executions agree operand-for-operand, so the shared
-        // cache entry is sound — including the single-pair first-seed
-        // contract, which must hand back the *effective* member 0.
-        assert_eq!(
-            wm_core::first_seed_group_operands(&spelled_a),
-            wm_core::first_seed_group_operands(&spelled_b)
-        );
-        assert_eq!(
-            wm_core::first_seed_operands(&spelled_a),
-            wm_core::first_seed_operands(&spelled_b)
-        );
-        assert_eq!(
-            wm_core::first_seed_operands(&spelled_a),
-            wm_core::first_seed_group_operands(&spelled_a)[0].clone()
-        );
+        // And the executions agree operand-for-operand, member by member,
+        // so the shared cache entry is sound.
+        let first_seed = |r: &RunRequest| -> Vec<_> {
+            wm_core::member_ordinals(r)
+                .into_iter()
+                .map(|(m, ord)| wm_core::first_seed_member_operands(r, m, ord))
+                .collect()
+        };
+        assert_eq!(first_seed(&spelled_a), first_seed(&spelled_b));
         // A GEMM group with the same raw members does NOT alias: m is
         // load-bearing there.
         let gemm_a = req().with_group(vec![
@@ -592,6 +614,43 @@ mod tests {
         let with_device_a = canonical_key(&req(), &a100_pcie(), 0);
         let with_device_b = canonical_key(&req(), &v100_sxm2(), 0);
         assert_ne!(with_device_a, with_device_b);
+    }
+
+    #[test]
+    fn answer_key_folds_the_request_and_its_pin() {
+        let auto = answer_key(&req(), None);
+        assert_eq!(auto, answer_key(&req(), None));
+        // The pin is part of the job: auto, pinned to device 0 and pinned
+        // to device 1 are three answers.
+        let pinned = answer_key(&req(), Some(0));
+        assert_ne!(auto, pinned);
+        assert_ne!(pinned, answer_key(&req(), Some(1)));
+        // Every knob a result depends on moves the key, seed and
+        // iteration counts included.
+        for other in [
+            req().with_seeds(3),
+            req().with_iterations(100),
+            req().with_base_seed(1),
+            req().with_b_transposed(false),
+            req().with_kernel(KernelClass::Gemv),
+            req().with_sampling(Sampling::Lattice { rows: 8, cols: 8 }),
+            req().with_pattern_b(PatternSpec::new(PatternKind::Zeros)),
+        ] {
+            assert_ne!(auto, answer_key(&other, None), "{other:?}");
+        }
+        // Spellings of one request share one answer.
+        let members = vec![GemmDims::square(64), GemmDims::square(128)];
+        let mut permuted = members.clone();
+        permuted.reverse();
+        assert_eq!(
+            answer_key(&req().with_group(members), None),
+            answer_key(&req().with_group(permuted), None)
+        );
+        assert_eq!(
+            auto,
+            answer_key(&req().with_group(vec![GemmDims::square(256)]), None)
+        );
+        assert_ne!(auto, request_key(&req()));
     }
 
     #[test]

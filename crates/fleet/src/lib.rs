@@ -10,12 +10,13 @@
 //!   [`wm_gpu::GpuSpec`] plus a [`wm_telemetry::VmInstance`]
 //!   process-variation offset and a per-device power cap, under one
 //!   fleet-wide power budget.
-//! * [`hash`] — canonical hashing of `(RunRequest, GpuSpec, vm)` so the
-//!   cache keys on semantic request content.
+//! * [`hash`] — canonical hashing of requests, so the cache keys on
+//!   semantic request content.
 //! * [`cache`] — the sharded [`MemoCache`] with in-flight deduplication:
+//!   one [`Answer`] per request and pin, so a repeat is one lookup and
 //!   identical queries never run the simulator twice, and one store of
-//!   `(member, seed)` [`Unit`]s holds every operand walk, which features,
-//!   the analytic probe and execution all read.
+//!   `(member, seed)` [`Unit`]s holding every operand walk, which
+//!   features, the analytic probe and execution all read.
 //! * [`placement`] — power-capped placement: price the request on every
 //!   device (learned `wm-predict` models when trained and healthy, the
 //!   activity probe + power model otherwise), plan the energy-minimal
@@ -29,8 +30,8 @@
 //!   packer: `run_batch` prices every job and first-fit-decreasing packs
 //!   the fleet budget ([`pack_ffd`]) instead of trickling FIFO.
 //!   Grouped-GEMM requests ([`wm_core::RunRequest::with_group`]) flow
-//!   through every layer as a single unit: one hash, one cache entry,
-//!   one placement, one priced execution.
+//!   through every layer as a single unit: one hash, one answer, one
+//!   placement, one priced execution.
 //! * [`protocol`] — a JSON-lines power-estimation service (the `wattd`
 //!   binary in `wm-serve` speaks it over stdin/stdout or TCP), including
 //!   `predict` (power without executing), `model_stats` (predictor
@@ -74,9 +75,9 @@ pub mod placement;
 pub mod protocol;
 pub mod scheduler;
 
-pub use cache::{MemoCache, Unit};
+pub use cache::{Answer, MemoCache, Unit};
 pub use device::{Fleet, FleetBuilder, FleetDevice};
-pub use hash::{canonical_key, request_key, unit_key, CanonicalHasher};
+pub use hash::{answer_key, canonical_key, request_key, unit_key, CanonicalHasher};
 pub use par::parallel_map;
 pub use placement::{
     place, place_learned, probe_activity, Placement, PlacementError, PredictionSource,

@@ -28,11 +28,13 @@
 //! timing; the scheduler enforces the budget at execution time by
 //! delaying (not re-routing) jobs whose device is busy or whose draw
 //! would overshoot the fleet budget. Exact energy ties (homogeneous
-//! fleets) are broken by the request's canonical key, which both spreads
-//! distinct requests across twin devices and routes repeats of the same
-//! request to the same device — maximising memo-cache reuse.
+//! fleets) are broken by the request's key
+//! ([`crate::hash::request_key`]), which spreads distinct requests across
+//! twin devices and places requests that differ only in seed or
+//! iteration counts alike. An exact repeat never reaches placement: the
+//! scheduler answers it from the memo cache first.
 
-use wm_core::{first_seed_group_operands, simulate_member_activity, RunRequest};
+use wm_core::{first_seed_member_operands, member_ordinals, simulate_member_activity, RunRequest};
 use wm_kernels::ActivityRecord;
 use wm_optimizer::{plan_dvfs, DvfsPlan};
 use wm_power::{evaluate_group, group_runtime, predicted_breakdown, PowerBreakdown};
@@ -109,19 +111,21 @@ impl std::fmt::Display for PlacementError {
 }
 
 /// Simulate the switching activity of the request's first seed, one
-/// record per member (a plain request is its own single member). The
-/// operands come from [`wm_core::first_seed_group_operands`] and the
-/// kernel dispatch from [`wm_core::simulate_member_activity`], so the
-/// probe walks exactly the data — and the kernel family — the run
-/// executes. Activity depends only on the input data, not on the device,
-/// so one probe serves every candidate device (the scheduler reads the
-/// same records from its unit store).
+/// record per canonical member ([`wm_core::member_ordinals`]; a plain
+/// request is its own single member). The operands come from
+/// [`wm_core::first_seed_member_operands`] and the kernel dispatch from
+/// [`wm_core::simulate_member_activity`], so the probe walks exactly the
+/// data — and the kernel family — the run executes. Activity depends
+/// only on the input data, not on the device, so one probe serves every
+/// candidate device (the scheduler reads the same records from its unit
+/// store).
 pub fn probe_activity(req: &RunRequest) -> Vec<ActivityRecord> {
-    let members = req.member_dims();
-    first_seed_group_operands(req)
-        .iter()
-        .zip(&members)
-        .map(|((a, b), &m)| simulate_member_activity(req, m, a, b))
+    member_ordinals(req)
+        .into_iter()
+        .map(|(m, ord)| {
+            let (a, b) = first_seed_member_operands(req, m, ord);
+            simulate_member_activity(req, m, &a, &b)
+        })
         .collect()
 }
 

@@ -8,10 +8,13 @@
 //!    features and the analytic probe, and ask [`crate::placement`] for
 //!    the device + clock that fits under the fleet power budget; pinned
 //!    jobs skip straight to their device.
-//! 2. **Memo cache** — the canonical `(RunRequest, GpuSpec, vm)` key is
-//!    looked up in the sharded [`MemoCache`]; only a miss assembles a run
-//!    from its units. Identical in-flight queries join rather than
-//!    recompute.
+//! 2. **Memo cache** — before step 1, the job's [`answer_key`] (its
+//!    request and pin, naming no device) is looked up once in the sharded
+//!    [`MemoCache`]. A hit replays the stored answer — the device that
+//!    ran it and the shared result — and a twin still in flight is
+//!    joined before anything is placed or any budget reserved. Only a
+//!    miss places the job, reserves its planned draw and assembles a run
+//!    from its units; a job that fails or panics publishes no answer.
 //! 3. **Reply** — the response (shared `Arc<RunResult>`, chosen device,
 //!    clock, cache-hit flag) is sent back over the job's reply channel.
 //!
@@ -50,7 +53,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use wm_core::{member_ordinals, PowerLab, RunRequest, RunResult};
+use wm_core::{member_slices, unit_layout, PowerLab, RunRequest, RunResult};
 use wm_gpu::GemmDims;
 use wm_kernels::{ActivityRecord, KernelClass};
 use wm_obs::{stage, Histogram, Registry, Tracer};
@@ -76,9 +79,9 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-use crate::cache::{MemoCache, Unit};
-use crate::device::Fleet;
-use crate::hash::{canonical_key, request_key, unit_key};
+use crate::cache::{Answer, MemoCache, Unit};
+use crate::device::{Fleet, FleetDevice};
+use crate::hash::{answer_key, request_key, unit_key};
 use crate::placement::{place, place_learned, Placement, PlacementError, PredictionSource};
 
 /// One unit of work for the fleet.
@@ -297,8 +300,8 @@ struct Task {
 
 struct Inner {
     fleet: Fleet,
-    /// Whole results plus the `(member, seed)` unit store that features,
-    /// the analytic probe and execution all read.
+    /// One answer per request and pin, plus the `(member, seed)` unit
+    /// store that features, the analytic probe and execution all read.
     cache: MemoCache,
     /// The shared online power predictor, trained from completed runs.
     predictor: Mutex<PowerPredictor>,
@@ -397,7 +400,7 @@ impl Scheduler {
     /// The mirrored counters and gauges do not aggregate: each
     /// scheduler's `sync_metrics` stores its own values over the shared
     /// ones, so the last exporter wins. Registry-owned counters (ROADMAP
-    /// item 4) are the fix.
+    /// item 8) are the fix.
     pub fn with_observability(
         fleet: Fleet,
         workers: usize,
@@ -574,22 +577,14 @@ impl Scheduler {
         let pricing: Vec<Option<(usize, f64)>> =
             crate::par::parallel_map((0..jobs.len()).collect(), |i| {
                 let job = &jobs[i];
-                if job.pin.is_some() {
+                // A repeat whose answer is cached replays without running:
+                // no draw, nothing to pack. This stays a whole-answer check
+                // deliberately — a group whose members are all covered by
+                // the *unit* store still evaluates and measures as a fresh
+                // run (committing its planned draw and training the
+                // predictor), so it must be packed.
+                if job.pin.is_some() || inner.cache.contains(answer_key(&job.request, job.pin)) {
                     return None;
-                }
-                // A repeat whose answer any device already caches replays
-                // without running: no draw, nothing to pack. This stays a
-                // whole-result check deliberately — a group whose members
-                // are all covered by the *member* store still evaluates
-                // and measures as a fresh run (committing its planned
-                // draw and training the predictor), so it must be packed.
-                for dev in inner.fleet.devices() {
-                    if inner
-                        .cache
-                        .contains(canonical_key(&job.request, &dev.gpu, dev.vm.id))
-                    {
-                        return None;
-                    }
                 }
                 // Price as placement will. A pricing panic (malformed
                 // library-level request) is not answered here: the worker
@@ -764,7 +759,8 @@ impl Scheduler {
         }
     }
 
-    /// Number of distinct results held by the memo cache.
+    /// Number of answers held by the memo cache: one per distinct request
+    /// and pin.
     pub fn cached_results(&self) -> usize {
         self.inner.cache.len()
     }
@@ -1149,14 +1145,15 @@ fn analytic_probe(inner: &Inner, first: &FirstSeed) -> Vec<ActivityRecord> {
     first.units.iter().map(|u| u.activity.clone()).collect()
 }
 
-/// Units `0..seeds` of every canonical member, member-major. When all are
-/// ready nothing is spawned; otherwise the missing ones are walked in
-/// parallel, recording `rid` as the request that computed them (a unit
-/// another request is walking right now is joined, not recomputed).
+/// Units `0..seeds` of every canonical member, in [`unit_layout`] order.
+/// When all are ready nothing is spawned; otherwise the missing ones are
+/// walked in parallel, recording `rid` as the request that computed them
+/// (a unit another request is walking right now is joined, not
+/// recomputed).
 fn fetch_units(inner: &Inner, req: &RunRequest, rid: u64, seeds: u64) -> Vec<Arc<Unit>> {
-    let wanted: Vec<(u64, GemmDims, u64, u64)> = member_ordinals(req)
+    let wanted: Vec<(u64, GemmDims, u64, u64)> = unit_layout(req, seeds)
         .into_iter()
-        .flat_map(|(m, ord)| (0..seeds).map(move |s| (unit_key(req, m, ord, s), m, ord, s)))
+        .map(|(m, ord, s)| (unit_key(req, m, ord, s), m, ord, s))
         .collect();
     let ready: Option<Vec<Arc<Unit>>> = wanted.iter().map(|w| inner.cache.peek_unit(w.0)).collect();
     ready.unwrap_or_else(|| {
@@ -1170,20 +1167,19 @@ fn fetch_units(inner: &Inner, req: &RunRequest, rid: u64, seeds: u64) -> Vec<Arc
 /// request walked before — and assemble the run through
 /// [`PowerLab::run_from_activities`]: bit-identical to a cold
 /// [`PowerLab::run`], since operand streams and measurement seeds are
-/// fixed by the request alone. Returns the result and, per canonical
-/// member, whether a different request computed all of its units (a
-/// member request `rid` walked any unit of is its residue).
+/// fixed by the request alone. Returns the answer on `device` and, per
+/// canonical member, whether a different request computed all of its
+/// units (a member request `rid` walked any unit of is its residue).
 fn run_with_member_reuse(
     inner: &Inner,
     req: &RunRequest,
-    gpu: wm_gpu::GpuSpec,
-    vm_id: u64,
+    device: &FleetDevice,
     rid: u64,
-) -> (RunResult, Vec<bool>) {
+) -> (Answer, Vec<bool>) {
     let units = fetch_units(inner, req, rid, req.seeds);
     let mut flags = Vec::new();
     let mut per_member: Vec<Vec<ActivityRecord>> = Vec::new();
-    for member in units.chunks(req.seeds as usize) {
+    for member in member_slices(req, &units) {
         flags.push(member.iter().all(|u| u.computed_by != rid));
         per_member.push(member.iter().map(|u| u.activity.clone()).collect());
     }
@@ -1193,10 +1189,14 @@ fn run_with_member_reuse(
         .member_residues
         .fetch_add(flags.len() as u64 - hits, Ordering::Relaxed);
     let refs: Vec<&[ActivityRecord]> = per_member.iter().map(Vec::as_slice).collect();
-    let result = PowerLab::new(gpu)
-        .with_vm(vm_id)
+    let result = PowerLab::new(device.gpu.clone())
+        .with_vm(device.vm.id)
         .run_from_activities(req, &refs);
-    (result, flags)
+    let answer = Answer {
+        device: device.id,
+        result: Arc::new(result),
+    };
+    (answer, flags)
 }
 
 /// Placement with the request's canonical key as the tie salt: the
@@ -1322,60 +1322,77 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     // `submit` always assigns an id; 0 only appears for tasks forged
     // around it (none today) and keeps the trail well-formed regardless.
     let rid = job.request_id.unwrap_or(0);
+    // One lookup per job. Answer stability across model evolution: a
+    // repeat gets the answer its request first got, device included,
+    // even if the learned model would place it elsewhere now — a
+    // model-nudged re-placement would compute the same query twice and
+    // answer it twice differently. A twin still in flight is joined
+    // before this job places anything or reserves budget; only a miss
+    // runs `run_fresh`, and only its success is published.
+    let mut lookup = Some(inner.tracer.start(rid, stage::CACHE_LOOKUP));
+    let mut fresh = None;
+    let answer = inner.cache.answer(answer_key(&job.request, job.pin), || {
+        if let Some(span) = lookup.take() {
+            span.finish("miss");
+        }
+        let (answer, placement, member_cached) = run_fresh(inner, &job, rid)?;
+        fresh = Some((placement, member_cached));
+        Ok(answer)
+    })?;
+    if let Some(span) = lookup {
+        span.finish(format!("hit device={}", answer.device));
+    }
+    let dev = inner
+        .fleet
+        .device(answer.device)
+        .ok_or(FleetError::UnknownDevice(answer.device))?;
+    let cache_hit = fresh.is_none();
+    // Grouped responses carry per-member provenance. A replay — or a twin
+    // joined in flight — ran nothing and planned nothing, so every member
+    // came from cache (an empty list for a plain request).
+    let (placement, member_cached) = match fresh {
+        Some((placement, flags)) if job.request.is_grouped() => (placement, flags),
+        Some((placement, _)) => (placement, Vec::new()),
+        None => (None, vec![true; job.request.group.len()]),
+    };
+    let result = Arc::clone(&answer.result);
+    Ok(FleetResponse {
+        request_id: rid,
+        device: dev.id,
+        gpu_name: dev.gpu.name,
+        clock_scale: placement
+            .as_ref()
+            .and_then(|p| p.plan.as_ref())
+            .map(|p| p.clock_scale)
+            .unwrap_or(result.breakdown.clock_scale),
+        plan: placement.as_ref().and_then(|p| p.plan),
+        predicted_w: placement.as_ref().map(|p| p.predicted_w),
+        prediction: placement.as_ref().map(|p| p.source),
+        measured_w: result.power.mean,
+        cache_hit,
+        member_cached,
+        deadline_s: job.deadline_s,
+        result,
+    })
+}
+
+/// A miss: place the job (auto jobs walk their seed-0 units for features
+/// and pricing; pinned jobs — a wattd request's `gpu` field — name their
+/// device), execute it from the unit store, account the device's run and
+/// close the prediction loop. Returns the answer, the placement an auto
+/// job ran under, and per canonical member whether a different request
+/// computed all of its units.
+fn run_fresh(
+    inner: &Inner,
+    job: &FleetJob,
+    rid: u64,
+) -> Result<(Answer, Option<Placement>, Vec<bool>), FleetError> {
     let tracer = &inner.tracer;
     // Auto jobs merge their features once, before pricing, and hand them
-    // on to feedback; pinned jobs merge them only if they run fresh.
-    let (device_id, plan, features) = match job.pin {
-        Some(id) => {
-            if inner.fleet.device(id).is_none() {
-                return Err(FleetError::UnknownDevice(id));
-            }
-            (id, None, None)
-        }
+    // on to feedback; pinned jobs merge them only there.
+    let (device_id, placement, features) = match job.pin {
+        Some(id) => (id, None, None),
         None => {
-            // Answer stability across model evolution: if *any* device
-            // already holds this request's result, return it instead of
-            // re-placing. The learned model changes between calls, and a
-            // model-nudged re-placement could route an identical repeat
-            // to a different device — computing the same query twice and
-            // answering it twice differently. `wait_ready` also joins a
-            // twin still in flight on some device: the hit path must not
-            // fall through to feature extraction and placement it would
-            // throw away once the twin publishes.
-            let lookup = tracer.start(rid, stage::CACHE_LOOKUP);
-            let mut hit = None;
-            for dev in inner.fleet.devices() {
-                let key = canonical_key(&job.request, &dev.gpu, dev.vm.id);
-                if let Some(result) = inner.cache.wait_ready(key) {
-                    hit = Some((dev, result));
-                    break;
-                }
-            }
-            if let Some((dev, result)) = hit {
-                lookup.finish(format!("hit device={}", dev.id));
-                let member_cached = if job.request.is_grouped() {
-                    vec![true; job.request.member_dims().len()]
-                } else {
-                    Vec::new()
-                };
-                return Ok(FleetResponse {
-                    request_id: rid,
-                    device: dev.id,
-                    gpu_name: dev.gpu.name,
-                    clock_scale: result.breakdown.clock_scale,
-                    plan: None,
-                    predicted_w: None,
-                    prediction: None,
-                    measured_w: result.power.mean,
-                    cache_hit: true,
-                    member_cached,
-                    deadline_s: job.deadline_s,
-                    result,
-                });
-            }
-            lookup.finish("miss");
-            // The operand walk: every member's seed-0 unit, computed here
-            // unless some request already walked it.
             let feat_span = tracer.start(rid, stage::FEATURES);
             let first = first_seed(inner, &job.request, rid);
             feat_span.finish("ok");
@@ -1403,122 +1420,53 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
             (placement.device, Some(placement), Some(first.features))
         }
     };
-
     let dev = inner
         .fleet
         .device(device_id)
         .ok_or(FleetError::UnknownDevice(device_id))?;
-    let key = canonical_key(&job.request, &dev.gpu, dev.vm.id);
 
-    // Grouped responses carry per-member provenance; a whole-result
-    // replay means every member came from cache.
-    let all_members_cached = || {
-        if job.request.is_grouped() {
-            vec![true; job.request.member_dims().len()]
-        } else {
-            Vec::new()
-        }
-    };
-    let respond = |result: Arc<RunResult>, cache_hit: bool, member_cached: Vec<bool>| {
-        let clock_scale = plan
-            .as_ref()
-            .and_then(|p| p.plan.as_ref())
-            .map(|p| p.clock_scale)
-            .unwrap_or(result.breakdown.clock_scale);
-        FleetResponse {
-            request_id: rid,
-            device: device_id,
-            gpu_name: dev.gpu.name,
-            clock_scale,
-            plan: plan.as_ref().and_then(|p| p.plan),
-            predicted_w: plan.as_ref().map(|p| p.predicted_w),
-            prediction: plan.as_ref().map(|p| p.source),
-            measured_w: result.power.mean,
-            cache_hit,
-            member_cached,
-            deadline_s: job.deadline_s,
-            result,
-        }
-    };
-
-    // Fast path: an already-cached answer needs no device slot or budget —
-    // nothing runs, so nothing draws power. Pinned jobs record their
-    // lookup here (the auto path already peeked every device above, so
-    // only a racing twin lands a hit in this branch for them).
-    if job.pin.is_some() {
-        let lookup = tracer.start(rid, stage::CACHE_LOOKUP);
-        if let Some(result) = inner.cache.peek(key) {
-            lookup.finish(format!("hit device={device_id}"));
-            return Ok(respond(result, true, all_members_cached()));
-        }
-        lookup.finish("miss");
-    } else if let Some(result) = inner.cache.peek(key) {
-        return Ok(respond(result, true, all_members_cached()));
-    }
-
-    // Reserve the planned draw for auto-placed jobs while computing
-    // (pinned jobs — a wattd request's `gpu` field — name their device
-    // and bypass budget accounting). The guard releases on every exit
+    // Reserve an auto-placed job's planned draw while it executes (pinned
+    // jobs bypass budget accounting). The guard releases on every exit
     // path, including unwind.
     let exec = tracer.start(rid, stage::EXECUTE);
-    let _slot = match &plan {
-        Some(p) => Some(acquire_slot(inner, p.device, p.planned_power_w)?),
-        None => None,
+    let (answer, member_cached) = {
+        let _slot = match &placement {
+            Some(p) => Some(acquire_slot(inner, p.device, p.planned_power_w)?),
+            None => None,
+        };
+        run_with_member_reuse(inner, &job.request, dev, rid)
     };
-    let gpu = dev.gpu.clone();
-    let vm_id = dev.vm.id;
-    let req = job.request.clone();
-    // Fresh computes report which members other requests' units answered;
-    // the side channel stays `None` on a join (the closure never ran — the
-    // twin that computed the result covered every member for us).
-    let mut fresh_member_flags: Option<Vec<bool>> = None;
-    let (result, cache_hit) = inner.cache.get_or_compute(key, || {
-        let (res, flags) = run_with_member_reuse(inner, &req, gpu, vm_id, rid);
-        fresh_member_flags = Some(flags);
-        res
-    });
-    exec.finish(format!(
-        "{} device={device_id}",
-        if cache_hit { "join" } else { "fresh" }
-    ));
-    let member_cached = match fresh_member_flags {
-        Some(flags) if job.request.is_grouped() => flags,
-        Some(_) => Vec::new(),
-        None => all_members_cached(),
-    };
+    exec.finish(format!("fresh device={device_id}"));
 
-    if !cache_hit {
-        // Fresh compute: account the device's execution and close the
-        // prediction loop. Cache hits replay a result without running —
-        // no energy drawn, no new information for the model.
-        {
-            let mut accum = lock_clean(&inner.device_accum);
-            let a = &mut accum[device_id];
-            a.jobs += 1;
-            for m in &result.measurements {
-                a.sim_time_s += m.total_time_s;
-                a.energy_j += m.mean_power_w * m.total_time_s;
-            }
-            a.util_pct_sum += result.utilization_pct;
+    let result = &answer.result;
+    {
+        let mut accum = lock_clean(&inner.device_accum);
+        let a = &mut accum[device_id];
+        a.jobs += 1;
+        for m in &result.measurements {
+            a.sim_time_s += m.total_time_s;
+            a.energy_j += m.mean_power_w * m.total_time_s;
         }
-        // A pinned job merges its features only now that it ran fresh,
-        // from the seed-0 units execution just walked.
-        let feedback = tracer.start(rid, stage::FEEDBACK);
-        let features = features.unwrap_or_else(|| first_seed(inner, &job.request, rid).features);
-        lock_clean(&inner.predictor).observe(
-            dev.gpu.name,
-            job.request.kernel,
-            &features,
-            boost_equivalent_w(&result.breakdown, result.power.mean, dev.vm.offset_w),
-        );
-        feedback.finish(format!("{} {}", dev.gpu.name, job.request.kernel.label()));
+        a.util_pct_sum += result.utilization_pct;
     }
-    Ok(respond(result, cache_hit, member_cached))
+    // A pinned job merges its features now, from the seed-0 units
+    // execution just walked.
+    let feedback = tracer.start(rid, stage::FEEDBACK);
+    let features = features.unwrap_or_else(|| first_seed(inner, &job.request, rid).features);
+    lock_clean(&inner.predictor).observe(
+        dev.gpu.name,
+        job.request.kernel,
+        &features,
+        boost_equivalent_w(&result.breakdown, result.power.mean, dev.vm.offset_w),
+    );
+    feedback.finish(format!("{} {}", dev.gpu.name, job.request.kernel.label()));
+    Ok((answer, placement, member_cached))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wm_core::member_ordinals;
     use wm_gpu::spec::a100_pcie;
     use wm_gpu::{iteration_time, GemmDims};
     use wm_kernels::Sampling;

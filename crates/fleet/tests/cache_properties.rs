@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use wm_core::{member_ordinals, RunRequest};
-use wm_fleet::{canonical_key, request_key, unit_key, Fleet, FleetJob, MemoCache, Scheduler};
+use wm_fleet::{
+    canonical_key, request_key, unit_key, Answer, Fleet, FleetJob, MemoCache, Scheduler,
+};
 use wm_gpu::spec::{a100_pcie, h100_sxm5, rtx6000, v100_sxm2};
 use wm_gpu::{GemmDims, GpuSpec};
 use wm_kernels::Sampling;
@@ -250,15 +252,19 @@ fn memo_cache_counts_joins_as_hits() {
     let cache = MemoCache::new(4);
     let slow = || {
         std::thread::sleep(std::time::Duration::from_millis(10));
-        wm_core::PowerLab::new(a100_pcie()).run(
+        let result = wm_core::PowerLab::new(a100_pcie()).run(
             &RunRequest::new(DType::Int8, 32, PatternSpec::new(PatternKind::Zeros))
                 .with_seeds(1)
                 .with_sampling(Sampling::Lattice { rows: 2, cols: 2 }),
-        )
+        );
+        Ok::<_, std::convert::Infallible>(Answer {
+            device: 0,
+            result: Arc::new(result),
+        })
     };
     std::thread::scope(|s| {
         for _ in 0..4 {
-            s.spawn(|| cache.get_or_compute(99, slow));
+            s.spawn(|| cache.answer(99, slow));
         }
     });
     assert_eq!(cache.misses(), 1);

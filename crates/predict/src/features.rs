@@ -453,17 +453,18 @@ pub fn extract_features(
 
 /// Feature vector of a [`RunRequest`]'s first-seed operands.
 ///
-/// The operands come from [`wm_core::first_seed_group_operands`] — the
-/// single source of the first-seed contract shared with the fleet's
-/// activity probe — so features line up with the run the fleet will
-/// execute (including the kernel family and its operand shapes), without
-/// simulating anything. A grouped request streams **every member's**
-/// operand pair, in member order, through one mergeable accumulator —
-/// the group is featured (and therefore priced) as a unit, exactly as it
-/// executes and caches.
+/// Each canonical member's operands ([`wm_core::member_ordinals`]) come
+/// from [`wm_core::first_seed_member_operands`] — the single source of
+/// the first-seed contract shared with the fleet's activity probe — so
+/// features line up with the run the fleet will execute (including the
+/// kernel family and its operand shapes), without simulating anything. A
+/// grouped request streams **every member's** operand pair, in member
+/// order, through one mergeable accumulator — the group is featured (and
+/// therefore priced) as a unit, exactly as it executes and caches.
 pub fn features_for_request(req: &RunRequest) -> FeatureVector {
     let mut acc = FeatureAccumulator::new(req.dtype);
-    for (a, b) in wm_core::first_seed_group_operands(req) {
+    for (member, ordinal) in wm_core::member_ordinals(req) {
+        let (a, b) = wm_core::first_seed_member_operands(req, member, ordinal);
         acc.add_matrix(&a);
         acc.add_matrix(&b);
     }

@@ -31,10 +31,10 @@ fn arb_kind() -> impl Strategy<Value = PatternKind> {
     ]
 }
 
-/// One request's operand stream (A then B, row-major — the extractor's
-/// canonical order), from the shared first-seed contract.
+/// One plain request's operand stream (A then B, row-major — the
+/// extractor's canonical order), from the shared first-seed contract.
 fn operand_stream(req: &RunRequest) -> Vec<f32> {
-    let (a, b) = wm_core::first_seed_operands(req);
+    let (a, b) = wm_core::first_seed_member_operands(req, req.dims(), 0);
     let mut out = Vec::with_capacity(a.len() + b.len());
     out.extend_from_slice(a.as_slice());
     out.extend_from_slice(b.as_slice());

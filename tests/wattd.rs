@@ -3,8 +3,14 @@
 //! served from the scheduler's memo cache (asserted via the cache-hit
 //! counters in the `stats` op).
 
+use std::sync::Arc;
+
+use wattmul_repro::core::RunRequest;
 use wattmul_repro::fleet::json::Json;
-use wattmul_repro::fleet::{serve, Fleet, Scheduler};
+use wattmul_repro::fleet::{serve, Fleet, FleetJob, Scheduler};
+use wattmul_repro::gpu::spec::a100_pcie;
+use wattmul_repro::numerics::DType;
+use wattmul_repro::patterns::{PatternKind, PatternSpec};
 
 fn serve_lines(sched: &Scheduler, input: &str) -> Vec<Json> {
     let mut out = Vec::new();
@@ -146,4 +152,48 @@ fn infeasible_fleet_budget_rejects_heavy_queries() {
         .as_str()
         .unwrap()
         .contains("infeasible"));
+}
+
+#[test]
+fn a_pinned_run_never_takes_over_an_auto_placed_repeat() {
+    // The paper keeps every experiment on one VM instance because moving
+    // shifts measured power. Likewise an auto-placed request keeps the
+    // device that first answered it: a later run of the same request
+    // pinned to another device is an answer of its own, and no repeat of
+    // the auto request — single or batched — may come back from there.
+    let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 2), 2);
+    let (req, first) = (1..64)
+        .map(|base_seed| {
+            let req = RunRequest::new(
+                DType::Fp16Tensor,
+                64,
+                PatternSpec::new(PatternKind::Gaussian),
+            )
+            .with_seeds(1)
+            .with_base_seed(base_seed);
+            let first = sched.submit(FleetJob::new(req.clone())).recv().unwrap();
+            (req, first)
+        })
+        .find(|(_, first)| first.device == 1)
+        .expect("some base seed auto-places on device 1");
+    assert!(!first.cache_hit);
+
+    let pinned = sched
+        .submit(FleetJob::pinned(req.clone(), 0))
+        .recv()
+        .unwrap();
+    assert_eq!(pinned.device, 0);
+    assert!(!pinned.cache_hit, "a pinned run has an answer of its own");
+
+    let repeat = sched.submit(FleetJob::new(req.clone())).recv().unwrap();
+    let batched = sched.run_batch(vec![FleetJob::new(req)]).remove(0).unwrap();
+    for (path, again) in [("submit", &repeat), ("run_batch", &batched)] {
+        assert!(again.cache_hit, "{path}: the repeat must replay");
+        assert_eq!(
+            again.device, first.device,
+            "{path}: the repeat answered from device {} at {} W; its first answer was device {} at {} W",
+            again.device, again.measured_w, first.device, first.measured_w
+        );
+        assert!(Arc::ptr_eq(&again.result, &first.result), "{path}");
+    }
 }
