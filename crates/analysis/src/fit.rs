@@ -1,10 +1,10 @@
 //! Incremental linear least-squares: the shared fitting core.
 //!
-//! Both the Fig. 8 OLS line fits ([`crate::regression::ols`]) and the
-//! `wm-predict` online power predictor reduce to the same normal-equations
-//! problem: accumulate `XᵀX` and `Xᵀy` over a stream of observations, then
-//! solve `(XᵀX + λI)·β = Xᵀy`. A [`RidgeFitter`] holds exactly those
-//! sufficient statistics, so:
+//! The Fig. 8 OLS line fits ([`crate::regression::ols`]), the `wm-predict`
+//! online power predictor and `wm-optimizer`'s fitted §V power model all
+//! reduce to the same normal-equations problem: accumulate `XᵀX` and `Xᵀy`
+//! over a stream of observations, then solve `(XᵀX + λI)·β = Xᵀy`. A
+//! [`RidgeFitter`] holds exactly those sufficient statistics, so:
 //!
 //! * fitting is **online** — one `K×K` update per observation, no stored
 //!   design matrix;

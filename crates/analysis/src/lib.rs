@@ -3,8 +3,9 @@
 //! The numerical toolkit behind the experiment harness:
 //!
 //! * [`fit`] — the shared incremental normal-equations core: online ridge
-//!   regression with exact merge, used by both the OLS line fits here and
-//!   the `wm-predict` online power predictor;
+//!   regression with exact merge, used by the OLS line fits here, the
+//!   `wm-predict` online power predictor and `wm-optimizer`'s fitted
+//!   power model;
 //! * [`stats`] — summary statistics (mean, sample std, standard error,
 //!   normal-approximation confidence intervals) for seed-averaged results;
 //! * [`regression`] — ordinary least squares, Pearson and Spearman

@@ -31,8 +31,8 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
         "determinism",
         "wall clocks and randomized-order maps only where sanctioned",
         "Replay and canonical output must be bit-stable. `Instant::now` / \
-         `SystemTime::now` are confined to the tracer/bench allowlist (where \
-         time is the measurement), and canonical-output modules must use \
+         `SystemTime::now` are confined to the tracer allowlist (where time \
+         is the measurement), and canonical-output modules must use \
          `BTreeMap`/`BTreeSet` or sorted Vecs, never the \
          iteration-order-randomized `HashMap`/`HashSet`.",
     ),
@@ -171,7 +171,7 @@ pub struct AuditConfig {
 
 impl AuditConfig {
     /// The configuration for *this* workspace: the serving crates, the
-    /// tracer/bench clock allowlist, the canonical-output modules, the
+    /// tracer clock allowlist, the canonical-output modules, the
     /// wattd signal FFI exemption, and the protocol/README pairing.
     pub fn workspace_defaults(root: &Path) -> Self {
         let s = |x: &str| x.to_string();
@@ -182,8 +182,6 @@ impl AuditConfig {
                 // The tracer's monotonic epoch measures latency; real
                 // clocks are its job.
                 s("crates/obs/src/trace.rs"),
-                // The hermetic criterion stand-in is a timing harness.
-                s("shims/criterion/src/lib.rs"),
             ],
             canonical_output_files: vec![
                 s("crates/fleet/src/hash.rs"),

@@ -19,7 +19,7 @@
 //!   `unwrap_or_else(PoisonError::into_inner)` so one panicking thread
 //!   can never wedge a shared structure.
 //! * **determinism** — wall clocks (`Instant::now` / `SystemTime::now`)
-//!   only in allowlisted tracer/bench modules, and no
+//!   only in allowlisted tracer modules, and no
 //!   iteration-order-randomized `HashMap` / `HashSet` in modules that
 //!   produce canonical output (hashing, JSON, metrics exposition,
 //!   persistence).

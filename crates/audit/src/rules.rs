@@ -229,7 +229,7 @@ fn check_lock_hygiene(src: &SourceFile, lexed: &Lexed, out: &mut Vec<Violation>)
     }
 }
 
-/// determinism: wall clocks only in allowlisted tracer/bench modules,
+/// determinism: wall clocks only in allowlisted tracer modules,
 /// and no iteration-order-randomized maps in canonical-output modules.
 fn check_determinism(cfg: &AuditConfig, src: &SourceFile, lexed: &Lexed, out: &mut Vec<Violation>) {
     let toks = lexed.tokens();
@@ -249,7 +249,7 @@ fn check_determinism(cfg: &AuditConfig, src: &SourceFile, lexed: &Lexed, out: &m
                 line: lexed.line_of(toks[i].offset),
                 rule: "determinism".to_string(),
                 message: format!(
-                    "`{}::now()` outside the tracer/bench allowlist makes \
+                    "`{}::now()` outside the tracer allowlist makes \
                      replay nondeterministic",
                     texts[i]
                 ),

@@ -163,14 +163,27 @@ mod tests {
 
     #[test]
     fn trends_hold_on_every_gpu() {
-        let fig = run_sparsity(&RunProfile::TEST);
-        assert_eq!(fig.series.len(), 4);
-        for s in &fig.series {
-            assert!(
-                s.points.last().unwrap().y < s.points.first().unwrap().y,
-                "{}: sparsity should reduce power",
-                s.name
-            );
+        // Randomized MSBs raise power; sorting and sparsity lower it, step
+        // by step on every GPU.
+        let profile = RunProfile::TEST;
+        for (fig, rises) in [
+            (run_msb(&profile), true),
+            (run_sorted(&profile), false),
+            (run_sparsity(&profile), false),
+        ] {
+            assert_eq!(fig.series.len(), 4, "{}", fig.id);
+            for s in &fig.series {
+                for step in s.points.windows(2) {
+                    let (from, to) = (step[0].y, step[1].y);
+                    assert!(
+                        if rises { to > from } else { to < from },
+                        "{} {}: {from:.2} -> {to:.2} W at x = {}",
+                        fig.id,
+                        s.name,
+                        step[1].x
+                    );
+                }
+            }
         }
     }
 

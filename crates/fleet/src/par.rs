@@ -89,7 +89,7 @@ mod tests {
     fn balances_uneven_work() {
         // Front-loaded costs: a static split would leave one worker with
         // almost everything; the claim queue balances dynamically. We just
-        // assert correctness — balance shows up as wall-clock in benches.
+        // assert correctness — balance shows up as perfbench's wall clock.
         let out = parallel_map((0..64u64).collect(), |x| {
             if x < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));

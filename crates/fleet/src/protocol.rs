@@ -11,9 +11,11 @@
 //!   `"gaussian"`, `"sparse"`, `"sorted_rows"`, `"zeros"`), the pattern's
 //!   parameter (`sparsity`/`fraction`/`count`/`probability`/`set_size`,
 //!   or generic `param`), optional `mean`, `std`, `seeds`, `base_seed`,
-//!   `iterations`, `b_transposed`, `lattice` (sampling lattice edge),
-//!   `deadline_us`, and `gpu` (catalog substring to pin, or
-//!   `"auto"`/absent for placement).
+//!   `iterations` (at most 1,000,000; absent sizes ~1.6 s of simulated
+//!   run), `b_transposed`, `lattice` (sampling lattice edge),
+//!   `deadline_us` (per-iteration, for DVFS planning; one shorter than the
+//!   boost iteration time plans the boost clock), and `gpu` (catalog
+//!   substring to pin, or `"auto"`/absent for placement).
 //!
 //!   **Problem shape**: `"dim": d` is the legacy square spelling
 //!   (`n = m = k = d`, exactly what it always meant), and per-axis
@@ -332,8 +334,8 @@ fn parse_job(v: &Json, sched: &Scheduler) -> Result<FleetJob, String> {
         req = req.with_base_seed(base);
     }
     if let Some(iters) = opt_u64(v, "iterations")? {
-        if iters == 0 {
-            return Err("\"iterations\" must be positive".into());
+        if iters == 0 || iters > MAX_ITERATIONS {
+            return Err(format!("\"iterations\" must be in 1..={MAX_ITERATIONS}"));
         }
         req = req.with_iterations(iters);
     }
@@ -370,10 +372,13 @@ fn parse_job(v: &Json, sched: &Scheduler) -> Result<FleetJob, String> {
         }
     };
     if let Some(us) = opt_f64(v, "deadline_us")? {
-        if !us.is_finite() || us <= 0.0 {
+        // Check the converted value: a subnormal microsecond count is
+        // positive but underflows to zero seconds.
+        let deadline_s = us * 1e-6;
+        if !deadline_s.is_finite() || deadline_s <= 0.0 {
             return Err("\"deadline_us\" must be finite and positive".into());
         }
-        job = job.with_deadline_s(us * 1e-6);
+        job = job.with_deadline_s(deadline_s);
     }
     Ok(job)
 }
@@ -395,6 +400,11 @@ const MAX_WORKING_SET_BYTES: u64 = 256 * 1024 * 1024;
 const MAX_GROUP_MEMBERS: usize = 64;
 /// Upper bound on the seed-averaging count.
 const MAX_SEEDS: u64 = 100;
+/// Upper bound on simulated kernel iterations: 50× the paper's 20k, and
+/// above any auto-sized count. Each seed's telemetry trace holds one
+/// sample per sampling period of the simulated run, so an unbounded count
+/// could exhaust memory.
+const MAX_ITERATIONS: u64 = 1_000_000;
 /// Upper bound on bit counts (no supported encoding is wider than 32).
 const MAX_BIT_COUNT: f64 = 64.0;
 /// Upper bound on value-set sizes.

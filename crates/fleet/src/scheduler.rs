@@ -1076,7 +1076,7 @@ fn worker_loop(inner: &Inner, me: usize) {
                 let outcome =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(inner, job)))
                         .unwrap_or_else(|payload| {
-                            Err(FleetError::Internal(panic_message(&payload)))
+                            Err(FleetError::Internal(panic_message(&*payload)))
                         });
                 if outcome.is_err() {
                     inner.failed.fetch_add(1, Ordering::Relaxed);
@@ -1590,15 +1590,19 @@ mod tests {
         // Auto path panics in the features stage's operand walk; pinned
         // path panics inside the cache's compute closure (exercising the
         // pending guards). Both must answer, twice each, on the single
-        // worker.
+        // worker, with the panic's own message.
+        let panicked = |err: &FleetError| match err {
+            FleetError::Internal(m) => m.contains("outside [0, 1]"),
+            _ => false,
+        };
         for _ in 0..2 {
             let err = sched.submit(FleetJob::new(bad.clone())).recv().unwrap_err();
-            assert!(matches!(err, FleetError::Internal(_)), "{err:?}");
+            assert!(panicked(&err), "{err:?}");
             let err = sched
                 .submit(FleetJob::pinned(bad.clone(), 0))
                 .recv()
                 .unwrap_err();
-            assert!(matches!(err, FleetError::Internal(_)), "{err:?}");
+            assert!(panicked(&err), "{err:?}");
         }
         // The lone worker is still alive and serves valid traffic.
         let ok = sched

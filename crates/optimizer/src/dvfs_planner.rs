@@ -57,7 +57,10 @@ fn eval_at(
 /// is `breakdown`, subject to an optional per-iteration `deadline`.
 ///
 /// The search is a fine grid over the DVFS range — the objective is smooth
-/// and unimodal, and P-states are discrete on real devices anyway.
+/// and unimodal, and P-states are discrete on real devices anyway. A
+/// deadline no clock meets (shorter than the boost iteration time) plans
+/// the boost operating point, marked `deadline_bound`: boost is as fast as
+/// the device goes, and an unthrottled baseline fits under TDP there.
 ///
 /// # Panics
 ///
@@ -92,8 +95,10 @@ pub fn plan_dvfs(spec: &GpuSpec, breakdown: &PowerBreakdown, deadline_s: Option<
             best = Some((s, power, t_iter, energy));
         }
     }
-    let (clock_scale, power_w, t_iter_s, energy) =
-        best.expect("boost clock always satisfies a feasible deadline");
+    let (clock_scale, power_w, t_iter_s, energy) = best.unwrap_or_else(|| {
+        let (power, t_iter, energy) = eval_at(spec, breakdown, t_kernel_boost, t_launch, 1.0);
+        (1.0, power, t_iter, energy)
+    });
     DvfsPlan {
         clock_scale,
         t_iter_s,
@@ -196,6 +201,10 @@ mod tests {
         assert!(plan.clock_scale > 0.999, "scale {}", plan.clock_scale);
         assert!(plan.deadline_bound);
         assert!(plan.t_iter_s <= b.t_iter_s * 1.0001 + 1e-12);
+        // A deadline even boost misses runs at boost instead of panicking.
+        let infeasible = plan_dvfs(&gpu, &b, Some(b.t_iter_s * 0.5));
+        assert_eq!(infeasible.clock_scale, 1.0);
+        assert!(infeasible.deadline_bound);
     }
 
     #[test]

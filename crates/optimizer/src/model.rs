@@ -4,10 +4,12 @@
 //!
 //! The trainer runs a battery of pattern programs through the simulation
 //! pipeline, extracts activity features, and fits a linear model by ridge
-//! least squares. A power-aware compiler would consult exactly this object
+//! least squares on [`RidgeFitter`], the solver `wm-predict`'s online
+//! models share. A power-aware compiler would consult exactly this object
 //! when deciding which computation-preserving transform to apply.
 
 use crate::dsl::PatternProgram;
+use wm_analysis::{linear_predict, RidgeFitter};
 use wm_bits::Xoshiro256pp;
 use wm_gpu::GpuSpec;
 use wm_kernels::{simulate, ActivityRecord, GemmConfig, GemmInputs, Sampling};
@@ -36,58 +38,6 @@ fn features(act: &ActivityRecord) -> [f64; FEATURE_COUNT] {
         act.nonzero_mac_fraction,
         act.dram_toggles as f64 / act.dram_words.max(1) as f64,
     ]
-}
-
-/// Solve `(XᵀX + λI) beta = Xᵀy` by Gaussian elimination with partial
-/// pivoting. The tiny ridge keeps collinear feature sets well-posed.
-fn ridge_solve(xs: &[[f64; FEATURE_COUNT]], ys: &[f64], lambda: f64) -> [f64; FEATURE_COUNT] {
-    assert_eq!(xs.len(), ys.len());
-    let n = FEATURE_COUNT;
-    let mut ata = [[0.0f64; FEATURE_COUNT]; FEATURE_COUNT];
-    let mut aty = [0.0f64; FEATURE_COUNT];
-    for (x, &y) in xs.iter().zip(ys) {
-        for i in 0..n {
-            aty[i] += x[i] * y;
-            for j in 0..n {
-                ata[i][j] += x[i] * x[j];
-            }
-        }
-    }
-    for (i, row) in ata.iter_mut().enumerate() {
-        row[i] += lambda;
-    }
-    // Augmented elimination.
-    let mut beta = aty;
-    for col in 0..n {
-        // Pivot.
-        let pivot = (col..n)
-            .max_by(|&a, &b| ata[a][col].abs().total_cmp(&ata[b][col].abs()))
-            .unwrap();
-        ata.swap(col, pivot);
-        beta.swap(col, pivot);
-        let diag = ata[col][col];
-        assert!(diag.abs() > 1e-12, "singular normal equations");
-        for row in col + 1..n {
-            let factor = ata[row][col] / diag;
-            // Split borrow: `row > col` always, so the pivot row sits in
-            // the upper half and the eliminated row in the lower.
-            let (upper, lower) = ata.split_at_mut(row);
-            for (dst, &src) in lower[0][col..n].iter_mut().zip(&upper[col][col..n]) {
-                *dst -= factor * src;
-            }
-            beta[row] -= factor * beta[col];
-        }
-    }
-    // Back substitution.
-    let mut out = [0.0f64; FEATURE_COUNT];
-    for col in (0..n).rev() {
-        let mut acc = beta[col];
-        for k in col + 1..n {
-            acc -= ata[col][k] * out[k];
-        }
-        out[col] = acc / ata[col][col];
-    }
-    out
 }
 
 /// Training configuration.
@@ -159,14 +109,21 @@ impl PowerModelTrainer {
             battery.len() >= FEATURE_COUNT,
             "need at least {FEATURE_COUNT} training programs"
         );
+        // The tiny ridge keeps collinear feature sets well-posed.
+        let mut fitter = RidgeFitter::new(FEATURE_COUNT, 1e-6);
         let mut xs = Vec::with_capacity(battery.len());
         let mut ys = Vec::with_capacity(battery.len());
         for (i, p) in battery.iter().enumerate() {
             let (act, power) = self.run(p, i as u64);
-            xs.push(features(&act));
+            let x = features(&act);
+            fitter.observe(&x, power);
+            xs.push(x);
             ys.push(power);
         }
-        let coefficients = ridge_solve(&xs, &ys, 1e-6);
+        let coefficients: [f64; FEATURE_COUNT] = fitter
+            .solve()
+            .and_then(|beta| beta.try_into().ok())
+            .expect("a positive ridge penalty keeps the normal equations solvable");
         // Training R².
         let mean_y = ys.iter().sum::<f64>() / ys.len() as f64;
         let ss_tot: f64 = ys.iter().map(|y| (y - mean_y) * (y - mean_y)).sum();
@@ -174,7 +131,7 @@ impl PowerModelTrainer {
             .iter()
             .zip(&ys)
             .map(|(x, y)| {
-                let pred: f64 = x.iter().zip(&coefficients).map(|(xi, c)| xi * c).sum();
+                let pred = linear_predict(&coefficients, x);
                 (y - pred) * (y - pred)
             })
             .sum();
@@ -204,11 +161,7 @@ pub struct FittedPowerModel {
 impl FittedPowerModel {
     /// Predict power from an activity record.
     pub fn predict_activity(&self, act: &ActivityRecord) -> f64 {
-        features(act)
-            .iter()
-            .zip(&self.coefficients)
-            .map(|(x, c)| x * c)
-            .sum()
+        linear_predict(&self.coefficients, &features(act))
     }
 
     /// Predict the power of an unseen pattern program (generates operands
@@ -289,22 +242,5 @@ mod tests {
     fn tiny_batteries_rejected() {
         let battery = vec![PatternProgram::parse("gaussian").unwrap()];
         trainer().train(&battery);
-    }
-
-    #[test]
-    fn ridge_solver_recovers_known_coefficients() {
-        // y = 2 + 3*x1 (other features zeroed).
-        let xs: Vec<[f64; FEATURE_COUNT]> = (0..12)
-            .map(|i| {
-                let mut x = [0.0; FEATURE_COUNT];
-                x[0] = 1.0;
-                x[1] = i as f64;
-                x
-            })
-            .collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 2.0 + 3.0 * x[1]).collect();
-        let beta = ridge_solve(&xs, &ys, 1e-9);
-        assert!((beta[0] - 2.0).abs() < 1e-6);
-        assert!((beta[1] - 3.0).abs() < 1e-6);
     }
 }

@@ -197,3 +197,36 @@ fn a_pinned_run_never_takes_over_an_auto_placed_repeat() {
         assert!(Arc::ptr_eq(&again.result, &first.result), "{path}");
     }
 }
+
+#[test]
+fn out_of_range_deadlines_and_iterations_answer_instead_of_panicking() {
+    // `predict` parses and prices on the session thread, so a panic there
+    // ends the session (and on stdio, the daemon). Every line must get an
+    // answer with its request id, and the session must keep serving.
+    let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 1), 1);
+    let predict = r#""op": "predict", "dtype": "FP16-T", "dim": 64, "pattern": "gaussian", "seeds": 1, "lattice": 4"#;
+    let input = [
+        // Shorter than any boost iteration: plans the boost clock.
+        format!(r#"{{"id": 1, {predict}, "deadline_us": 1}}"#),
+        // Positive, but zero once converted to seconds.
+        format!(r#"{{"id": 2, {predict}, "deadline_us": 1e-320}}"#),
+        format!(r#"{{"id": 3, {predict}, "iterations": 1000001}}"#),
+        format!(r#"{{"id": 4, {predict}, "iterations": 1000000}}"#),
+        r#"{"id": 5, "op": "ping"}"#.to_string(),
+    ]
+    .join("\n");
+    let responses = serve_lines(&sched, &input);
+    assert_eq!(responses.len(), 5);
+    let ok: Vec<bool> = responses
+        .iter()
+        .zip(1..)
+        .map(|(r, id)| {
+            assert_eq!(r.get("id").and_then(Json::as_u64), Some(id), "{r}");
+            assert!(r.get("request_id").and_then(Json::as_u64).is_some(), "{r}");
+            r.get("ok") == Some(&Json::Bool(true))
+        })
+        .collect();
+    assert_eq!(ok, [true, false, false, true, true], "{responses:?}");
+    let error = responses[2].get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("1000000"), "{error}");
+}
