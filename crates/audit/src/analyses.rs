@@ -238,10 +238,12 @@ fn shortest_cycle<'a>(
     vec![start, start]
 }
 
-/// A metric accessor reference: name plus where it was seen.
+/// A metric accessor reference: name, the kind its accessor registers
+/// (`counter`/`gauge`/`histogram`), and where it was seen.
 #[derive(Debug)]
 struct MetricRef {
     name: String,
+    kind: String,
     file: String,
     line: usize,
 }
@@ -276,6 +278,7 @@ fn metric_refs(src: &SourceFile, out: &mut Vec<MetricRef>) {
         };
         out.push(MetricRef {
             name: s.text.clone(),
+            kind: texts[i].to_string(),
             file: src.rel.clone(),
             line: lexed.line_of(toks[i].offset),
         });
@@ -283,7 +286,8 @@ fn metric_refs(src: &SourceFile, out: &mut Vec<MetricRef>) {
 }
 
 /// metric-drift: metric names registered in code ⇔ the README metrics
-/// table, cross-checked in both directions.
+/// table, cross-checked in both directions, and each documented row's
+/// Kind against the accessor that registers its name.
 pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut Vec<Violation>) {
     if cfg.metric_readme_heading.is_empty() {
         return;
@@ -300,10 +304,10 @@ pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut V
         }
     }
 
-    // The README metrics table, parsed like the protocol ops table:
-    // first cell of each row under the configured heading.
+    // The README metrics table, parsed like the protocol ops table: the
+    // name and kind cells of each row under the configured heading.
     let readme = std::fs::read_to_string(cfg.root.join(&cfg.readme_file)).unwrap_or_default();
-    let mut documented: Vec<(String, usize)> = Vec::new();
+    let mut documented: Vec<(String, String, usize)> = Vec::new();
     let mut heading_line = 0usize;
     let mut in_table = false;
     for (idx, raw) in readme.lines().enumerate() {
@@ -322,15 +326,19 @@ pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut V
             continue;
         }
         in_table = true;
-        let cell = line.trim_matches('|').split('|').next().unwrap_or("");
-        let name = cell.trim().trim_matches('`').trim();
+        let mut cells = line
+            .trim_matches('|')
+            .split('|')
+            .map(|c| c.trim().trim_matches('`').trim());
+        let name = cells.next().unwrap_or("");
         if name.is_empty() || name.chars().all(|c| c == '-' || c == ':' || c == ' ') {
             continue;
         }
         if name.eq_ignore_ascii_case("metric") {
             continue; // header row
         }
-        documented.push((name.to_string(), line_no));
+        let kind = cells.next().unwrap_or("");
+        documented.push((name.to_string(), kind.to_string(), line_no));
     }
     if heading_line == 0 {
         out.push(Violation::new(
@@ -346,7 +354,7 @@ pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut V
     }
 
     for r in &first_site {
-        if !documented.iter().any(|(d, _)| d == &r.name) {
+        if !documented.iter().any(|(d, _, _)| d == &r.name) {
             out.push(Violation::new(
                 &r.file,
                 r.line,
@@ -358,13 +366,23 @@ pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut V
             ));
         }
     }
-    for (d, line) in &documented {
+    for (d, kind, line) in &documented {
         if !names.contains(d.as_str()) {
             out.push(Violation::new(
                 &cfg.readme_file,
                 *line,
                 "metric-drift",
                 format!("metrics table documents {d:?}, which no producer registers"),
+            ));
+        } else if let Some(r) = registered.iter().find(|r| &r.name == d && &r.kind != kind) {
+            out.push(Violation::new(
+                &cfg.readme_file,
+                *line,
+                "metric-drift",
+                format!(
+                    "metrics table documents {d:?} as a {kind:?}, but {}:{} registers it with `.{}(`",
+                    r.file, r.line, r.kind
+                ),
             ));
         }
     }

@@ -64,11 +64,12 @@ pub const RULE_INFO: &[(&str, &str, &str)] = &[
     ),
     (
         "metric-drift",
-        "registered metrics ⇔ README metrics table",
+        "registered metrics ⇔ README metrics table, names and kinds",
         "Metric names are stringly-typed and silently drift. Every name \
          registered through a `.counter(…)`/`.gauge(…)/.histogram(…)` call \
-         must appear in the README metrics table, and every documented name \
-         must have a producer.",
+         must appear in the README metrics table, every documented name \
+         must have a producer, and each row's Kind must be the accessor \
+         that registers the name.",
     ),
     (
         "hot-path-alloc",

@@ -42,7 +42,8 @@
 //!   call. Findings carry the edge-by-edge witness path that proves
 //!   them.
 //! * **metric-drift** — metric names registered in code ⇔ the README
-//!   metrics table, cross-checked in both directions like protocol-drift.
+//!   metrics table, cross-checked in both directions like protocol-drift,
+//!   and each row's Kind against the accessor that registers the name.
 //! * **hot-path-alloc** — the configured hot functions (feature
 //!   extraction, operand generation, canonical hashing, pricing) and
 //!   everything they transitively call must be allocation-free, each

@@ -615,6 +615,33 @@ fn metric_drift_clean_when_code_and_readme_agree() {
 }
 
 #[test]
+fn metric_drift_flags_a_row_whose_kind_disagrees_with_its_registration() {
+    let fx = Fixture::new();
+    fx.file(
+        "crates/matrix/src/m.rs",
+        "pub fn record(reg: &Registry) {\n\
+         \x20   reg.counter(\"good_total\", &[]).inc();\n\
+         \x20   reg.counter(\"probed\", &[]).inc();\n\
+         }\n",
+    )
+    .file(
+        "README.md",
+        "# T\n\n#### Metrics\n\n| Metric | Kind | Meaning |\n|---|---|---|\n\
+         | `good_total` | counter | fine |\n\
+         | `probed` | gauge | the kind drifted |\n",
+    );
+    let vs = fx.run(&metric_cfg(&fx));
+    assert_single(&vs, "metric-drift", "README.md", 8);
+    assert!(
+        vs[0].message.contains("\"probed\" as a \"gauge\"")
+            && vs[0].message.contains("crates/matrix/src/m.rs:3")
+            && vs[0].message.contains("`.counter(`"),
+        "{}",
+        vs[0]
+    );
+}
+
+#[test]
 fn metric_drift_flags_missing_readme_section() {
     let fx = Fixture::new();
     fx.file(

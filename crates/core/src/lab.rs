@@ -643,6 +643,40 @@ impl PowerLab {
         self.run_from_activities(req, &member_slices(req, &activities))
     }
 
+    /// Whether the request's explicit `iterations` count runs every seed
+    /// past the warm-up trim on this lab's device
+    /// ([`MeasurementConfig::outlasts_trim`], which
+    /// [`PowerLab::run_from_activities`] asserts). `Err` names the shortest
+    /// seed's run, the trim and the fewest iterations that fit every seed.
+    /// Auto-sized runs always fit.
+    pub fn check_iterations(
+        &self,
+        req: &RunRequest,
+        per_member: &[&[ActivityRecord]],
+    ) -> Result<(), String> {
+        let Some(iterations) = req.iterations else {
+            return Ok(());
+        };
+        let t_iter_s = (0..req.seeds as usize)
+            .map(|s| {
+                let activities: Vec<&ActivityRecord> = per_member.iter().map(|m| &m[s]).collect();
+                evaluate_group_refs(&self.gpu, &activities).t_iter_s
+            })
+            .fold(f64::INFINITY, f64::min);
+        let cfg = &self.measurement;
+        if cfg.outlasts_trim(t_iter_s, iterations) {
+            return Ok(());
+        }
+        Err(format!(
+            "{iterations} iterations run {:.3} s on {}, too short for the {} s warm-up trim; \
+             use at least {} iterations",
+            t_iter_s * iterations as f64,
+            self.gpu.name,
+            cfg.warmup_trim_s,
+            cfg.min_iterations(t_iter_s)
+        ))
+    }
+
     /// Assemble a [`RunResult`] from precomputed per-member, per-seed
     /// activity records (`per_member[i][s]`: canonical member `i`, seed
     /// `s`) — the evaluate/measure half of [`PowerLab::run`] with the

@@ -21,15 +21,18 @@
 //!   requests and groups share units, as do requests that differ only in
 //!   seed or iteration counts — and so does every answer of one request,
 //!   whichever device or pin it names.
+//!
+//! Answer hits, misses and joins count straight into the registry's
+//! `fleet_cache_*_total` counters, their only book; units count nothing.
 
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use wm_core::{member_seed_operands, simulate_encoded_member_activity, RunRequest, RunResult};
 use wm_gpu::GemmDims;
 use wm_kernels::{ActivityRecord, EncodedMatrix};
+use wm_obs::{Counter, Registry};
 use wm_predict::FeatureAccumulator;
 
 enum Slot<T> {
@@ -245,21 +248,21 @@ pub struct Answer {
 pub struct MemoCache {
     answers: ShardSet<Answer>,
     units: ShardSet<Unit>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    joins: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    joins: Counter,
 }
 
 impl MemoCache {
     /// A cache with `shards` shards (rounded up to a power of two) in each
-    /// of the answer and unit stores.
-    pub fn new(shards: usize) -> Self {
+    /// of the answer and unit stores, counting answers in `registry`.
+    pub fn new(shards: usize, registry: &Registry) -> Self {
         Self {
             answers: ShardSet::new(shards),
             units: ShardSet::new(shards),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            joins: AtomicU64::new(0),
+            hits: registry.counter("fleet_cache_hits_total", &[]),
+            misses: registry.counter("fleet_cache_misses_total", &[]),
+            joins: registry.counter("fleet_cache_dedup_joins_total", &[]),
         }
     }
 
@@ -285,13 +288,13 @@ impl MemoCache {
     ) -> Result<Arc<Answer>, E> {
         let (answer, fetch) = self.answers.get_or_compute(key, compute)?;
         match fetch {
-            Fetch::Computed => self.misses.fetch_add(1, Ordering::Relaxed),
-            Fetch::Hit => self.hits.fetch_add(1, Ordering::Relaxed),
+            Fetch::Computed => self.misses.inc(),
+            Fetch::Hit => self.hits.inc(),
             Fetch::Joined => {
-                self.joins.fetch_add(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed)
+                self.joins.inc();
+                self.hits.inc();
             }
-        };
+        }
         Ok(answer)
     }
 
@@ -333,24 +336,24 @@ impl MemoCache {
 
     /// Answers served from cache (including in-flight joins).
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits.get()
     }
 
     /// Answers computed (and published) by their caller.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses.get()
     }
 
     /// Hits that waited on an in-flight computation instead of recomputing.
     pub fn joins(&self) -> u64 {
-        self.joins.load(Ordering::Relaxed)
+        self.joins.get()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use wm_core::{member_ordinals, member_seed_activities, PowerLab};
     use wm_gpu::spec::a100_pcie;
     use wm_kernels::{KernelClass, Sampling};
@@ -378,7 +381,7 @@ mod tests {
 
     #[test]
     fn second_lookup_is_a_hit_and_shares_the_allocation() {
-        let cache = MemoCache::new(16);
+        let cache = MemoCache::new(16, &Registry::new());
         let computed = AtomicUsize::new(0);
         let make = || {
             computed.fetch_add(1, Ordering::Relaxed);
@@ -395,7 +398,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_collide() {
-        let cache = MemoCache::new(4);
+        let cache = MemoCache::new(4, &Registry::new());
         cache
             .answer::<Infallible>(1, || Ok(quick_answer()))
             .unwrap();
@@ -408,7 +411,7 @@ mod tests {
 
     #[test]
     fn concurrent_same_key_computes_once() {
-        let cache = Arc::new(MemoCache::new(8));
+        let cache = Arc::new(MemoCache::new(8, &Registry::new()));
         let computed = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -435,7 +438,7 @@ mod tests {
 
     #[test]
     fn a_failed_answer_publishes_nothing_and_a_waiting_twin_computes_it() {
-        let cache = Arc::new(MemoCache::new(4));
+        let cache = Arc::new(MemoCache::new(4, &Registry::new()));
         let (started_tx, started_rx) = std::sync::mpsc::channel();
         let owner = {
             let cache = Arc::clone(&cache);
@@ -463,7 +466,7 @@ mod tests {
 
     #[test]
     fn unit_store_shares_one_allocation_and_counts_nothing() {
-        let cache = MemoCache::new(8);
+        let cache = MemoCache::new(8, &Registry::new());
         let computed = AtomicUsize::new(0);
         let make = || {
             computed.fetch_add(1, Ordering::Relaxed);
@@ -484,7 +487,7 @@ mod tests {
 
     #[test]
     fn concurrent_unit_lookups_compute_once() {
-        let cache = Arc::new(MemoCache::new(8));
+        let cache = Arc::new(MemoCache::new(8, &Registry::new()));
         let computed = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..6 {

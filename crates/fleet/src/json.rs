@@ -8,6 +8,13 @@
 
 use std::fmt;
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a bound one line of `[`
+/// overflows the parsing thread's stack and aborts the process. The
+/// deepest request the protocol defines (batch → `requests` → request →
+/// `group` → member) nests 5.
+const MAX_DEPTH: usize = 64;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -46,6 +53,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -181,6 +189,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,8 +239,7 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => self.nested(),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -239,6 +248,21 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// An object or array one level deeper, refused past [`MAX_DEPTH`].
+    fn nested(&mut self) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = if self.peek() == Some(b'{') {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -493,6 +517,17 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\" 1}", "tru", "1x", "{} {}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&r#"{"a":"#.repeat(100_000)).is_err());
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than 64"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
     }
 
     #[test]

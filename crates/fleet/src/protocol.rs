@@ -12,10 +12,11 @@
 //!   parameter (`sparsity`/`fraction`/`count`/`probability`/`set_size`,
 //!   or generic `param`), optional `mean`, `std`, `seeds`, `base_seed`,
 //!   `iterations` (at most 1,000,000; absent sizes ~1.6 s of simulated
-//!   run), `b_transposed`, `lattice` (sampling lattice edge),
-//!   `deadline_us` (per-iteration, for DVFS planning; one shorter than the
-//!   boost iteration time plans the boost clock), and `gpu` (catalog
-//!   substring to pin, or `"auto"`/absent for placement).
+//!   run; a count whose run on the job's device ends within the 0.5 s
+//!   warm-up trim is infeasible), `b_transposed`, `lattice` (sampling
+//!   lattice edge), `deadline_us` (per-iteration, for DVFS planning; one
+//!   shorter than the boost iteration time plans the boost clock), and
+//!   `gpu` (catalog substring to pin, or `"auto"`/absent for placement).
 //!
 //!   **Problem shape**: `"dim": d` is the legacy square spelling
 //!   (`n = m = k = d`, exactly what it always meant), and per-axis
@@ -72,9 +73,10 @@
 //!   encoding: `"json"` (default; a `"metrics"` array of
 //!   `{name, labels, type, value}` objects, histograms carrying
 //!   `count`/`min`/`max`/`p50`/`p95`/`p99`) or `"prometheus"` (a `"text"`
-//!   field in the text exposition format). Counters and gauges are synced
-//!   from the scheduler's authoritative counters at export time; latency
-//!   histograms are recorded live on every request.
+//!   field in the text exposition format). Counts and latency histograms
+//!   are recorded live, where each event happens; the export refreshes
+//!   only readings of state kept elsewhere (hit ratio, budget peak,
+//!   resident answers, trace drops, per-device totals, predictor health).
 //! * `"trace"` — the span ring buffer: per-request lifecycle spans
 //!   (`parse` → `cache_lookup` → `features` → `pricing` → `placement` →
 //!   `execute` → `feedback`, plus batch-level `pack`), each with

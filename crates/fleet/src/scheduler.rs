@@ -18,10 +18,10 @@
 //! 3. **Reply** — the response (shared `Arc<RunResult>`, chosen device,
 //!    clock, cache-hit flag) is sent back over the job's reply channel.
 //!
-//! The scheduler keeps running statistics — submitted/completed jobs,
-//! cache hits/misses/joins, steal count, per-device utilization and
-//! joules — exposed via [`Scheduler::stats`] and
-//! [`Scheduler::device_stats`].
+//! The scheduler counts submitted/completed jobs, cache hits/misses/joins
+//! and steals straight into its metrics registry, their only book, and
+//! keeps per-device utilization and joules — read by [`Scheduler::stats`]
+//! and [`Scheduler::device_stats`].
 //!
 //! ## One operand walk per (member, seed)
 //!
@@ -56,7 +56,7 @@ use std::time::Duration;
 use wm_core::{member_slices, unit_layout, PowerLab, RunRequest, RunResult};
 use wm_gpu::GemmDims;
 use wm_kernels::{ActivityRecord, KernelClass};
-use wm_obs::{stage, Histogram, Registry, Tracer};
+use wm_obs::{stage, Counter, Gauge, Histogram, Registry, Tracer};
 use wm_optimizer::DvfsPlan;
 use wm_power::{evaluate_group, group_runtime, predicted_breakdown, PowerBreakdown};
 use wm_predict::{
@@ -322,17 +322,19 @@ struct Inner {
     /// Signalled whenever committed load drops.
     load_freed: Condvar,
     stop: AtomicBool,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    steals: AtomicU64,
-    packed_batches: AtomicU64,
-    pack_rounds: AtomicU64,
-    last_batch_rounds: AtomicU64,
-    member_hits: AtomicU64,
-    member_residues: AtomicU64,
+    // Counts: handles into `registry`, their only book, resolved once so
+    // the job path never looks a metric up.
+    submitted: Counter,
+    completed: Counter,
+    failed: Counter,
+    steals: Counter,
+    packed_batches: Counter,
+    pack_rounds: Counter,
+    last_batch_rounds: Gauge,
+    member_hits: Counter,
+    member_residues: Counter,
     /// Pricing passes that fell back to the analytic probe.
-    analytic_pricings: AtomicU64,
+    analytic_pricings: Counter,
     /// The metrics registry this scheduler records into (shared with the
     /// protocol layer, which exports it).
     registry: Arc<Registry>,
@@ -391,16 +393,16 @@ impl Scheduler {
     }
 
     /// A scheduler recording into caller-supplied observability: `registry`
-    /// receives the latency histograms (and the counters/gauges mirrored by
-    /// [`Scheduler::sync_metrics`]); `tracer` allocates request ids and
-    /// buffers lifecycle spans. The common case is one pair per daemon.
+    /// holds the counts of the scheduler and its memo cache and the latency
+    /// histograms, all updated where each event happens, plus the readings
+    /// [`Scheduler::sync_metrics`] refreshes; `tracer` allocates request
+    /// ids and buffers lifecycle spans. The common case is one pair per
+    /// daemon.
     ///
-    /// Sharing one registry across schedulers aggregates only the live
-    /// histograms (`fleet_job_latency_us`, `wattd_request_latency_us`).
-    /// The mirrored counters and gauges do not aggregate: each
-    /// scheduler's `sync_metrics` stores its own values over the shared
-    /// ones, so the last exporter wins. Registry-owned counters (ROADMAP
-    /// item 8) are the fix.
+    /// Schedulers sharing one registry add up their counts and histograms,
+    /// and each one's [`Scheduler::stats`] and
+    /// [`Scheduler::probed_requests`] report the shared totals. The
+    /// readings do not add up: the last scheduler to export wins.
     pub fn with_observability(
         fleet: Fleet,
         workers: usize,
@@ -413,7 +415,7 @@ impl Scheduler {
         let latency_gemv = registry.histogram("fleet_job_latency_us", &[("kernel", "gemv")]);
         let inner = Arc::new(Inner {
             fleet,
-            cache: MemoCache::new(16),
+            cache: MemoCache::new(16, &registry),
             predictor: Mutex::new(PowerPredictor::new()),
             device_accum: Mutex::new(vec![DeviceAccum::default(); n_devices]),
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
@@ -424,16 +426,16 @@ impl Scheduler {
             peak_load_w: AtomicU64::new(0),
             load_freed: Condvar::new(),
             stop: AtomicBool::new(false),
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            packed_batches: AtomicU64::new(0),
-            pack_rounds: AtomicU64::new(0),
-            last_batch_rounds: AtomicU64::new(0),
-            member_hits: AtomicU64::new(0),
-            member_residues: AtomicU64::new(0),
-            analytic_pricings: AtomicU64::new(0),
+            submitted: registry.counter("fleet_jobs_submitted_total", &[]),
+            completed: registry.counter("fleet_jobs_completed_total", &[]),
+            failed: registry.counter("fleet_jobs_failed_total", &[]),
+            steals: registry.counter("fleet_steals_total", &[]),
+            packed_batches: registry.counter("fleet_packed_batches_total", &[]),
+            pack_rounds: registry.counter("fleet_pack_rounds_total", &[]),
+            last_batch_rounds: registry.gauge("fleet_last_batch_rounds", &[]),
+            member_hits: registry.counter("fleet_member_cache_hits_total", &[]),
+            member_residues: registry.counter("fleet_member_residue_jobs_total", &[]),
+            analytic_pricings: registry.counter("fleet_probed_requests", &[]),
             registry,
             tracer,
             latency_gemm,
@@ -476,7 +478,7 @@ impl Scheduler {
         let (tx, rx) = mpsc::channel();
         job.request_id
             .get_or_insert_with(|| self.inner.tracer.next_request_id());
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
+        self.inner.submitted.inc();
         let slot = self.inner.next_queue.fetch_add(1, Ordering::Relaxed) % self.inner.queues.len();
         lock_clean(&self.inner.queues[slot]).push_back(Task {
             job,
@@ -613,13 +615,9 @@ impl Scheduler {
         }
 
         let rounds = pack_ffd(inner.fleet.power_budget_w(), &priced);
-        inner.packed_batches.fetch_add(1, Ordering::Relaxed);
-        inner
-            .pack_rounds
-            .fetch_add(rounds.len() as u64, Ordering::Relaxed);
-        inner
-            .last_batch_rounds
-            .store(rounds.len() as u64, Ordering::Relaxed);
+        inner.packed_batches.inc();
+        inner.pack_rounds.add(rounds.len() as u64);
+        inner.last_batch_rounds.set(rounds.len() as f64);
         pack_span.finish(format!(
             "rounds={} priced={} bypass={}",
             rounds.len(),
@@ -671,54 +669,33 @@ impl Scheduler {
         });
     }
 
-    /// Current counter snapshot.
+    /// Current counter snapshot, read from the registry.
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
-            submitted: self.inner.submitted.load(Ordering::Relaxed),
-            completed: self.inner.completed.load(Ordering::Relaxed),
-            failed: self.inner.failed.load(Ordering::Relaxed),
+            submitted: self.inner.submitted.get(),
+            completed: self.inner.completed.get(),
+            failed: self.inner.failed.get(),
             cache_hits: self.inner.cache.hits(),
             cache_misses: self.inner.cache.misses(),
             dedup_joins: self.inner.cache.joins(),
-            member_cache_hits: self.inner.member_hits.load(Ordering::Relaxed),
-            member_residue_jobs: self.inner.member_residues.load(Ordering::Relaxed),
-            steals: self.inner.steals.load(Ordering::Relaxed),
-            packed_batches: self.inner.packed_batches.load(Ordering::Relaxed),
-            pack_rounds: self.inner.pack_rounds.load(Ordering::Relaxed),
-            last_batch_rounds: self.inner.last_batch_rounds.load(Ordering::Relaxed),
+            member_cache_hits: self.inner.member_hits.get(),
+            member_residue_jobs: self.inner.member_residues.get(),
+            steals: self.inner.steals.get(),
+            packed_batches: self.inner.packed_batches.get(),
+            pack_rounds: self.inner.pack_rounds.get(),
+            last_batch_rounds: self.inner.last_batch_rounds.get() as u64,
         }
     }
 
-    /// Mirror the scheduler's authoritative counters into the metrics
-    /// registry (latency histograms are recorded live; everything else is
-    /// owned by scheduler atomics and synced here at export time, so the
-    /// hot path never pays double bookkeeping). Called by the `metrics`
-    /// protocol op — and by anything else about to export the registry.
+    /// Refresh the registry's readings of state kept elsewhere: the hit
+    /// ratio, this scheduler's budget peak (its own witness, never merged)
+    /// and resident answers, trace drops, per-device totals and predictor
+    /// health (wm-obs depends on wm-predict, so the predictor cannot hold
+    /// registry handles). Called by the `metrics` protocol op — and by
+    /// anything else about to export the registry.
     pub fn sync_metrics(&self) {
         let reg = &self.inner.registry;
         let s = self.stats();
-        reg.counter("fleet_jobs_submitted_total", &[])
-            .store(s.submitted);
-        reg.counter("fleet_jobs_completed_total", &[])
-            .store(s.completed);
-        reg.counter("fleet_jobs_failed_total", &[]).store(s.failed);
-        reg.counter("fleet_cache_hits_total", &[])
-            .store(s.cache_hits);
-        reg.counter("fleet_cache_misses_total", &[])
-            .store(s.cache_misses);
-        reg.counter("fleet_cache_dedup_joins_total", &[])
-            .store(s.dedup_joins);
-        reg.counter("fleet_member_cache_hits_total", &[])
-            .store(s.member_cache_hits);
-        reg.counter("fleet_member_residue_jobs_total", &[])
-            .store(s.member_residue_jobs);
-        reg.counter("fleet_steals_total", &[]).store(s.steals);
-        reg.counter("fleet_packed_batches_total", &[])
-            .store(s.packed_batches);
-        reg.counter("fleet_pack_rounds_total", &[])
-            .store(s.pack_rounds);
-        reg.gauge("fleet_last_batch_rounds", &[])
-            .set(s.last_batch_rounds as f64);
         let lookups = s.cache_hits + s.cache_misses;
         reg.gauge("fleet_cache_hit_ratio", &[])
             .set(if lookups == 0 {
@@ -730,8 +707,6 @@ impl Scheduler {
             .set(self.peak_committed_w());
         reg.gauge("fleet_cached_results", &[])
             .set(self.cached_results() as f64);
-        reg.gauge("fleet_probed_requests", &[])
-            .set(self.probed_requests() as f64);
         reg.counter("trace_spans_dropped_total", &[])
             .store(self.inner.tracer.dropped());
         for d in self.device_stats() {
@@ -770,7 +745,7 @@ impl Scheduler {
     /// needed confirming. Counts pricing passes — a batch job is priced
     /// once to pack it and again when it executes, a `predict` once.
     pub fn probed_requests(&self) -> usize {
-        self.inner.analytic_pricings.load(Ordering::Relaxed) as usize
+        self.inner.analytic_pricings.get() as usize
     }
 
     /// The highest instantaneous committed fleet draw observed so far,
@@ -1061,7 +1036,7 @@ fn worker_loop(inner: &Inner, me: usize) {
         match pop_task(inner, me) {
             Some((task, stolen)) => {
                 if stolen {
-                    inner.steals.fetch_add(1, Ordering::Relaxed);
+                    inner.steals.inc();
                 }
                 let Task {
                     job,
@@ -1079,9 +1054,9 @@ fn worker_loop(inner: &Inner, me: usize) {
                             Err(FleetError::Internal(panic_message(&*payload)))
                         });
                 if outcome.is_err() {
-                    inner.failed.fetch_add(1, Ordering::Relaxed);
+                    inner.failed.inc();
                 }
-                inner.completed.fetch_add(1, Ordering::Relaxed);
+                inner.completed.inc();
                 // End-to-end latency, queue wait included — every answered
                 // job lands exactly one observation, so the histogram
                 // count equals the `completed` counter by construction.
@@ -1141,7 +1116,7 @@ fn first_seed(inner: &Inner, req: &RunRequest, rid: u64) -> FirstSeed {
 /// The analytic probe: every member's seed-0 activity — exactly what the
 /// run executes for seed 0 — counted as one analytic pricing.
 fn analytic_probe(inner: &Inner, first: &FirstSeed) -> Vec<ActivityRecord> {
-    inner.analytic_pricings.fetch_add(1, Ordering::Relaxed);
+    inner.analytic_pricings.inc();
     first.units.iter().map(|u| u.activity.clone()).collect()
 }
 
@@ -1169,13 +1144,15 @@ fn fetch_units(inner: &Inner, req: &RunRequest, rid: u64, seeds: u64) -> Vec<Arc
 /// [`PowerLab::run`], since operand streams and measurement seeds are
 /// fixed by the request alone. Returns the answer on `device` and, per
 /// canonical member, whether a different request computed all of its
-/// units (a member request `rid` walked any unit of is its residue).
+/// units (a member request `rid` walked any unit of is its residue); an
+/// explicit iteration count too short for the measurement's warm-up trim
+/// on `device` is infeasible.
 fn run_with_member_reuse(
     inner: &Inner,
     req: &RunRequest,
     device: &FleetDevice,
     rid: u64,
-) -> (Answer, Vec<bool>) {
+) -> Result<(Answer, Vec<bool>), FleetError> {
     let units = fetch_units(inner, req, rid, req.seeds);
     let mut flags = Vec::new();
     let mut per_member: Vec<Vec<ActivityRecord>> = Vec::new();
@@ -1183,20 +1160,18 @@ fn run_with_member_reuse(
         flags.push(member.iter().all(|u| u.computed_by != rid));
         per_member.push(member.iter().map(|u| u.activity.clone()).collect());
     }
-    let hits = flags.iter().filter(|&&cached| cached).count() as u64;
-    inner.member_hits.fetch_add(hits, Ordering::Relaxed);
-    inner
-        .member_residues
-        .fetch_add(flags.len() as u64 - hits, Ordering::Relaxed);
     let refs: Vec<&[ActivityRecord]> = per_member.iter().map(Vec::as_slice).collect();
-    let result = PowerLab::new(device.gpu.clone())
-        .with_vm(device.vm.id)
-        .run_from_activities(req, &refs);
+    let lab = PowerLab::new(device.gpu.clone()).with_vm(device.vm.id);
+    lab.check_iterations(req, &refs)
+        .map_err(FleetError::Infeasible)?;
+    let hits = flags.iter().filter(|&&cached| cached).count() as u64;
+    inner.member_hits.add(hits);
+    inner.member_residues.add(flags.len() as u64 - hits);
     let answer = Answer {
         device: device.id,
-        result: Arc::new(result),
+        result: Arc::new(lab.run_from_activities(req, &refs)),
     };
-    (answer, flags)
+    Ok((answer, flags))
 }
 
 /// Placement with the request's canonical key as the tie salt: the
@@ -1429,14 +1404,18 @@ fn run_fresh(
     // jobs bypass budget accounting). The guard releases on every exit
     // path, including unwind.
     let exec = tracer.start(rid, stage::EXECUTE);
-    let (answer, member_cached) = {
+    let executed = {
         let _slot = match &placement {
             Some(p) => Some(acquire_slot(inner, p.device, p.planned_power_w)?),
             None => None,
         };
         run_with_member_reuse(inner, &job.request, dev, rid)
     };
-    exec.finish(format!("fresh device={device_id}"));
+    exec.finish(match &executed {
+        Ok(_) => format!("fresh device={device_id}"),
+        Err(_) => "rejected".to_string(),
+    });
+    let (answer, member_cached) = executed?;
 
     let result = &answer.result;
     {
@@ -2506,13 +2485,10 @@ mod tests {
             sched.stats().completed
         );
         assert_eq!(gemv_hist.count(), 1);
-        // sync_metrics mirrors the authoritative counters.
+        // The hit ratio is a reading of the cache counters, refreshed by
+        // an export.
+        assert_eq!(reg.gauge("fleet_cache_hit_ratio", &[]).get(), 0.0);
         sched.sync_metrics();
-        assert_eq!(
-            reg.counter("fleet_jobs_completed_total", &[]).get(),
-            sched.stats().completed
-        );
-        assert_eq!(reg.counter("fleet_cache_hits_total", &[]).get(), 1);
         assert!(reg.gauge("fleet_cache_hit_ratio", &[]).get() > 0.0);
     }
 

@@ -249,7 +249,7 @@ proptest! {
 
 #[test]
 fn memo_cache_counts_joins_as_hits() {
-    let cache = MemoCache::new(4);
+    let cache = MemoCache::new(4, &wm_obs::Registry::new());
     let slow = || {
         std::thread::sleep(std::time::Duration::from_millis(10));
         let result = wm_core::PowerLab::new(a100_pcie()).run(

@@ -30,9 +30,10 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Overwrite the count. For mirroring an *authoritative* external
-    /// counter (e.g. a scheduler's own atomics) into the registry at
-    /// export time — incrementing in two places would drift.
+    /// Overwrite the count. For a *reading* of a count another owner
+    /// keeps and the registry cannot (a trace ring's drops, a predictor's
+    /// observations), refreshed at export time. A count the caller itself
+    /// keeps belongs in the counter directly, via [`Counter::add`].
     pub fn store(&self, value: u64) {
         self.0.store(value, Ordering::Relaxed);
     }

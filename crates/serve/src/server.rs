@@ -34,12 +34,12 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use wm_fleet::json::{obj, Json};
 use wm_fleet::{answer_streamed, Scheduler};
-use wm_obs::{stage, SpanRecord};
+use wm_obs::{stage, Counter, Registry, SpanRecord};
 
 use crate::persist::{self, LoadOutcome};
 
@@ -134,9 +134,26 @@ impl SessionStats {
 struct ServerState {
     shutdown: AtomicBool,
     next_session: AtomicU64,
-    started: AtomicU64,
-    rejected: AtomicU64,
     active: Mutex<HashMap<u64, Arc<SessionStats>>>,
+    /// `serve_sessions_rejected_total`, registered at the first rejection.
+    rejected: OnceLock<Counter>,
+}
+
+impl ServerState {
+    /// Open (`Some(stats)`) or close (`None`) session `sid`, setting
+    /// `serve_sessions_active` to the live-session count under its lock.
+    fn set_session(&self, reg: &Registry, sid: u64, stats: Option<Arc<SessionStats>>) {
+        let mut active = self
+            .active
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        match stats {
+            Some(stats) => active.insert(sid, stats),
+            None => active.remove(&sid),
+        };
+        reg.gauge("serve_sessions_active", &[])
+            .set(active.len() as f64);
+    }
 }
 
 /// A cloneable handle onto a running [`Server`], for triggering and
@@ -260,20 +277,17 @@ impl Server {
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
                         .len();
                     if active >= self.cfg.max_sessions {
-                        self.state.rejected.fetch_add(1, Ordering::Relaxed);
-                        reg.counter("serve_sessions_rejected_total", &[]).inc();
+                        self.state
+                            .rejected
+                            .get_or_init(|| reg.counter("serve_sessions_rejected_total", &[]))
+                            .inc();
                         reject_busy(stream, self.cfg.max_sessions);
                         continue;
                     }
                     let sid = self.state.next_session.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.state.started.fetch_add(1, Ordering::Relaxed);
                     reg.counter("serve_sessions_total", &[]).inc();
                     let stats = Arc::new(SessionStats::default());
-                    self.state
-                        .active
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .insert(sid, Arc::clone(&stats));
+                    self.state.set_session(&reg, sid, Some(Arc::clone(&stats)));
                     let ctx = SessionCtx {
                         sid,
                         stats,
@@ -284,14 +298,8 @@ impl Server {
                     };
                     sessions.push(std::thread::spawn(move || {
                         ctx.serve(stream);
-                        ctx.state
-                            .active
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .remove(&ctx.sid);
+                        ctx.state.set_session(ctx.sched.registry(), ctx.sid, None);
                     }));
-                    reg.gauge("serve_sessions_active", &[])
-                        .set((active + 1) as f64);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -314,7 +322,6 @@ impl Server {
         if let Some(dir) = &self.cfg.state_dir {
             persist::save_predictor(dir, &self.sched.predictor_snapshot(), persist::unix_now_s())?;
         }
-        reg.gauge("serve_sessions_active", &[]).set(0.0);
         Ok(())
     }
 
@@ -695,14 +702,14 @@ impl SessionCtx {
             "sessions_active".to_string(),
             Json::Num(sessions.len() as f64),
         ));
+        // The asking session was admitted, so `serve_sessions_total` exists.
+        let started = self.sched.registry().counter("serve_sessions_total", &[]);
+        let rejected = self.state.rejected.get().map_or(0, Counter::get);
         fields.push((
             "sessions_started".to_string(),
-            Json::Num(self.state.started.load(Ordering::Relaxed) as f64),
+            Json::Num(started.get() as f64),
         ));
-        fields.push((
-            "sessions_rejected".to_string(),
-            Json::Num(self.state.rejected.load(Ordering::Relaxed) as f64),
-        ));
+        fields.push(("sessions_rejected".to_string(), Json::Num(rejected as f64)));
         fields.push(("sessions".to_string(), Json::Arr(sessions)));
         Json::Obj(fields)
     }

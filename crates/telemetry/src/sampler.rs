@@ -31,6 +31,27 @@ impl Default for MeasurementConfig {
     }
 }
 
+impl MeasurementConfig {
+    /// Whether `iterations` back-to-back iterations of `t_iter_s` seconds
+    /// each run at least one sample period past the warm-up trim: the
+    /// condition [`measure`] asserts, for callers that reject a run first.
+    pub fn outlasts_trim(&self, t_iter_s: f64, iterations: u64) -> bool {
+        t_iter_s * iterations as f64 - self.warmup_trim_s >= self.sample_period_s
+    }
+
+    /// The fewest iterations of `t_iter_s` seconds each that
+    /// [`MeasurementConfig::outlasts_trim`] accepts.
+    pub fn min_iterations(&self, t_iter_s: f64) -> u64 {
+        // The quotient may round up by an ulp, so step up from one below.
+        let quotient = (self.warmup_trim_s + self.sample_period_s) / t_iter_s;
+        let mut n = (quotient.ceil() as u64).saturating_sub(1).max(1);
+        while !self.outlasts_trim(t_iter_s, n) {
+            n += 1;
+        }
+        n
+    }
+}
+
 /// One power sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
@@ -131,9 +152,8 @@ pub fn measure(
 ) -> (PowerTrace, Measurement) {
     assert!(iterations > 0, "cannot measure zero iterations");
     let total_time_s = power.t_iter_s * iterations as f64;
-    let retained = total_time_s - cfg.warmup_trim_s;
     assert!(
-        retained >= cfg.sample_period_s,
+        cfg.outlasts_trim(power.t_iter_s, iterations),
         "run of {total_time_s:.3}s is too short for the {:.1}s trim — raise iterations",
         cfg.warmup_trim_s
     );
@@ -360,6 +380,19 @@ mod tests {
         let p = fake_power(250.0, 100e-6);
         // 100 iterations x 100 us = 10 ms << 500 ms trim.
         measure(&g, &p, 100, &vm, 4, &MeasurementConfig::default());
+    }
+
+    #[test]
+    fn min_iterations_is_the_trim_boundary() {
+        let (g, vm) = setup();
+        let cfg = MeasurementConfig::default();
+        for t_iter_s in [3.25e-6, 100e-6, 0.07, 1.0] {
+            let n = cfg.min_iterations(t_iter_s);
+            assert!(cfg.outlasts_trim(t_iter_s, n), "{t_iter_s}");
+            assert!(n == 1 || !cfg.outlasts_trim(t_iter_s, n - 1), "{t_iter_s}");
+            let m = measure(&g, &fake_power(250.0, t_iter_s), n, &vm, 6, &cfg).1;
+            assert!(m.samples_used >= 1, "{t_iter_s}");
+        }
     }
 
     #[test]

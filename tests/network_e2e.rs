@@ -429,6 +429,64 @@ fn oversized_and_malformed_lines_are_isolated_to_their_session() {
 }
 
 #[test]
+fn deeply_nested_lines_answer_an_error_and_the_session_survives() {
+    // The JSON parser recurses once per level: unbounded, one line of
+    // `[` overflows the session thread's stack and aborts the daemon.
+    let server = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&server.addr);
+    let resp = c.round_trip(&"[".repeat(20_000));
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp}");
+    assert!(
+        resp.get("request_id").and_then(Json::as_u64).is_some(),
+        "{resp}"
+    );
+    assert!(
+        resp.get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("nesting")),
+        "{resp}"
+    );
+    let pong = c.round_trip(r#"{"op": "ping"}"#);
+    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong}");
+    server.stop();
+}
+
+#[test]
+fn the_active_session_gauge_follows_the_live_sessions() {
+    let server = spawn_server(ServeConfig::default());
+    let mut a = Client::connect(&server.addr);
+    let mut b = Client::connect(&server.addr);
+    // A full round-trip guarantees the accept loop registered each.
+    for c in [&mut a, &mut b] {
+        let pong = c.round_trip(r#"{"op": "ping"}"#);
+        assert_eq!(pong.get("ok"), Some(&Json::Bool(true)), "{pong}");
+    }
+    drop(b);
+    // The server notices the close within a read-timeout tick.
+    let mut polls = 0;
+    loop {
+        let stats = a.round_trip(r#"{"op": "stats"}"#);
+        if num(&stats, "sessions_active") == 1.0 {
+            break;
+        }
+        polls += 1;
+        assert!(polls < 500, "session B never closed: {stats}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let metrics = a.round_trip(r#"{"op": "metrics"}"#);
+    let gauge = metrics
+        .get("metrics")
+        .and_then(Json::as_arr)
+        .and_then(|all| {
+            all.iter()
+                .find(|m| m.get("name").and_then(Json::as_str) == Some("serve_sessions_active"))
+        })
+        .unwrap_or_else(|| panic!("no serve_sessions_active in {metrics}"));
+    assert_eq!(num(gauge, "value"), 1.0, "{gauge}");
+    server.stop();
+}
+
+#[test]
 fn abrupt_disconnect_mid_batch_does_not_wedge_the_server() {
     let server = spawn_server(ServeConfig::default());
     {
@@ -486,6 +544,10 @@ fn admission_and_inflight_caps_reject_with_busy_errors() {
     assert_eq!(resp.get("busy"), Some(&Json::Bool(true)), "{resp}");
     let resp = admitted.round_trip(RUN_A);
     assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    // The admission counts are the registry's session counters.
+    let stats = admitted.round_trip(r#"{"op": "stats"}"#);
+    assert_eq!(num(&stats, "sessions_started"), 1.0, "{stats}");
+    assert_eq!(num(&stats, "sessions_rejected"), 1.0, "{stats}");
     let sessions = server.handle.sessions();
     assert_eq!(sessions.len(), 1, "only the admitted session is live");
     assert!(sessions[0].requests >= 3, "{sessions:?}");

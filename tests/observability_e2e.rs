@@ -4,8 +4,11 @@
 //! trail (cache hits show a shortened one), and the metrics latency
 //! histogram accounts for exactly the completed jobs.
 
+use std::sync::Arc;
+
 use wattmul_repro::fleet::json::Json;
 use wattmul_repro::fleet::{serve, Fleet, Scheduler};
+use wattmul_repro::obs::{Registry, Tracer};
 
 fn serve_lines(sched: &Scheduler, input: &str) -> Vec<Json> {
     let mut out = Vec::new();
@@ -145,4 +148,67 @@ fn every_request_leaves_an_accountable_trail() {
         text.contains("# TYPE fleet_job_latency_us histogram"),
         "{text}"
     );
+}
+
+/// `n` distinct fresh runs (plus, with `repeat`, a repeat of the first),
+/// answered over the stdio protocol without any `metrics` op.
+fn run_jobs(sched: &Scheduler, first_seed: u64, n: u64, repeat: bool) {
+    let line = |seed: u64| {
+        format!(
+            r#"{{"dtype": "FP32", "dim": 48, "pattern": "gaussian", "seeds": 1, "lattice": 4, "base_seed": {seed}}}"#
+        )
+    };
+    let mut lines: Vec<String> = (first_seed..first_seed + n).map(line).collect();
+    if repeat {
+        lines.push(line(first_seed));
+    }
+    for r in serve_lines(sched, &lines.join("\n")) {
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r}");
+    }
+}
+
+#[test]
+fn registry_counters_are_the_counts_without_an_export() {
+    // No `metrics` op and no `sync_metrics` call: the registry must already
+    // read what `stats()` reports, because it is where the counts live.
+    let sched = Scheduler::with_workers(Fleet::from_catalog(), 2);
+    run_jobs(&sched, 100, 3, true);
+    let s = sched.stats();
+    assert_eq!(
+        (s.completed, s.cache_hits, s.member_residue_jobs),
+        (4, 1, 3)
+    );
+    let read = |name: &str| sched.registry().counter(name, &[]).get();
+    assert_eq!(read("fleet_jobs_completed_total"), s.completed);
+    assert_eq!(read("fleet_cache_hits_total"), s.cache_hits);
+    assert_eq!(
+        read("fleet_member_residue_jobs_total"),
+        s.member_residue_jobs
+    );
+}
+
+#[test]
+fn schedulers_sharing_a_registry_add_up_their_counts() {
+    let registry = Arc::new(Registry::new());
+    let build = || {
+        Scheduler::with_observability(
+            Fleet::from_catalog(),
+            1,
+            Arc::clone(&registry),
+            Arc::new(Tracer::new(1024)),
+        )
+    };
+    let (a, b) = (build(), build());
+    run_jobs(&a, 200, 3, false);
+    run_jobs(&b, 300, 2, false);
+    // Exporting from both must not let the last exporter win.
+    a.sync_metrics();
+    b.sync_metrics();
+    assert_eq!(registry.counter("fleet_jobs_completed_total", &[]).get(), 5);
+    assert_eq!(
+        a.stats().completed,
+        5,
+        "stats() reads the registry's totals"
+    );
+    assert_eq!(b.stats().completed, 5);
 }

@@ -230,3 +230,27 @@ fn out_of_range_deadlines_and_iterations_answer_instead_of_panicking() {
     let error = responses[2].get("error").and_then(Json::as_str).unwrap();
     assert!(error.contains("1000000"), "{error}");
 }
+
+#[test]
+fn iterations_too_short_for_the_warm_up_trim_are_rejected_not_panicked() {
+    // The paper's own 20,000 iterations of a 64² FP16-T GEMM last 0.065 s,
+    // shorter than the 0.5 s warm-up trim the measurement drops.
+    let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 1), 1);
+    let run = r#""dtype": "FP16-T", "dim": 64, "pattern": "gaussian", "seeds": 1, "lattice": 4"#;
+    let input = [
+        format!(r#"{{"id": 1, {run}, "iterations": 20000}}"#),
+        format!(r#"{{"id": 2, {run}, "iterations": 1000000}}"#),
+        r#"{"id": 3, "op": "ping"}"#.to_string(),
+    ]
+    .join("\n");
+    let responses = serve_lines(&sched, &input);
+    assert_eq!(responses.len(), 3);
+    let short = &responses[0];
+    assert_eq!(short.get("ok"), Some(&Json::Bool(false)), "{short}");
+    let error = short.get("error").and_then(Json::as_str).unwrap();
+    assert!(!error.contains("panicked"), "{error}");
+    assert!(error.contains("0.5 s warm-up trim"), "{error}");
+    for r in &responses[1..] {
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r}");
+    }
+}
