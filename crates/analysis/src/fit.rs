@@ -1,9 +1,9 @@
 //! Incremental linear least-squares: the shared fitting core.
 //!
-//! The Fig. 8 OLS line fits ([`crate::regression::ols`]), the `wm-predict`
-//! online power predictor and `wm-optimizer`'s fitted §V power model all
-//! reduce to the same normal-equations problem: accumulate `XᵀX` and `Xᵀy`
-//! over a stream of observations, then solve `(XᵀX + λI)·β = Xᵀy`. A
+//! The `wm-predict` online power predictor and `wm-optimizer`'s fitted
+//! §V power model both reduce to the same normal-equations problem:
+//! accumulate `XᵀX` and `Xᵀy` over a stream of observations, then solve
+//! `(XᵀX + λI)·β = Xᵀy`. A
 //! [`RidgeFitter`] holds exactly those sufficient statistics, so:
 //!
 //! * fitting is **online** — one `K×K` update per observation, no stored
@@ -16,7 +16,7 @@
 //!   exactly when their per-cell sums do.
 //!
 //! The solve is a Cholesky factorization of the regularized Gram matrix —
-//! `K` here is small (a feature vector, or 2 for a line fit), so the
+//! `K` here is small (a feature vector), so the
 //! `O(K³)` cost is noise next to accumulating a single observation stream.
 
 /// Online ridge-regression accumulator over `dim`-dimensional inputs.

@@ -3,14 +3,11 @@
 //! The numerical toolkit behind the experiment harness:
 //!
 //! * [`fit`] — the shared incremental normal-equations core: online ridge
-//!   regression with exact merge, used by the OLS line fits here, the
-//!   `wm-predict` online power predictor and `wm-optimizer`'s fitted
-//!   power model;
-//! * [`stats`] — summary statistics (mean, sample std, standard error,
-//!   normal-approximation confidence intervals) for seed-averaged results;
-//! * [`regression`] — ordinary least squares, Pearson and Spearman
-//!   correlation (the paper's Fig. 8 relates power to bit alignment and
-//!   Hamming weight across experiment configurations);
+//!   regression with exact merge, used by the `wm-predict` online power
+//!   predictor and `wm-optimizer`'s fitted power model;
+//! * [`regression`] — Pearson and Spearman correlation (the paper's
+//!   Fig. 8 relates power to bit alignment and Hamming weight across
+//!   experiment configurations);
 //! * [`table`] — markdown and CSV table writers behind the per-figure
 //!   files the `wattmul` CLI writes (`wm_experiments::io`).
 
@@ -19,10 +16,8 @@
 
 pub mod fit;
 pub mod regression;
-pub mod stats;
 pub mod table;
 
 pub use fit::{linear_predict, RidgeFitter};
-pub use regression::{ols, pearson, spearman, OlsFit};
-pub use stats::Summary;
+pub use regression::{pearson, spearman};
 pub use table::Table;

@@ -1,73 +1,12 @@
-//! Ordinary least squares and correlation.
+//! Correlation.
 //!
 //! Fig. 8 of the paper plots average GEMM power against two per-experiment
 //! statistics — mean bit alignment and mean Hamming weight — and reads off
 //! a (loose) monotone trend. We quantify the same relationship with
-//! Pearson's r, Spearman's rank correlation, and an OLS slope. The line
-//! fit itself is the 2-dimensional case of the shared normal-equations
-//! core in [`crate::fit`] (which `wm-predict` uses at full feature width).
-
-use crate::fit::RidgeFitter;
-
-/// An ordinary-least-squares line fit `y = slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OlsFit {
-    /// Fitted slope.
-    pub slope: f64,
-    /// Fitted intercept.
-    pub intercept: f64,
-    /// Coefficient of determination.
-    pub r_squared: f64,
-    /// Number of points fitted.
-    pub n: usize,
-}
+//! Pearson's r and Spearman's rank correlation.
 
 fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
-}
-
-/// Fit `y ~ x` by ordinary least squares.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or have fewer than 2 points, or
-/// if `x` is constant (the fit is undefined).
-pub fn ols(x: &[f64], y: &[f64]) -> OlsFit {
-    assert_eq!(x.len(), y.len(), "x and y must pair up");
-    assert!(x.len() >= 2, "need at least two points");
-    let (mx, my) = (mean(x), mean(y));
-    let sxx: f64 = x.iter().map(|xi| (xi - mx) * (xi - mx)).sum();
-    assert!(sxx > 0.0, "x is constant; OLS slope undefined");
-    // Fit on the shared normal-equations core with inputs centred at the
-    // sample means: the Gram matrix is then diagonal, which keeps the
-    // solve exactly as well-conditioned as the closed-form slope.
-    let mut fitter = RidgeFitter::new(2, 0.0);
-    for (xi, yi) in x.iter().zip(y) {
-        fitter.observe(&[1.0, xi - mx], yi - my);
-    }
-    let beta = fitter.solve().expect("sxx > 0 makes the fit definite");
-    let slope = beta[1];
-    let intercept = (my + beta[0]) - slope * mx;
-    let ss_tot: f64 = y.iter().map(|yi| (yi - my) * (yi - my)).sum();
-    let ss_res: f64 = x
-        .iter()
-        .zip(y)
-        .map(|(xi, yi)| {
-            let e = yi - (slope * xi + intercept);
-            e * e
-        })
-        .sum();
-    let r_squared = if ss_tot == 0.0 {
-        1.0
-    } else {
-        1.0 - ss_res / ss_tot
-    };
-    OlsFit {
-        slope,
-        intercept,
-        r_squared,
-        n: x.len(),
-    }
 }
 
 /// Pearson product-moment correlation coefficient.
@@ -123,10 +62,6 @@ mod tests {
     fn perfect_line() {
         let x = [1.0, 2.0, 3.0, 4.0];
         let y = [3.0, 5.0, 7.0, 9.0];
-        let fit = ols(&x, &y);
-        assert!((fit.slope - 2.0).abs() < 1e-12);
-        assert!((fit.intercept - 1.0).abs() < 1e-12);
-        assert!((fit.r_squared - 1.0).abs() < 1e-12);
         assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
         assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
     }
@@ -161,25 +96,6 @@ mod tests {
     fn ranks_handle_ties() {
         let r = ranks(&[10.0, 20.0, 20.0, 30.0]);
         assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
-    }
-
-    #[test]
-    fn noisy_line_r_squared_below_one() {
-        let x: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let y: Vec<f64> = x
-            .iter()
-            .enumerate()
-            .map(|(i, xi)| 3.0 * xi + if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let fit = ols(&x, &y);
-        assert!(fit.r_squared > 0.9 && fit.r_squared < 1.0);
-        assert!((fit.slope - 3.0).abs() < 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "constant")]
-    fn ols_rejects_constant_x() {
-        ols(&[2.0, 2.0], &[1.0, 3.0]);
     }
 
     #[test]

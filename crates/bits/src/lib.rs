@@ -8,16 +8,11 @@
 //! that hypothesis lives here:
 //!
 //! * [`hamming`] — Hamming weight and Hamming distance over machine words
-//!   and slices, the raw currency of switching activity.
-//! * [`alignment`] — the paper's *bit alignment* metric (Fig. 8): 1.0 when
-//!   two operands share every bit, 0.0 when every bit differs.
-//! * [`entropy`] — Shannon entropy over exact byte/symbol histograms, the
-//!   cheap input statistic behind the `wm-predict` power features.
+//!   and slices, plus the toggle count of a word stream: the raw currency
+//!   of switching activity.
 //! * [`surgery`] — the bit-field manipulations behind the paper's §IV.B and
 //!   §IV.D experiments: flipping random bits, randomizing or zeroing
 //!   least/most-significant bits.
-//! * [`toggle`] — streaming toggle counters modelling latches and buses:
-//!   feed a sequence of words, get back the total switched-bit count.
 //! * [`rng`] — a deterministic, dependency-free xoshiro256++ PRNG (seeded
 //!   via SplitMix64). All simulation randomness in the workspace flows
 //!   through this generator so every experiment is bit-reproducible across
@@ -29,15 +24,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alignment;
-pub mod entropy;
 pub mod hamming;
 pub mod rng;
 pub mod surgery;
-pub mod toggle;
 
-pub use alignment::{bit_alignment, bit_alignment_slice};
-pub use entropy::{byte_entropy, histogram_entropy, ByteHistogram};
 pub use hamming::{
     hamming_distance, hamming_weight, slice_hamming_distance, slice_hamming_weight, stream_toggles,
     BitWord,
@@ -46,4 +36,3 @@ pub use rng::Xoshiro256pp;
 pub use surgery::{
     flip_random_bits, randomize_lsbs, randomize_msbs, zero_lsbs, zero_msbs, BitSurgeon,
 };
-pub use toggle::{BusToggleTracker, ToggleCounter};

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use wm_bits::{
-    bit_alignment, flip_random_bits, hamming_distance, hamming_weight, randomize_lsbs,
-    randomize_msbs, zero_lsbs, zero_msbs, ToggleCounter, Xoshiro256pp,
+    flip_random_bits, hamming_distance, hamming_weight, randomize_lsbs, randomize_msbs, zero_lsbs,
+    zero_msbs, Xoshiro256pp,
 };
 
 proptest! {
@@ -26,14 +26,6 @@ proptest! {
             hamming_weight(a | b_disjoint),
             hamming_weight(a) + hamming_weight(b_disjoint)
         );
-    }
-
-    #[test]
-    fn alignment_complements_distance(a: u16, b: u16) {
-        let al = bit_alignment(a, b);
-        let hd = hamming_distance(a, b) as f64;
-        prop_assert!((al - (1.0 - hd / 16.0)).abs() < 1e-12);
-        prop_assert!((0.0..=1.0).contains(&al));
     }
 
     #[test]
@@ -101,21 +93,6 @@ proptest! {
         prop_assert_eq!(flipped, x ^ ((1u64 << width) - 1));
         let mut rng2 = Xoshiro256pp::seed_from_u64(seed);
         prop_assert_eq!(flip_random_bits(x, 0.0, width, &mut rng2), x);
-    }
-
-    #[test]
-    fn toggle_counter_equals_pairwise_hd(words in prop::collection::vec(any::<u32>(), 0..64)) {
-        let mut counter = ToggleCounter::new();
-        let mut expected = 0u64;
-        let mut prev: Option<u32> = None;
-        for &w in &words {
-            counter.latch(w);
-            if let Some(p) = prev {
-                expected += u64::from(hamming_distance(p, w));
-            }
-            prev = Some(w);
-        }
-        prop_assert_eq!(counter.total(), expected);
     }
 
     #[test]

@@ -461,69 +461,6 @@ impl RunRequest {
     }
 }
 
-/// A grouped-GEMM request under construction: an ordered list of
-/// `n x m x k` members sharing one template's dtype, patterns, kernel,
-/// and sampling — the shape of a serving framework's prefill batch.
-///
-/// `GroupRequest` is the ergonomic front door to
-/// [`RunRequest::with_group`]: collect members (e.g. one per sequence in
-/// the batch), then [`GroupRequest::build`] the single [`RunRequest`]
-/// that executes, prices, and caches the whole batch as a unit. Member
-/// order is immaterial — the build canonicalizes it.
-///
-/// ```
-/// use wm_core::{GroupRequest, RunRequest};
-/// use wm_gpu::GemmDims;
-/// use wm_numerics::DType;
-/// use wm_patterns::{PatternKind, PatternSpec};
-///
-/// let template = RunRequest::new(DType::Fp16Tensor, 64, PatternSpec::new(PatternKind::Gaussian));
-/// let group = GroupRequest::new(template, vec![GemmDims { n: 64, m: 128, k: 64 }])
-///     .push(GemmDims { n: 64, m: 32, k: 64 })
-///     .build();
-/// assert!(group.is_grouped());
-/// assert_eq!(group.member_dims().len(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct GroupRequest {
-    base: RunRequest,
-    members: Vec<GemmDims>,
-}
-
-impl GroupRequest {
-    /// Start a group from a template request (whose own shape is
-    /// discarded — the members are the problem list) and an initial
-    /// member list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the member list is empty (via [`GroupRequest::build`];
-    /// members may still be [`GroupRequest::push`]ed before then).
-    pub fn new(base: RunRequest, members: Vec<GemmDims>) -> Self {
-        Self { base, members }
-    }
-
-    /// Append one member problem.
-    pub fn push(mut self, member: GemmDims) -> Self {
-        self.members.push(member);
-        self
-    }
-
-    /// The members collected so far, in insertion order.
-    pub fn members(&self) -> &[GemmDims] {
-        &self.members
-    }
-
-    /// Finish into the [`RunRequest`] that runs the group as a unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no members were collected or any member axis is zero.
-    pub fn build(self) -> RunRequest {
-        self.base.with_group(self.members)
-    }
-}
-
 /// Mean/std/raw-values triple over seeds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeedStat {
@@ -607,12 +544,6 @@ impl PowerLab {
     /// experiments to demonstrate process variation).
     pub fn with_vm(mut self, id: u64) -> Self {
         self.vm = VmInstance::provision(&self.gpu, id);
-        self
-    }
-
-    /// Override the measurement configuration.
-    pub fn with_measurement(mut self, cfg: MeasurementConfig) -> Self {
-        self.measurement = cfg;
         self
     }
 
@@ -985,14 +916,6 @@ mod tests {
         assert!(dims
             .windows(2)
             .all(|w| (w[0].n, w[0].m, w[0].k) <= (w[1].n, w[1].m, w[1].k)));
-        // GroupRequest builds the same thing from any insertion order.
-        let built = GroupRequest::new(
-            quick(DType::Fp16Tensor, PatternKind::Gaussian),
-            members[1..].to_vec(),
-        )
-        .push(members[0])
-        .build();
-        assert_eq!(a, built);
     }
 
     #[test]

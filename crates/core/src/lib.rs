@@ -29,12 +29,12 @@ pub mod lab;
 pub use lab::{
     first_seed_member_operands, member_ordinals, member_seed_activities, member_seed_operands,
     member_slices, simulate_encoded_member_activity, simulate_member_activity, unit_layout,
-    GroupRequest, PowerLab, RunRequest, RunResult,
+    PowerLab, RunRequest, RunResult,
 };
 
 /// Convenience re-exports for downstream users and examples.
 pub mod prelude {
-    pub use crate::lab::{GroupRequest, PowerLab, RunRequest, RunResult};
+    pub use crate::lab::{PowerLab, RunRequest, RunResult};
     pub use wm_gpu::spec::{a100_pcie, h100_sxm5, rtx6000, v100_sxm2};
     pub use wm_gpu::{GemmDims, GpuSpec};
     pub use wm_kernels::{GemmConfig, KernelClass, Sampling};

@@ -22,20 +22,29 @@
 //! moves power through the datapath while memory-bound GEMV rides the
 //! DRAM interface, so the lumped model's shared slope mispredicts the
 //! minority regime; the keyed models do not.
+//!
+//! Every figure trains and scores the profile's `seeds` independent seed
+//! streams and plots each point's mean over them, with the sample
+//! standard deviation as the error bar, so a change to the features or
+//! the model can be judged against the seed spread.
 
 use crate::profile::RunProfile;
 use crate::runner::{FigureResult, PointStat, Series};
 use wm_core::RunRequest;
-use wm_fleet::probe_activity;
+use wm_fleet::{parallel_map, probe_activity};
 use wm_gpu::spec::a100_pcie;
 use wm_kernels::KernelClass;
 use wm_numerics::DType;
 use wm_patterns::{PatternKind, PatternSpec};
 use wm_power::evaluate_group;
-use wm_predict::{features_for_request, PowerPredictor};
+use wm_predict::{features_for_request, FeatureVector, PowerPredictor, Prediction};
 
 /// Training-volume checkpoints (observations seen so far).
 const VOLUMES: [u64; 5] = [8, 16, 32, 64, 128];
+
+/// Seed stream `s` XORs `s` times this odd constant into every request's
+/// base seed, training and held-out alike; stream 0 is the unsalted data.
+const STREAM_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The input-distribution families swept, one series each.
 struct Family {
@@ -115,10 +124,63 @@ fn request(profile: &RunProfile, kind: PatternKind, seed: u64) -> RunRequest {
         .with_base_seed(seed)
 }
 
+/// A figure's series over the profile's `seeds` seed streams.
+/// `stream(salt)` trains and scores one stream, returning one value per
+/// series and checkpoint; each point is the mean over streams, with the
+/// sample standard deviation over streams as its error bar.
+fn over_streams(
+    profile: &RunProfile,
+    names: &[&str],
+    volumes: &[u64],
+    stream: impl Fn(u64) -> Vec<Vec<f64>> + Sync,
+) -> Vec<Series> {
+    let salts = (0..profile.seeds)
+        .map(|s| s.wrapping_mul(STREAM_SALT))
+        .collect();
+    let runs = parallel_map(salts, stream);
+    let n = runs.len() as f64;
+    names
+        .iter()
+        .enumerate()
+        .map(|(si, name)| Series {
+            name: name.to_string(),
+            points: volumes
+                .iter()
+                .enumerate()
+                .map(|(vi, &volume)| {
+                    let mean = runs.iter().map(|r| r[si][vi]).sum::<f64>() / n;
+                    let ss = runs.iter().map(|r| (r[si][vi] - mean).powi(2)).sum::<f64>();
+                    PointStat {
+                        x: volume as f64,
+                        y: mean,
+                        yerr: if runs.len() > 1 {
+                            (ss / (n - 1.0)).sqrt()
+                        } else {
+                            0.0
+                        },
+                    }
+                })
+                .collect(),
+        })
+        .collect()
+}
+
 /// Ground truth: the analytic power model on the request's first-seed
 /// activity — exactly what the `wattd` acceptance test compares against.
 fn model_watts(req: &RunRequest) -> f64 {
     evaluate_group(&a100_pcie(), &probe_activity(req)).total_w
+}
+
+/// A held-out request's features and ground truth, computed once and
+/// scored at every checkpoint.
+fn labelled(req: &RunRequest) -> (FeatureVector, f64) {
+    (features_for_request(req), model_watts(req))
+}
+
+/// Absolute percentage error of `prediction` against `truth`; a model
+/// that cannot predict yet scores 100%.
+fn ape(prediction: Option<Prediction>, truth: f64) -> f64 {
+    prediction.map_or(100.0, |p| ((p.watts - truth) / truth).abs() * 100.0)
 }
 
 /// Execute all three sweeps: the per-family error-vs-volume figure, the
@@ -133,15 +195,49 @@ pub fn run(profile: &RunProfile) -> Vec<FigureResult> {
 }
 
 /// Error vs. training volume: one series per input family, x = training
-/// observations, y = mean held-out APE (%).
+/// observations, y = mean held-out APE (%) over seed streams.
 fn volume_figure(profile: &RunProfile) -> FigureResult {
     let volumes = profile.thin(&VOLUMES);
     let fams = families();
-    let gpu = a100_pcie();
+    let names: Vec<&str> = fams.iter().map(|f| f.name).collect();
+    let series = over_streams(profile, &names, &volumes, |salt| {
+        volume_stream(profile, &fams, &volumes, salt)
+    });
 
+    FigureResult {
+        id: "ext_predict".into(),
+        title: "Extension: predictor error vs. training volume".into(),
+        x_label: "training observations".into(),
+        y_label: "held-out APE (%)".into(),
+        notes: vec![
+            "Extension (not a paper figure): online ridge model over one-pass \
+             input features (Hamming weight, toggle density, sparsity, dynamic \
+             range, peak magnitude), trained against the analytic power model \
+             on an A100, FP16-T. Held-out parameters sit off the training grid."
+                .into(),
+            "Each point is a family's mean held-out APE, averaged over the \
+             profile's seed streams (stream s XORs s * 0x9E3779B97F4A7C15 into \
+             every request's base seed); the error bar is the sample standard \
+             deviation over streams."
+                .into(),
+            "The wattd acceptance bound is 15% APE after 64 observations.".into(),
+        ],
+        series,
+    }
+}
+
+/// One seed stream of [`volume_figure`]: each family's mean held-out APE
+/// at each checkpoint.
+fn volume_stream(
+    profile: &RunProfile,
+    fams: &[Family],
+    volumes: &[u64],
+    salt: u64,
+) -> Vec<Vec<f64>> {
+    let gpu = a100_pcie();
     // Held-out evaluation sets are fixed up front (seeds disjoint from
     // the training stream's).
-    let held_out: Vec<(usize, RunRequest)> = fams
+    let held_out: Vec<(usize, (FeatureVector, f64))> = fams
         .iter()
         .enumerate()
         .flat_map(|(fi, fam)| {
@@ -151,72 +247,40 @@ fn volume_figure(profile: &RunProfile) -> FigureResult {
                 .map(move |(i, kind)| (fi, (kind, i)))
         })
         .map(|(fi, (kind, i))| {
-            (
-                fi,
-                request(profile, kind, 0x8E1D_0000 + (fi * 16 + i) as u64),
-            )
+            let seed = (0x8E1D_0000 + (fi * 16 + i) as u64) ^ salt;
+            (fi, labelled(&request(profile, kind, seed)))
         })
         .collect();
 
     let mut predictor = PowerPredictor::with_min_observations(1);
-    let mut series: Vec<Series> = fams
-        .iter()
-        .map(|f| Series {
-            name: f.name.to_string(),
-            points: Vec::new(),
-        })
-        .collect();
-
+    let mut apes = vec![Vec::new(); fams.len()];
     let mut trained = 0u64;
-    for &volume in &volumes {
+    for &volume in volumes {
         // Extend the round-robin training stream up to this checkpoint.
         while trained < volume {
             let fam = &fams[(trained as usize) % fams.len()];
             let step = trained / fams.len() as u64;
-            let req = request(profile, (fam.train)(step), 0x7A17 + trained);
+            let req = request(profile, (fam.train)(step), (0x7A17 + trained) ^ salt);
             let features = features_for_request(&req);
             predictor.observe(gpu.name, KernelClass::Gemm, &features, model_watts(&req));
             trained += 1;
         }
         // Score every family's held-out set at this volume.
-        for (fi, s) in series.iter_mut().enumerate() {
-            let apes: Vec<f64> = held_out
+        for (fi, family) in apes.iter_mut().enumerate() {
+            let scored: Vec<f64> = held_out
                 .iter()
                 .filter(|(f, _)| *f == fi)
-                .map(|(_, req)| {
-                    let truth = model_watts(req);
-                    let features = features_for_request(req);
-                    match predictor.raw_predict(gpu.name, KernelClass::Gemm, &features) {
-                        Some(p) => ((p.watts - truth) / truth).abs() * 100.0,
-                        None => 100.0,
-                    }
+                .map(|(_, (features, truth))| {
+                    ape(
+                        predictor.raw_predict(gpu.name, KernelClass::Gemm, features),
+                        *truth,
+                    )
                 })
                 .collect();
-            let mean = apes.iter().sum::<f64>() / apes.len() as f64;
-            let var = apes.iter().map(|a| (a - mean) * (a - mean)).sum::<f64>() / apes.len() as f64;
-            s.points.push(PointStat {
-                x: volume as f64,
-                y: mean,
-                yerr: var.sqrt(),
-            });
+            family.push(scored.iter().sum::<f64>() / scored.len() as f64);
         }
     }
-
-    FigureResult {
-        id: "ext_predict".into(),
-        title: "Extension: predictor error vs. training volume".into(),
-        x_label: "training observations".into(),
-        y_label: "held-out APE (%)".into(),
-        notes: vec![
-            "Extension (not a paper figure): online ridge model over one-pass \
-             input features (entropy, Hamming weight, toggle density, sparsity, \
-             dynamic range), trained against the analytic power model on an \
-             A100, FP16-T. Held-out parameters sit off the training grid."
-                .into(),
-            "The wattd acceptance bound is 15% APE after 64 observations.".into(),
-        ],
-        series,
-    }
+    apes
 }
 
 /// P95 absolute percentage error of the held-out `apes` (percentage
@@ -233,6 +297,34 @@ fn p95(apes: &mut [f64]) -> f64 {
 /// held-out GEMV traffic at each training-volume checkpoint.
 fn mixed_kernel_figure(profile: &RunProfile) -> FigureResult {
     let volumes = profile.thin(&VOLUMES);
+    let series = over_streams(profile, &["per_kernel", "lumped"], &volumes, |salt| {
+        mixed_kernel_stream(profile, &volumes, salt)
+    });
+
+    FigureResult {
+        id: "ext_predict_mixed".into(),
+        title: "Extension: per-kernel vs. lumped models on mixed GEMM+GEMV traffic".into(),
+        x_label: "training observations (interleaved GEMM+GEMV)".into(),
+        y_label: "held-out GEMV P95 APE (%)".into(),
+        notes: vec![
+            "Extension (not a paper figure): the regime-mixing ablation behind \
+             keying learned power models by (architecture, kernel). Both schemes \
+             train on the same interleaved GEMM+GEMV stream against the analytic \
+             power model on an A100, FP16-T; the lumped scheme files every \
+             observation under one per-architecture model, the keyed scheme under \
+             the run's kernel class. Scored on held-out GEMV traffic."
+                .into(),
+            "Each point is the P95 APE averaged over the profile's seed streams; \
+             the error bar is the sample standard deviation over streams."
+                .into(),
+        ],
+        series,
+    }
+}
+
+/// One seed stream of [`mixed_kernel_figure`]: the keyed and the lumped
+/// scheme's held-out GEMV P95 APE at each checkpoint.
+fn mixed_kernel_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<Vec<f64>> {
     let gpu = a100_pcie();
     let kinds = [
         PatternKind::Gaussian,
@@ -254,13 +346,13 @@ fn mixed_kernel_figure(profile: &RunProfile) -> FigureResult {
         request(
             profile,
             kinds[(i / 2 % kinds.len() as u64) as usize],
-            0x317ED + i,
+            (0x317ED + i) ^ salt,
         )
         .with_kernel(kernel)
     };
     // Held-out GEMV traffic: same families, disjoint seeds, parameters
     // off the training grid.
-    let held_out: Vec<RunRequest> = [
+    let held_out: Vec<(FeatureVector, f64)> = [
         PatternKind::Gaussian,
         PatternKind::Sparse { sparsity: 0.45 },
         PatternKind::Sparse { sparsity: 0.85 },
@@ -270,7 +362,11 @@ fn mixed_kernel_figure(profile: &RunProfile) -> FigureResult {
     ]
     .into_iter()
     .enumerate()
-    .map(|(i, kind)| request(profile, kind, 0x6E1D_0000 + i as u64).with_kernel(KernelClass::Gemv))
+    .map(|(i, kind)| {
+        labelled(
+            &request(profile, kind, (0x6E1D_0000 + i as u64) ^ salt).with_kernel(KernelClass::Gemv),
+        )
+    })
     .collect();
 
     // Two predictors see the *same* interleaved stream; the lumped one
@@ -278,19 +374,10 @@ fn mixed_kernel_figure(profile: &RunProfile) -> FigureResult {
     // scheme), the keyed one under the run's own kernel class.
     let mut per_kernel = PowerPredictor::with_min_observations(1);
     let mut lumped = PowerPredictor::with_min_observations(1);
-    let mut series = vec![
-        Series {
-            name: "per_kernel".to_string(),
-            points: Vec::new(),
-        },
-        Series {
-            name: "lumped".to_string(),
-            points: Vec::new(),
-        },
-    ];
+    let mut p95s = vec![Vec::new(), Vec::new()];
 
     let mut trained = 0u64;
-    for &volume in &volumes {
+    for &volume in volumes {
         while trained < volume {
             let req = mixed_request(trained);
             let features = features_for_request(&req);
@@ -302,51 +389,21 @@ fn mixed_kernel_figure(profile: &RunProfile) -> FigureResult {
         let ape_of = |keyed: bool| {
             let mut apes: Vec<f64> = held_out
                 .iter()
-                .map(|req| {
-                    let truth = model_watts(req);
-                    let features = features_for_request(req);
+                .map(|(features, truth)| {
                     let p = if keyed {
-                        per_kernel.raw_predict(gpu.name, KernelClass::Gemv, &features)
+                        per_kernel.raw_predict(gpu.name, KernelClass::Gemv, features)
                     } else {
-                        lumped.raw_predict(gpu.name, KernelClass::Gemm, &features)
+                        lumped.raw_predict(gpu.name, KernelClass::Gemm, features)
                     };
-                    match p {
-                        Some(p) => ((p.watts - truth) / truth).abs() * 100.0,
-                        None => 100.0,
-                    }
+                    ape(p, *truth)
                 })
                 .collect();
             p95(&mut apes)
         };
-        let (keyed_p95, lumped_p95) = (ape_of(true), ape_of(false));
-        series[0].points.push(PointStat {
-            x: volume as f64,
-            y: keyed_p95,
-            yerr: 0.0,
-        });
-        series[1].points.push(PointStat {
-            x: volume as f64,
-            y: lumped_p95,
-            yerr: 0.0,
-        });
+        p95s[0].push(ape_of(true));
+        p95s[1].push(ape_of(false));
     }
-
-    FigureResult {
-        id: "ext_predict_mixed".into(),
-        title: "Extension: per-kernel vs. lumped models on mixed GEMM+GEMV traffic".into(),
-        x_label: "training observations (interleaved GEMM+GEMV)".into(),
-        y_label: "held-out GEMV P95 APE (%)".into(),
-        notes: vec![
-            "Extension (not a paper figure): the regime-mixing ablation behind \
-             keying learned power models by (architecture, kernel). Both schemes \
-             train on the same interleaved GEMM+GEMV stream against the analytic \
-             power model on an A100, FP16-T; the lumped scheme files every \
-             observation under one per-architecture model, the keyed scheme under \
-             the run's kernel class. Scored on held-out GEMV traffic."
-                .into(),
-        ],
-        series,
-    }
+    p95s
 }
 
 /// The ragged-shape generalization ablation behind opening `RunRequest`
@@ -357,6 +414,38 @@ fn mixed_kernel_figure(profile: &RunProfile) -> FigureResult {
 /// the paper's square `dim` saw those features constant and cannot.
 fn ragged_shape_figure(profile: &RunProfile) -> FigureResult {
     let volumes = profile.thin(&VOLUMES);
+    let series = over_streams(
+        profile,
+        &["ragged_trained", "square_trained"],
+        &volumes,
+        |salt| ragged_shape_stream(profile, &volumes, salt),
+    );
+
+    FigureResult {
+        id: "ext_predict_ragged".into(),
+        title: "Extension: shape generalization on ragged decode-GEMV traffic".into(),
+        x_label: "training observations (ragged n x 1 x k decode shapes)".into(),
+        y_label: "held-out ragged-shape P95 APE (%)".into(),
+        notes: vec![
+            "Extension (not a paper figure): the ablation behind opening \
+             RunRequest to full n x m x k shapes. Two GEMV models train on the \
+             same input-pattern stream against the analytic power model on an \
+             A100, FP16-T — one on a grid of ragged decode shapes, one only on \
+             the paper's square dim — and both are scored on held-out ragged \
+             shapes off the training grid. The per-axis log2 and bytes-per-FLOP \
+             features only vary (and therefore only train) under ragged traffic."
+                .into(),
+            "Each point is the P95 APE averaged over the profile's seed streams; \
+             the error bar is the sample standard deviation over streams."
+                .into(),
+        ],
+        series,
+    }
+}
+
+/// One seed stream of [`ragged_shape_figure`]: the ragged- and the
+/// square-trained model's held-out P95 APE at each checkpoint.
+fn ragged_shape_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<Vec<f64>> {
     let gpu = a100_pcie();
     let d = profile.dim;
     // Decode shapes (n, k): tall, wide, and balanced, n != k throughout
@@ -383,11 +472,11 @@ fn ragged_shape_figure(profile: &RunProfile) -> FigureResult {
         PatternKind::ZeroLsbs { count: 6 },
     ];
     let decode = |(n, k): (usize, usize), kind: PatternKind, seed: u64| {
-        request(profile, kind, seed)
+        request(profile, kind, seed ^ salt)
             .with_kernel(KernelClass::Gemv)
             .with_shape(wm_gpu::GemmDims { n, m: 1, k })
     };
-    let held_out: Vec<RunRequest> = held_out_shapes
+    let held_out: Vec<(FeatureVector, f64)> = held_out_shapes
         .iter()
         .enumerate()
         .flat_map(|(si, &shape)| {
@@ -399,26 +488,17 @@ fn ragged_shape_figure(profile: &RunProfile) -> FigureResult {
             .enumerate()
             .map(move |(pi, kind)| (shape, kind, 0x4A66_0000 + (si * 8 + pi) as u64))
         })
-        .map(|(shape, kind, seed)| decode(shape, kind, seed))
+        .map(|(shape, kind, seed)| labelled(&decode(shape, kind, seed)))
         .collect();
 
     // Both models see the same pattern stream and observation count; only
     // the shapes differ: ragged grid vs. the square `dim` the paper used.
     let mut ragged = PowerPredictor::with_min_observations(1);
     let mut square = PowerPredictor::with_min_observations(1);
-    let mut series = vec![
-        Series {
-            name: "ragged_trained".to_string(),
-            points: Vec::new(),
-        },
-        Series {
-            name: "square_trained".to_string(),
-            points: Vec::new(),
-        },
-    ];
+    let mut p95s = vec![Vec::new(), Vec::new()];
 
     let mut trained = 0u64;
-    for &volume in &volumes {
+    for &volume in volumes {
         while trained < volume {
             let kind = kinds[(trained % kinds.len() as u64) as usize];
             let shape = train_shapes[(trained % train_shapes.len() as u64) as usize];
@@ -440,43 +520,20 @@ fn ragged_shape_figure(profile: &RunProfile) -> FigureResult {
             );
             trained += 1;
         }
-        for (series_idx, predictor) in [(0, &ragged), (1, &square)] {
+        for (series, predictor) in p95s.iter_mut().zip([&ragged, &square]) {
             let mut apes: Vec<f64> = held_out
                 .iter()
-                .map(|req| {
-                    let truth = model_watts(req);
-                    let features = features_for_request(req);
-                    match predictor.raw_predict(gpu.name, KernelClass::Gemv, &features) {
-                        Some(p) => ((p.watts - truth) / truth).abs() * 100.0,
-                        None => 100.0,
-                    }
+                .map(|(features, truth)| {
+                    ape(
+                        predictor.raw_predict(gpu.name, KernelClass::Gemv, features),
+                        *truth,
+                    )
                 })
                 .collect();
-            series[series_idx].points.push(PointStat {
-                x: volume as f64,
-                y: p95(&mut apes),
-                yerr: 0.0,
-            });
+            series.push(p95(&mut apes));
         }
     }
-
-    FigureResult {
-        id: "ext_predict_ragged".into(),
-        title: "Extension: shape generalization on ragged decode-GEMV traffic".into(),
-        x_label: "training observations (ragged n x 1 x k decode shapes)".into(),
-        y_label: "held-out ragged-shape P95 APE (%)".into(),
-        notes: vec![
-            "Extension (not a paper figure): the ablation behind opening \
-             RunRequest to full n x m x k shapes. Two GEMV models train on the \
-             same input-pattern stream against the analytic power model on an \
-             A100, FP16-T — one on a grid of ragged decode shapes, one only on \
-             the paper's square dim — and both are scored on held-out ragged \
-             shapes off the training grid. The per-axis log2 and bytes-per-FLOP \
-             features only vary (and therefore only train) under ragged traffic."
-                .into(),
-        ],
-        series,
-    }
+    p95s
 }
 
 #[cfg(test)]

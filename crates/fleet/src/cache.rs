@@ -196,7 +196,7 @@ pub struct Unit {
     pub activity: ActivityRecord,
     /// The member's input-feature chunk: present on seed 0 only, the seed
     /// the feature extractor walks.
-    pub chunk: Option<Box<FeatureAccumulator>>,
+    pub chunk: Option<FeatureAccumulator>,
     /// Id of the request whose job computed the unit. A member counts as
     /// cached only when a *different* request computed its units.
     pub computed_by: u64,
@@ -223,7 +223,7 @@ impl Unit {
             let mut acc = FeatureAccumulator::new(req.dtype);
             acc.add_words(ea.words());
             acc.add_words(eb.words());
-            Box::new(acc)
+            acc
         });
         Self {
             activity: simulate_encoded_member_activity(req, member, (&a, &ea), (&b, &eb)),
@@ -547,7 +547,7 @@ mod tests {
                     match unit.chunk {
                         Some(chunk) => {
                             assert_eq!(s, 0, "only seed 0 carries a chunk");
-                            assert_eq!(*chunk, member_feature_chunk(&req, m, ord));
+                            assert_eq!(chunk, member_feature_chunk(&req, m, ord));
                         }
                         None => assert_ne!(s, 0, "seed 0 must carry its chunk"),
                     }
@@ -610,7 +610,7 @@ mod tests {
                         for &v in a.as_slice().iter().chain(b.as_slice()) {
                             by_value.add_value(v);
                         }
-                        assert_eq!(*chunk, by_value, "{at}");
+                        assert_eq!(chunk, by_value, "{at}");
                     }
                 }
             }

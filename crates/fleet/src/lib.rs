@@ -82,7 +82,10 @@ pub use par::parallel_map;
 pub use placement::{
     place, place_learned, probe_activity, Placement, PlacementError, PredictionSource,
 };
-pub use protocol::{answer, answer_streamed, answer_streamed_with_default, serve};
+pub use protocol::{
+    answer, answer_streamed, answer_streamed_with_default, oversized_line_error, serve, LineEvent,
+    LineReader, MAX_LINE_BYTES,
+};
 pub use scheduler::{
     pack_ffd, BatchRound, DeviceStats, FleetError, FleetJob, FleetResponse, JobHandle, PackedRound,
     PredictOutcome, Scheduler, SchedulerStats, DEFAULT_TRACE_CAPACITY,

@@ -769,7 +769,7 @@ fn metrics_json(sched: &Scheduler) -> Json {
 /// Ops the per-op latency histogram labels individually; anything else —
 /// unknown or wrong-typed — shares the `"other"` label so hostile input
 /// cannot mint unbounded label cardinality.
-const KNOWN_OPS: &[&str] = &[
+pub(crate) const KNOWN_OPS: &[&str] = &[
     "ping",
     "stats",
     "metrics",
@@ -789,14 +789,12 @@ pub fn answer(v: &Json, sched: &Scheduler) -> Json {
     let rid = tracer.next_request_id();
     let t0 = tracer.now_us();
     let response = answer_inner(v, sched, rid);
-    let op_label = match opt_str(v, "op") {
-        Ok(None) => "run",
-        Ok(Some(op)) if KNOWN_OPS.contains(&op) => op,
-        _ => "other",
+    let op = match opt_str(v, "op") {
+        Ok(op) => op.unwrap_or("run"),
+        Err(_) => "other",
     };
     sched
-        .registry()
-        .histogram("wattd_request_latency_us", &[("op", op_label)])
+        .request_latency(op)
         .observe(tracer.now_us().saturating_sub(t0) as f64);
     with_request_id(response, rid)
 }
@@ -857,8 +855,7 @@ pub fn answer_streamed_with_default(
         Ok(_) => answer_batch_streamed(v, sched, rid, id, emit),
     };
     sched
-        .registry()
-        .histogram("wattd_request_latency_us", &[("op", "batch")])
+        .request_latency("batch")
         .observe(tracer.now_us().saturating_sub(t0) as f64);
     outcome
 }
@@ -1195,8 +1192,126 @@ fn answer_inner(v: &Json, sched: &Scheduler, rid: u64) -> Json {
     }
 }
 
+/// The longest request line either transport buffers: 1 MiB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// The error text answering a request line longer than `cap` bytes.
+pub fn oversized_line_error(cap: usize) -> String {
+    format!("request line exceeds the {cap}-byte cap; line discarded")
+}
+
+/// What [`LineReader::next_line`] read.
+#[derive(Debug)]
+pub enum LineEvent {
+    /// A request line without its newline, decoded lossily (a byte that
+    /// is not UTF-8 becomes U+FFFD, so the line still gets an answer). A
+    /// stream's unterminated last line counts as a line.
+    Line(String),
+    /// A line longer than the cap. None of it past the cap is buffered:
+    /// the rest is consumed and dropped.
+    Oversized,
+    /// The read timed out: a socket's chance to poll for drain.
+    Timeout,
+    /// Clean end of stream.
+    Eof,
+}
+
+/// Request lines read with a hard buffer cap, shared by the stdio loop
+/// ([`serve`]) and the TCP sessions: the cap bounds memory, not only the
+/// error, because an oversized line's tail is never buffered.
+pub struct LineReader<R> {
+    reader: R,
+    cap: usize,
+    buf: Vec<u8>,
+    discarding: bool,
+    bytes_in: u64,
+}
+
+impl<R: BufRead> LineReader<R> {
+    /// Lines of `reader`, each buffered up to `cap` bytes.
+    pub fn new(reader: R, cap: usize) -> Self {
+        Self {
+            reader,
+            cap,
+            buf: Vec::new(),
+            discarding: false,
+            bytes_in: 0,
+        }
+    }
+
+    /// Every byte consumed so far, dropped ones included.
+    pub fn bytes_in(&self) -> u64 {
+        self.bytes_in
+    }
+
+    /// Read toward the next newline.
+    pub fn next_line(&mut self) -> std::io::Result<LineEvent> {
+        loop {
+            let available = match self.reader.fill_buf() {
+                Ok(bytes) => bytes,
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Ok(LineEvent::Timeout)
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if available.is_empty() {
+                return Ok(if self.buf.is_empty() {
+                    LineEvent::Eof
+                } else {
+                    self.take_line()
+                });
+            }
+            let newline = available.iter().position(|&b| b == b'\n');
+            let line_bytes = newline.unwrap_or(available.len());
+            let len = newline.map_or(line_bytes, |pos| pos + 1);
+            let over = !self.discarding && self.buf.len() + line_bytes > self.cap;
+            if !self.discarding && !over {
+                self.buf.extend_from_slice(&available[..line_bytes]);
+            }
+            self.reader.consume(len);
+            self.bytes_in += len as u64;
+            if over {
+                self.buf.clear();
+                self.discarding = newline.is_none();
+                return Ok(LineEvent::Oversized);
+            }
+            if newline.is_some() {
+                if std::mem::take(&mut self.discarding) {
+                    // The tail of an oversized line, already answered.
+                    continue;
+                }
+                return Ok(self.take_line());
+            }
+        }
+    }
+
+    fn take_line(&mut self) -> LineEvent {
+        let raw = std::mem::take(&mut self.buf);
+        LineEvent::Line(
+            String::from_utf8(raw)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+        )
+    }
+}
+
+/// Answer a line that never became a request object. It still takes a
+/// request id, so every response the daemon writes carries one and the
+/// trace ring shows the failed parse, finished as `detail`.
+fn reject_line(sched: &Scheduler, detail: &str, message: &str) -> Json {
+    let tracer = sched.tracer();
+    let rid = tracer.next_request_id();
+    tracer.start(rid, stage::PARSE).finish(detail);
+    with_request_id(err_response(Json::Null, message), rid)
+}
+
 /// Serve JSON-lines requests from `reader` to `writer` until EOF. Blank
-/// lines are ignored; malformed JSON yields an error response.
+/// lines are ignored; a line that is not JSON (or not UTF-8) and a line
+/// over [`MAX_LINE_BYTES`] each get an error response with the TCP
+/// session's texts, and serving goes on.
 ///
 /// A `batch` request answers as a single blob by default, but honors an
 /// explicit `"stream": true` with the TCP service's round framing — one
@@ -1207,34 +1322,30 @@ pub fn serve(
     mut writer: impl Write,
     sched: &Scheduler,
 ) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match Json::parse(&line) {
-            Ok(v) => {
-                let mut emit = |resp: &Json| -> std::io::Result<()> {
-                    writeln!(writer, "{resp}")?;
-                    writer.flush()
-                };
-                answer_streamed_with_default(&v, sched, false, &mut emit)?;
+    let mut lines = LineReader::new(reader, MAX_LINE_BYTES);
+    loop {
+        let response = match lines.next_line()? {
+            LineEvent::Line(line) if line.trim().is_empty() => continue,
+            LineEvent::Line(line) => match Json::parse(&line) {
+                Ok(v) => {
+                    let mut emit = |resp: &Json| -> std::io::Result<()> {
+                        writeln!(writer, "{resp}")?;
+                        writer.flush()
+                    };
+                    answer_streamed_with_default(&v, sched, false, &mut emit)?;
+                    continue;
+                }
+                Err(e) => reject_line(sched, "error", &format!("parse error: {e}")),
+            },
+            LineEvent::Oversized => {
+                reject_line(sched, "oversized", &oversized_line_error(MAX_LINE_BYTES))
             }
-            Err(e) => {
-                // Even unparseable lines consume a request id, so every
-                // response the daemon ever writes carries one and the
-                // trace ring shows the failed parse.
-                let tracer = sched.tracer();
-                let rid = tracer.next_request_id();
-                tracer.start(rid, stage::PARSE).finish("error");
-                let response =
-                    with_request_id(err_response(Json::Null, &format!("parse error: {e}")), rid);
-                writeln!(writer, "{response}")?;
-                writer.flush()?;
-            }
-        }
+            LineEvent::Timeout => continue,
+            LineEvent::Eof => return Ok(()),
+        };
+        writeln!(writer, "{response}")?;
+        writer.flush()?;
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -2056,6 +2167,85 @@ mod tests {
         let resp = Json::parse(std::str::from_utf8(&out).unwrap().trim()).unwrap();
         assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
         assert!(resp.get("request_id").and_then(Json::as_f64).is_some());
+    }
+
+    /// Every response line `serve` writes for `input`.
+    fn serve_bytes(s: &Scheduler, input: &[u8]) -> Vec<Json> {
+        let mut out = Vec::new();
+        serve(input, &mut out, s).expect("in-memory serve cannot fail");
+        std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(|l| Json::parse(l).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_answered_and_serving_goes_on() {
+        let s = sched();
+        let lines = serve_bytes(
+            &s,
+            b"{\"id\":1,\"op\":\"ping\"}\n\xff\xfe\n{\"id\":2,\"op\":\"ping\"}\n",
+        );
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert_eq!(
+            lines[0].get("pong"),
+            Some(&Json::Bool(true)),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(lines[1].get("ok"), Some(&Json::Bool(false)), "{}", lines[1]);
+        let error = lines[1].get("error").and_then(Json::as_str).unwrap();
+        assert!(error.starts_with("parse error: "), "{error}");
+        assert!(lines[1].get("request_id").and_then(Json::as_u64).is_some());
+        assert_eq!(lines[2].get("id"), Some(&Json::Num(2.0)), "{}", lines[2]);
+        assert_eq!(
+            lines[2].get("pong"),
+            Some(&Json::Bool(true)),
+            "{}",
+            lines[2]
+        );
+    }
+
+    #[test]
+    fn an_oversized_line_is_answered_without_being_buffered() {
+        let s = sched();
+        let mut input = vec![b'x'; 2 * MAX_LINE_BYTES];
+        input.extend_from_slice(b"\n{\"op\":\"ping\"}\n");
+        let lines = serve_bytes(&s, &input);
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        assert_eq!(
+            lines[0].get("error").and_then(Json::as_str),
+            Some(oversized_line_error(MAX_LINE_BYTES).as_str())
+        );
+        assert!(lines[0].get("request_id").and_then(Json::as_u64).is_some());
+        assert_eq!(
+            lines[1].get("pong"),
+            Some(&Json::Bool(true)),
+            "{}",
+            lines[1]
+        );
+    }
+
+    #[test]
+    fn request_latency_is_counted_per_op() {
+        let s = sched();
+        let input = [
+            r#"{"op": "ping"}"#,
+            r#"{"op": "frobnicate"}"#,
+            r#"{"op": "ping"}"#,
+            r#"{"op": 7}"#,
+            r#"{"op": "batch", "requests": []}"#,
+            r#"{"op": "ping"}"#,
+        ]
+        .join("\n");
+        assert_eq!(serve_bytes(&s, input.as_bytes()).len(), 6);
+        let count = |op| {
+            s.registry()
+                .histogram("wattd_request_latency_us", &[("op", op)])
+                .count()
+        };
+        assert_eq!((count("ping"), count("other"), count("batch")), (3, 2, 1));
     }
 
     fn stream_line(s: &Scheduler, line: &str) -> Vec<Json> {

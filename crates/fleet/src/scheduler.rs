@@ -49,7 +49,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -83,6 +83,7 @@ use crate::cache::{Answer, MemoCache, Unit};
 use crate::device::{Fleet, FleetDevice};
 use crate::hash::{answer_key, request_key, unit_key};
 use crate::placement::{place, place_learned, Placement, PlacementError, PredictionSource};
+use crate::protocol::KNOWN_OPS;
 
 /// One unit of work for the fleet.
 #[derive(Debug, Clone)]
@@ -344,6 +345,10 @@ struct Inner {
     /// the hot path must not pay a registry lookup per job.
     latency_gemm: Histogram,
     latency_gemv: Histogram,
+    /// The protocol's `wattd_request_latency_us{op=…}` handles: one per
+    /// [`KNOWN_OPS`] entry, then `other`, each registered at its op's
+    /// first answered line.
+    request_latency: [OnceLock<Histogram>; KNOWN_OPS.len() + 1],
 }
 
 /// Handle to one submitted job; `recv` blocks until the answer arrives.
@@ -440,6 +445,7 @@ impl Scheduler {
             tracer,
             latency_gemm,
             latency_gemv,
+            request_latency: Default::default(),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -470,6 +476,19 @@ impl Scheduler {
     /// The tracer allocating this scheduler's request ids and spans.
     pub fn tracer(&self) -> &Arc<Tracer> {
         &self.inner.tracer
+    }
+
+    /// The `wattd_request_latency_us` histogram of protocol op `op`; an
+    /// op outside [`KNOWN_OPS`] shares the `other` label. The handle is
+    /// registered at the op's first line and resolved once.
+    pub(crate) fn request_latency(&self, op: &str) -> &Histogram {
+        let slot = KNOWN_OPS.iter().position(|known| *known == op);
+        let label = slot.map_or("other", |i| KNOWN_OPS[i]);
+        self.inner.request_latency[slot.unwrap_or(KNOWN_OPS.len())].get_or_init(|| {
+            self.inner
+                .registry
+                .histogram("wattd_request_latency_us", &[("op", label)])
+        })
     }
 
     /// Submit one job; returns a handle to await the answer. Jobs without
@@ -1107,8 +1126,7 @@ struct FirstSeed {
 /// extraction, since the accumulator merge charges the boundary toggles.
 fn first_seed(inner: &Inner, req: &RunRequest, rid: u64) -> FirstSeed {
     let units = fetch_units(inner, req, rid, 1);
-    let chunks: Vec<&FeatureAccumulator> =
-        units.iter().filter_map(|u| u.chunk.as_deref()).collect();
+    let chunks: Vec<&FeatureAccumulator> = units.iter().filter_map(|u| u.chunk.as_ref()).collect();
     let features = features_from_member_chunks(req, &chunks);
     FirstSeed { units, features }
 }

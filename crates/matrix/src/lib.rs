@@ -1,4 +1,4 @@
-//! # wm-matrix — dense matrices with layout, views, and tile iteration
+//! # wm-matrix — dense matrices with layout and views
 //!
 //! Minimal but complete dense-matrix substrate for the GEMM simulator:
 //!
@@ -7,7 +7,6 @@
 //! * [`MatrixView`] — a borrowed, optionally transposed view; GEMM operand
 //!   access goes through views so the placement experiments can flip the
 //!   paper's "B transposed / not transposed" switch without copying.
-//! * [`tiles`] — tile-coordinate iteration matching the kernel hierarchy.
 //!
 //! Indexing is `(row, col)` everywhere; storage is row-major. Out-of-range
 //! indexing panics (debug *and* release): index arithmetic bugs must never
@@ -15,10 +14,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod tiles;
-
-pub use tiles::{TileCoord, TileIter};
 
 /// A dense row-major matrix of logical `f32` values.
 #[derive(Debug, Clone, PartialEq)]

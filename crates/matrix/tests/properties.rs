@@ -1,7 +1,7 @@
 //! Property-based tests for matrix invariants.
 
 use proptest::prelude::*;
-use wm_matrix::{Matrix, TileIter};
+use wm_matrix::Matrix;
 
 fn arb_matrix() -> impl Strategy<Value = Matrix> {
     (1usize..12, 1usize..12).prop_flat_map(|(r, c)| {
@@ -49,26 +49,6 @@ proptest! {
     fn approx_eq_is_reflexive_and_symmetric(m in arb_matrix(), n in arb_matrix()) {
         prop_assert!(m.approx_eq(&m, 0.0));
         prop_assert_eq!(m.approx_eq(&n, 1e-3), n.approx_eq(&m, 1e-3));
-    }
-
-    #[test]
-    fn tiles_partition_any_matrix(
-        rows in 1usize..40,
-        cols in 1usize..40,
-        tr in 1usize..12,
-        tc in 1usize..12,
-    ) {
-        let mut covered = vec![false; rows * cols];
-        for tile in TileIter::new(rows, cols, tr, tc) {
-            for r in tile.row0..tile.row0 + tile.rows {
-                for c in tile.col0..tile.col0 + tile.cols {
-                    let idx = r * cols + c;
-                    prop_assert!(!covered[idx], "cell ({r},{c}) covered twice");
-                    covered[idx] = true;
-                }
-            }
-        }
-        prop_assert!(covered.iter().all(|&x| x), "some cell uncovered");
     }
 
     #[test]

@@ -55,15 +55,6 @@ pub struct PowerBreakdown {
     pub energy_per_iter_j: f64,
 }
 
-impl PowerBreakdown {
-    /// The data-dependent share of total power (everything that input
-    /// patterns can move): datapath + memory toggles are folded in their
-    /// components; this returns `total - idle - uncore`.
-    pub fn data_path_share(&self) -> f64 {
-        (self.total_w - self.idle_w - self.uncore_w) / self.total_w
-    }
-}
-
 /// Boost-clock dynamic power components of one kernel's activity —
 /// everything [`evaluate`] derives before the DVFS governor runs. Shared
 /// with [`evaluate_group`], which sums these over a group's members

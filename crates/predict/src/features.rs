@@ -6,24 +6,23 @@
 //! fixed-width [`FeatureVector`] of exactly such signals in a single pass
 //! over the operands' encoded words — the words a unit walk encodes once
 //! and the kernel simulation reads too
-//! ([`FeatureAccumulator::add_words`]): byte and value entropy
-//! (Bhalachandra et al. show entropy tracks FPU/GPU dynamic power), mean
-//! Hamming weight and adjacent-word toggle density (the raw currency of
-//! the switching activity model, via `wm-bits`), sparsity, dynamic range,
-//! and dtype/shape descriptors.
+//! ([`FeatureAccumulator::add_words`]): mean Hamming weight and
+//! adjacent-word toggle density (the raw currency of the switching
+//! activity model, via `wm-bits`), sparsity, dynamic range, peak
+//! magnitude, and dtype/shape descriptors. There is no entropy feature:
+//! the power model prices toggles and Hamming weight, which the features
+//! already carry, and byte/value entropy did not lower held-out error.
 //!
 //! ## Determinism across worker counts
 //!
 //! Extraction is built on a mergeable [`FeatureAccumulator`] whose state
-//! is exact — integer histograms and counters, plus min/max — so
-//! splitting the operand stream into chunks, accumulating each chunk
-//! independently (on any number of workers), and folding the partials in
-//! stream order is **bit-identical** to a single sequential pass. The
-//! property tests in `tests/properties.rs` pin this down.
+//! is exact — integer counters, plus min/max — so splitting the operand
+//! stream into chunks, accumulating each chunk independently (on any
+//! number of workers), and folding the partials in stream order is
+//! **bit-identical** to a single sequential pass. The property tests in
+//! `tests/properties.rs` pin this down.
 
-use wm_bits::{
-    hamming_distance, hamming_weight, slice_hamming_weight, stream_toggles, ByteHistogram,
-};
+use wm_bits::{hamming_distance, hamming_weight, slice_hamming_weight, stream_toggles};
 use wm_core::RunRequest;
 use wm_gpu::GemmDims;
 use wm_kernels::KernelClass;
@@ -31,15 +30,11 @@ use wm_matrix::Matrix;
 use wm_numerics::{bf16_bits_to_f32, f16_bits_to_f32, DType, Quantizer};
 
 /// Width of a [`FeatureVector`].
-pub const FEATURE_DIM: usize = 17;
+pub const FEATURE_DIM: usize = 15;
 
 /// Normalizer for the `group_members` feature: `log2` of the protocol's
 /// 64-member group cap, so the descriptor spans [0, 1].
 const GROUP_OCTAVES: f64 = 6.0;
-
-/// Number of bins in the value-entropy histogram (hash-bucketed encoded
-/// words; 2^12 bins caps value entropy at 12 bits).
-const VALUE_BINS: usize = 4096;
 
 /// Normalizer for the dynamic-range feature: the full f32 magnitude span
 /// is log2(2^127 / 2^-149) ≈ 276 octaves.
@@ -68,8 +63,6 @@ impl FeatureVector {
     /// indicator).
     pub const NAMES: [&'static str; FEATURE_DIM] = [
         "bias",
-        "byte_entropy",
-        "value_entropy",
         "hamming_fraction",
         "toggle_density",
         "zero_fraction",
@@ -89,7 +82,7 @@ impl FeatureVector {
 
 /// Mergeable single-pass accumulator over a stream of operand values.
 ///
-/// All internal state is exact (integer counters/histograms, min/max), so
+/// All internal state is exact (integer counters, min/max), so
 /// [`FeatureAccumulator::merge`] over stream chunks reproduces the
 /// sequential pass bit for bit regardless of how the stream was split.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,23 +96,9 @@ pub struct FeatureAccumulator {
     /// accounting on merge.
     first_word: Option<u64>,
     last_word: Option<u64>,
-    byte_hist: ByteHistogram,
-    /// Fixed-size so a fresh accumulator costs zero heap allocations on
-    /// the per-request extraction path (hot-path-alloc audited).
-    value_hist: [u64; VALUE_BINS],
     /// Exact extrema of the quantized absolute values.
     max_abs: f32,
     min_nonzero_abs: f32,
-}
-
-/// Hash-bucket an encoded word into the value histogram (splitmix64
-/// finalizer: cheap, well-mixed, deterministic).
-#[inline]
-fn value_bin(word: u64) -> usize {
-    let mut z = word.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((z ^ (z >> 31)) % VALUE_BINS as u64) as usize
 }
 
 impl FeatureAccumulator {
@@ -133,8 +112,6 @@ impl FeatureAccumulator {
             toggle_total: 0,
             first_word: None,
             last_word: None,
-            byte_hist: ByteHistogram::new(),
-            value_hist: [0; VALUE_BINS],
             max_abs: 0.0,
             min_nonzero_abs: f32::INFINITY,
         }
@@ -164,8 +141,6 @@ impl FeatureAccumulator {
         }
         self.last_word = Some(word);
         self.hamming_total += u64::from(hamming_weight(word));
-        self.byte_hist.add_word(word, self.dtype.bytes());
-        self.value_hist[value_bin(word)] += 1;
         if word == 0 {
             self.zero_words += 1;
         }
@@ -199,25 +174,25 @@ impl FeatureAccumulator {
         // |value|; above the infinity pattern lie the NaNs, which
         // `add_value` never lets move an extreme); INT8's is |byte|.
         match self.dtype {
-            DType::Fp32 => self.accumulate::<4>(
+            DType::Fp32 => self.accumulate(
                 words,
                 |w| (w & 0x7FFF_FFFF) as i32,
                 0x7F80_0000,
                 |m| f32::from_bits(m as u32),
             ),
-            DType::Fp16 | DType::Fp16Tensor => self.accumulate::<2>(
+            DType::Fp16 | DType::Fp16Tensor => self.accumulate(
                 words,
                 |w| (w & 0x7FFF) as i32,
                 0x7C00,
                 |m| f16_bits_to_f32(m as u16),
             ),
-            DType::Bf16 => self.accumulate::<2>(
+            DType::Bf16 => self.accumulate(
                 words,
                 |w| (w & 0x7FFF) as i32,
                 0x7F80,
                 |m| bf16_bits_to_f32(m as u16),
             ),
-            DType::Int8 => self.accumulate::<1>(
+            DType::Int8 => self.accumulate(
                 words,
                 |w| i32::from(w as u8 as i8).abs(),
                 i32::MAX,
@@ -226,13 +201,12 @@ impl FeatureAccumulator {
         }
     }
 
-    /// The word loop behind [`FeatureAccumulator::add_words`] for a dtype
-    /// `BYTES` wide: `magnitude` maps a word to a non-negative key ordered
-    /// like its value's `abs()` (keys above `inf` are NaNs) and `decode`
-    /// maps a key back to that `abs()`. The extremes are tracked as keys
-    /// and decoded once per call.
+    /// The word loop behind [`FeatureAccumulator::add_words`]: `magnitude`
+    /// maps a word to a non-negative key ordered like its value's `abs()`
+    /// (keys above `inf` are NaNs) and `decode` maps a key back to that
+    /// `abs()`. The extremes are tracked as keys and decoded once per call.
     #[inline(always)]
-    fn accumulate<const BYTES: usize>(
+    fn accumulate(
         &mut self,
         words: &[u32],
         magnitude: impl Fn(u32) -> i32,
@@ -249,19 +223,14 @@ impl FeatureAccumulator {
                 first
             }
         };
-        // Counters and extremes first, in sweeps free of memory
-        // dependencies (signed keys: their lanes vectorize better); the
-        // two histograms after them.
+        // Extremes in one sweep free of memory dependencies (signed keys:
+        // their lanes vectorize better), then the counters.
         let (mut max_key, mut min_key) = (0, i32::MAX);
         for &w in words {
             let key = magnitude(w);
             let not_nan = key <= inf;
             max_key = max_key.max(if not_nan { key } else { 0 });
             min_key = min_key.min(if not_nan && key != 0 { key } else { i32::MAX });
-        }
-        for &w in words {
-            self.byte_hist.add_word(u64::from(w), BYTES);
-            self.value_hist[value_bin(u64::from(w))] += 1;
         }
         self.last_word = Some(u64::from(last));
         self.toggle_total += stream_toggles(words) + u64::from(hamming_distance(prev, first));
@@ -304,10 +273,6 @@ impl FeatureAccumulator {
         self.zero_words += later.zero_words;
         self.hamming_total += later.hamming_total;
         self.toggle_total += later.toggle_total;
-        self.byte_hist.merge(&later.byte_hist);
-        for (a, b) in self.value_hist.iter_mut().zip(later.value_hist.iter()) {
-            *a += b;
-        }
         if later.max_abs > self.max_abs {
             self.max_abs = later.max_abs;
         }
@@ -356,9 +321,6 @@ impl FeatureAccumulator {
         );
         let bits = f64::from(self.dtype.bits());
         let words = self.words as f64;
-        let byte_entropy = self.byte_hist.entropy() / 8.0;
-        let value_entropy =
-            wm_bits::histogram_entropy(&self.value_hist) / (VALUE_BINS as f64).log2();
         let hamming_fraction = self.hamming_total as f64 / (words * bits);
         let toggle_density = if self.words > 1 {
             self.toggle_total as f64 / ((words - 1.0) * bits)
@@ -407,8 +369,6 @@ impl FeatureAccumulator {
         FeatureVector {
             values: [
                 1.0,
-                byte_entropy,
-                value_entropy,
                 hamming_fraction,
                 toggle_density,
                 zero_fraction,
@@ -537,6 +497,14 @@ mod tests {
         )
     }
 
+    /// The index of the feature called `name`.
+    fn at(name: &str) -> usize {
+        FeatureVector::NAMES
+            .iter()
+            .position(|n| *n == name)
+            .unwrap_or_else(|| panic!("no feature named {name}"))
+    }
+
     fn features(kind: PatternKind, dtype: DType) -> FeatureVector {
         let (a, b) = operands(kind, dtype, 64, 9);
         extract_features(dtype, KernelClass::Gemm, GemmDims::square(64), &a, &b)
@@ -554,10 +522,13 @@ mod tests {
     fn zeros_are_the_degenerate_point() {
         let f = features(PatternKind::Zeros, DType::Fp16Tensor);
         let s = f.as_slice();
-        assert_eq!(s[1], 0.0, "byte entropy of all-zero");
-        assert_eq!(s[3], 0.0, "hamming weight of all-zero");
-        assert_eq!(s[4], 0.0, "no toggles in a constant stream");
-        assert_eq!(s[5], 1.0, "everything is a zero word");
+        assert_eq!(s[at("hamming_fraction")], 0.0, "hamming weight of all-zero");
+        assert_eq!(
+            s[at("toggle_density")],
+            0.0,
+            "no toggles in a constant stream"
+        );
+        assert_eq!(s[at("zero_fraction")], 1.0, "everything is a zero word");
     }
 
     #[test]
@@ -565,16 +536,20 @@ mod tests {
         let gauss = features(PatternKind::Gaussian, DType::Fp16Tensor);
         let sparse = features(PatternKind::Sparse { sparsity: 0.8 }, DType::Fp16Tensor);
         let constant = features(PatternKind::ConstantRandom, DType::Fp16Tensor);
+        let toggles = at("toggle_density");
         // Toggle density: random > sparse > constant.
-        assert!(gauss.as_slice()[4] > sparse.as_slice()[4]);
-        assert!(sparse.as_slice()[4] > constant.as_slice()[4]);
-        // Value entropy: a constant fill has one distinct word per
-        // operand (A and B draw their constants from separate streams),
-        // so at most 1 bit of the 12-bit budget.
-        assert!(constant.as_slice()[2] <= 1.0 / 12.0 + 1e-12);
-        assert!(gauss.as_slice()[2] > 0.5);
+        assert!(gauss.as_slice()[toggles] > sparse.as_slice()[toggles]);
+        assert!(sparse.as_slice()[toggles] > constant.as_slice()[toggles]);
         // Sparsity feature tracks the requested fraction.
-        assert!((sparse.as_slice()[5] - 0.8).abs() < 0.05);
+        assert!((sparse.as_slice()[at("zero_fraction")] - 0.8).abs() < 0.05);
+    }
+
+    #[test]
+    fn an_accumulator_is_counters_and_extremes_only() {
+        // Every cached seed-0 unit holds one inline, so a histogram
+        // added back to the state would show up in every unit's weight.
+        let bytes = std::mem::size_of::<FeatureAccumulator>();
+        assert!(bytes <= 128, "FeatureAccumulator is {bytes} bytes");
     }
 
     #[test]
@@ -731,16 +706,16 @@ mod tests {
         let fm = features_for_request(&gemm);
         let fv = features_for_request(&gemv);
         let (sm, sv) = (fm.as_slice(), fv.as_slice());
-        assert_eq!(sm[11], 0.0, "GEMM indicator");
-        assert_eq!(sv[11], 1.0, "GEMV indicator");
-        assert_eq!(sm[13], (64f64).log2() / 16.0, "GEMM m = dim");
-        assert_eq!(sv[13], 0.0, "GEMV m = 1");
-        assert_eq!(sm[12], sv[12], "both share n = dim");
+        assert_eq!(sm[at("kernel_gemv")], 0.0, "GEMM indicator");
+        assert_eq!(sv[at("kernel_gemv")], 1.0, "GEMV indicator");
+        assert_eq!(sm[at("log2_m")], (64f64).log2() / 16.0, "GEMM m = dim");
+        assert_eq!(sv[at("log2_m")], 0.0, "GEMV m = 1");
+        assert_eq!(sm[at("log2_n")], sv[at("log2_n")], "both share n = dim");
         assert!(
-            sv[15] > 10.0 * sm[15],
+            sv[at("bytes_per_flop")] > 10.0 * sm[at("bytes_per_flop")],
             "GEMV bytes-per-FLOP {} must dwarf GEMM's {}",
-            sv[15],
-            sm[15]
+            sv[at("bytes_per_flop")],
+            sm[at("bytes_per_flop")]
         );
         // GEMV streams A plus a vector — fewer words than GEMM's A + B.
         assert!(fv != fm);
@@ -759,9 +734,9 @@ mod tests {
         .with_shape(GemmDims { n: 32, m: 8, k: 64 });
         let s = features_for_request(&req);
         let s = s.as_slice();
-        assert_eq!(s[12], (32f64).log2() / 16.0, "log2 n");
-        assert_eq!(s[13], (8f64).log2() / 16.0, "log2 m");
-        assert_eq!(s[14], (64f64).log2() / 16.0, "log2 k");
+        assert_eq!(s[at("log2_n")], (32f64).log2() / 16.0, "log2 n");
+        assert_eq!(s[at("log2_m")], (8f64).log2() / 16.0, "log2 m");
+        assert_eq!(s[at("log2_k")], (64f64).log2() / 16.0, "log2 k");
         // Arithmetic intensity follows the shape: a ragged decode GEMV
         // (n x 1 x k, ~one byte-pair per FLOP) carries far more bytes per
         // FLOP than a fat GEMM whose tile reuse amortizes its operands.
@@ -784,19 +759,23 @@ mod tests {
             });
         let d = features_for_request(&decode);
         let d = d.as_slice();
-        assert_eq!(d[13], 0.0, "GEMV m = 1");
-        assert_eq!(d[14], (256f64).log2() / 16.0, "GEMV keeps its own k");
-        assert!(
-            d[15] > s[15],
-            "decode bytes/FLOP {} must exceed even the tiny GEMM's {}",
-            d[15],
-            s[15]
+        assert_eq!(d[at("log2_m")], 0.0, "GEMV m = 1");
+        assert_eq!(
+            d[at("log2_k")],
+            (256f64).log2() / 16.0,
+            "GEMV keeps its own k"
         );
         assert!(
-            d[15] > 10.0 * f.as_slice()[15],
+            d[at("bytes_per_flop")] > s[at("bytes_per_flop")],
+            "decode bytes/FLOP {} must exceed even the tiny GEMM's {}",
+            d[at("bytes_per_flop")],
+            s[at("bytes_per_flop")]
+        );
+        assert!(
+            d[at("bytes_per_flop")] > 10.0 * f.as_slice()[at("bytes_per_flop")],
             "decode bytes/FLOP {} must dwarf the fat GEMM's {}",
-            d[15],
-            f.as_slice()[15]
+            d[at("bytes_per_flop")],
+            f.as_slice()[at("bytes_per_flop")]
         );
     }
 
@@ -826,13 +805,13 @@ mod tests {
         let (sp, sg) = (fp.as_slice(), fg.as_slice());
         // A group of twins has the twin's geometry (FLOP-weighted mean of
         // identical members) and the twin's arithmetic intensity...
-        for i in [12, 13, 14, 15] {
+        for i in ["log2_n", "log2_m", "log2_k", "bytes_per_flop"].map(at) {
             assert_eq!(sp[i], sg[i], "{} must match", FeatureVector::NAMES[i]);
         }
         // ...but a nonzero group-size descriptor (log2(2)/6), where the
         // plain request sits at exactly 0.
-        assert_eq!(sp[16], 0.0);
-        assert!((sg[16] - 1.0 / 6.0).abs() < 1e-12);
+        assert_eq!(sp[at("group_members")], 0.0);
+        assert!((sg[at("group_members")] - 1.0 / 6.0).abs() < 1e-12);
         // Ragged members: the geometry block is the FLOP-weighted mean,
         // pulled toward the big member.
         let big = GemmDims {
@@ -845,7 +824,7 @@ mod tests {
         let sr = fr.as_slice();
         let f_small = features_for_request(&template.clone().with_shape(twin));
         let f_big = features_for_request(&template.clone().with_shape(big));
-        for i in [12, 13, 14] {
+        for i in ["log2_n", "log2_m", "log2_k"].map(at) {
             let (lo, hi) = (
                 f_small.as_slice()[i].min(f_big.as_slice()[i]),
                 f_small.as_slice()[i].max(f_big.as_slice()[i]),

@@ -4,14 +4,14 @@
 //! fixed shape, dtype, and clocks — so a fleet cannot plan placement,
 //! capping, or DVFS from kernel shape alone. It needs a per-request power
 //! estimate *before* anything executes. Related work says this is
-//! tractable from cheap input statistics (entropy-level features predict
-//! dynamic power; learned estimators serve AI workloads at interactive
-//! cost), and this crate is that estimator for the `wattmul` stack:
+//! tractable from cheap input statistics (input features predict dynamic
+//! power; learned estimators serve AI workloads at interactive cost),
+//! and this crate is that estimator for the `wattmul` stack:
 //!
 //! * [`features`] — a one-pass, mergeable extractor producing a
-//!   fixed-width [`FeatureVector`] per request: byte/value entropy, mean
-//!   Hamming weight, adjacent-word toggle density (via `wm-bits`),
-//!   sparsity, dynamic range, and dtype/shape descriptors. Chunked
+//!   fixed-width [`FeatureVector`] per request: mean Hamming weight,
+//!   adjacent-word toggle density (via `wm-bits`), sparsity, dynamic
+//!   range, peak magnitude, and dtype/shape descriptors. Chunked
 //!   extraction is bit-identical to sequential, whatever the worker
 //!   count.
 //! * [`predictor`] — the [`PowerPredictor`]: one online ridge model per

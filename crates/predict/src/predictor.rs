@@ -7,7 +7,7 @@
 //! part. The paper's result lives *within* a kernel's regime:
 //! compute-bound GEMM swings ~38% through the datapath latches while
 //! memory-bound GEMV moves power through the DRAM interface, so the
-//! entropy→power slope is unit-specific and a lumped per-architecture
+//! toggles→power slope is unit-specific and a lumped per-architecture
 //! model systematically mispredicts both. Models train continuously from
 //! completed runs: each observation is a `(FeatureVector, measured
 //! watts)` pair keyed by the kernel that produced it. Before an
@@ -499,8 +499,14 @@ mod tests {
     /// A synthetic but feature-faithful power law: watts respond linearly
     /// to toggle density and sparsity, like the real model's datapath.
     fn synthetic_watts(f: &FeatureVector) -> f64 {
-        let s = f.as_slice();
-        80.0 + 260.0 * s[4] + 90.0 * s[3] - 25.0 * s[5]
+        80.0 + 260.0 * feature(f, "toggle_density") + 90.0 * feature(f, "hamming_fraction")
+            - 25.0 * feature(f, "zero_fraction")
+    }
+
+    /// The value of the feature called `name`.
+    fn feature(f: &FeatureVector, name: &str) -> f64 {
+        let i = FeatureVector::NAMES.iter().position(|n| *n == name);
+        f.as_slice()[i.expect("a feature name")]
     }
 
     fn request(kind: PatternKind, seed: u64) -> RunRequest {
@@ -641,7 +647,8 @@ mod tests {
         for i in 0..40u64 {
             let r = request(PatternKind::Gaussian, 500 + i).with_kernel(KernelClass::Gemv);
             let f = features_for_request(&r);
-            p.observe(ARCH, KernelClass::Gemv, &f, 100.0 + 40.0 * f.as_slice()[4]);
+            let watts = 100.0 + 40.0 * feature(&f, "toggle_density");
+            p.observe(ARCH, KernelClass::Gemv, &f, watts);
         }
         assert!(p.ready(ARCH, KernelClass::Gemv));
         let stats = p.stats();

@@ -165,7 +165,8 @@ proptest! {
                 )
                 .with_base_seed(s);
                 let f = features_for_request(&req);
-                let watts = 100.0 + 200.0 * f.as_slice()[4];
+                let toggles = FeatureVector::NAMES.iter().position(|n| *n == "toggle_density");
+                let watts = 100.0 + 200.0 * f.as_slice()[toggles.expect("a feature name")];
                 (f, watts)
             })
             .collect();

@@ -27,8 +27,12 @@ use std::path::{Path, PathBuf};
 use wm_fleet::json::{obj, Json};
 use wm_predict::{KernelClass, PredictorState, SavedModel};
 
-/// Format version written to (and required of) every state file.
-pub const STATE_VERSION: u64 = 1;
+/// Format version written to (and required of) every state file. It
+/// names the feature set the sufficient statistics are over, not only
+/// the layout: version 2 has the 15 features left after the two entropy
+/// features were deleted, so a version-1 file is rejected even where its
+/// width would match.
+pub const STATE_VERSION: u64 = 2;
 /// File name inside the state directory.
 pub const STATE_FILE: &str = "predictor.json";
 /// State older than this (by its own `saved_unix_s` stamp) is rejected:

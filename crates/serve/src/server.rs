@@ -30,7 +30,7 @@
 //! state to `state_dir` (see [`crate::persist`]), and returns.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,7 +38,9 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 use wm_fleet::json::{obj, Json};
-use wm_fleet::{answer_streamed, Scheduler};
+use wm_fleet::{
+    answer_streamed, oversized_line_error, LineEvent, LineReader, Scheduler, MAX_LINE_BYTES,
+};
 use wm_obs::{stage, Counter, Registry, SpanRecord};
 
 use crate::persist::{self, LoadOutcome};
@@ -56,8 +58,9 @@ pub struct ServeConfig {
     /// more than one job concurrently). Oversized batches get a `busy`
     /// error; the session survives.
     pub max_inflight: usize,
-    /// Request-line length cap in bytes. Longer lines are answered with
-    /// a clean error and their bytes discarded unbuffered.
+    /// Request-line length cap in bytes (default [`MAX_LINE_BYTES`], the
+    /// stdio loop's cap). Longer lines are answered with a clean error and
+    /// their bytes discarded unbuffered.
     pub max_line_bytes: usize,
     /// Predictor-persistence directory: loaded (behind version/staleness
     /// checks) at bind, flushed on graceful drain. `None` disables
@@ -81,7 +84,7 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             max_sessions: 64,
             max_inflight: 256,
-            max_line_bytes: 1 << 20,
+            max_line_bytes: MAX_LINE_BYTES,
             state_dir: None,
             snapshot_secs: None,
         }
@@ -169,11 +172,6 @@ impl ServerHandle {
     /// flush predictor state, return from [`Server::run`]. Idempotent.
     pub fn shutdown(&self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.state.shutdown.load(Ordering::SeqCst)
     }
 
     /// Snapshots of every live session, in session-id order.
@@ -398,64 +396,6 @@ struct SessionCtx {
     max_line_bytes: usize,
 }
 
-/// One step of bounded line reading.
-enum ReadOutcome {
-    /// A complete line landed in `buf` (without its newline).
-    Line,
-    /// `buf` exceeded the cap with no newline yet.
-    Overflow,
-    /// The read timed out — the drain-poll opportunity.
-    Timeout,
-    /// Clean end of stream.
-    Eof,
-}
-
-/// Read toward the next newline with a hard buffer cap. In `discarding`
-/// mode the bytes of an already-oversized line are consumed and dropped
-/// without ever being buffered — the cap is a memory bound, not just an
-/// error trigger. `bytes_in` counts every consumed byte.
-fn read_line_step(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-    cap: usize,
-    discarding: bool,
-    bytes_in: &AtomicU64,
-) -> std::io::Result<ReadOutcome> {
-    loop {
-        let available = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Ok(ReadOutcome::Timeout)
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Ok(ReadOutcome::Eof);
-        }
-        if let Some(pos) = available.iter().position(|&b| b == b'\n') {
-            if !discarding {
-                buf.extend_from_slice(&available[..pos]);
-            }
-            reader.consume(pos + 1);
-            bytes_in.fetch_add(pos as u64 + 1, Ordering::Relaxed);
-            return Ok(ReadOutcome::Line);
-        }
-        let n = available.len();
-        if !discarding {
-            buf.extend_from_slice(available);
-        }
-        reader.consume(n);
-        bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-        if !discarding && buf.len() > cap {
-            return Ok(ReadOutcome::Overflow);
-        }
-    }
-}
-
 impl SessionCtx {
     fn serve(&self, stream: TcpStream) {
         let _ = stream.set_nodelay(true);
@@ -466,59 +406,38 @@ impl SessionCtx {
         let Ok(read_half) = stream.try_clone() else {
             return;
         };
-        let mut reader = BufReader::new(read_half);
+        let mut lines = LineReader::new(BufReader::new(read_half), self.max_line_bytes);
         let mut writer = BufWriter::new(stream);
-        let mut buf: Vec<u8> = Vec::new();
-        let mut discarding = false;
         loop {
-            match read_line_step(
-                &mut reader,
-                &mut buf,
-                self.max_line_bytes,
-                discarding,
-                &self.stats.bytes_in,
-            ) {
-                Ok(ReadOutcome::Line) => {
-                    let line = std::mem::take(&mut buf);
-                    if discarding {
-                        // The tail of an oversized line, already answered.
-                        discarding = false;
-                    } else if self.handle_line(&line, &mut writer).is_err() {
-                        break;
-                    }
-                    if self.state.shutdown.load(Ordering::SeqCst) {
+            let event = lines.next_line();
+            self.stats
+                .bytes_in
+                .store(lines.bytes_in(), Ordering::Relaxed);
+            match event {
+                Ok(LineEvent::Line(line)) => {
+                    if self.handle_line(&line, &mut writer).is_err()
+                        || self.state.shutdown.load(Ordering::SeqCst)
+                    {
                         break;
                     }
                 }
-                Ok(ReadOutcome::Overflow) => {
-                    buf.clear();
-                    discarding = true;
+                Ok(LineEvent::Oversized) => {
                     if self.answer_oversized(&mut writer).is_err() {
                         break;
                     }
                 }
-                Ok(ReadOutcome::Timeout) => {
+                Ok(LineEvent::Timeout) => {
                     if self.state.shutdown.load(Ordering::SeqCst) {
                         break;
                     }
                 }
-                Ok(ReadOutcome::Eof) => {
-                    // A trailing unterminated line still gets answered,
-                    // matching the stdio serve loop's `lines()` behavior.
-                    if !buf.is_empty() && !discarding {
-                        let line = std::mem::take(&mut buf);
-                        let _ = self.handle_line(&line, &mut writer);
-                    }
-                    break;
-                }
-                Err(_) => break,
+                Ok(LineEvent::Eof) | Err(_) => break,
             }
         }
     }
 
     /// Answer one request line, streaming batches round by round.
-    fn handle_line(&self, raw: &[u8], writer: &mut BufWriter<TcpStream>) -> std::io::Result<()> {
-        let text = String::from_utf8_lossy(raw);
+    fn handle_line(&self, text: &str, writer: &mut BufWriter<TcpStream>) -> std::io::Result<()> {
         let trimmed = text.trim();
         if trimmed.is_empty() {
             return Ok(());
@@ -612,14 +531,7 @@ impl SessionCtx {
         let t0 = tracer.now_us();
         let rid = tracer.next_request_id();
         tracer.start(rid, stage::PARSE).finish("oversized");
-        let resp = self.error_response(
-            Json::Null,
-            &format!(
-                "request line exceeds the {}-byte cap; line discarded",
-                self.max_line_bytes
-            ),
-            rid,
-        );
+        let resp = self.error_response(Json::Null, &oversized_line_error(self.max_line_bytes), rid);
         self.session_span(tracer, rid, "oversized", t0);
         self.emit(writer, &resp)
     }

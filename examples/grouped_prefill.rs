@@ -3,7 +3,7 @@
 //! Serving frameworks do not submit prefill one GEMM at a time — they
 //! hand the kernel a grouped list of ragged `n×m×k` problems, one per
 //! sequence in the batch. This example builds such groups with
-//! [`GroupRequest`], runs them through the fleet as single units (one
+//! `RunRequest::with_group`, runs them through the fleet as single units (one
 //! hash, one cache entry, one placement), shows that a *permuted*
 //! resubmission is a pure cache hit, and then lets the predictor-aware
 //! power packer fill a tight fleet budget with a mixed prefill + decode
@@ -47,18 +47,17 @@ fn main() {
         m: seq,
         k: hidden,
     };
-    let group = GroupRequest::new(
-        template.clone(),
-        seq_lens.iter().map(|&s| member(s)).collect(),
-    );
+    let group = template
+        .clone()
+        .with_group(seq_lens.iter().map(|&s| member(s)).collect());
     println!(
         "\nprefill group: {} members {:?} over hidden={hidden}",
-        group.members().len(),
+        group.member_dims().len(),
         seq_lens
     );
 
     let first = sched
-        .submit(FleetJob::new(group.clone().build()))
+        .submit(FleetJob::new(group))
         .recv()
         .expect("grouped prefill runs");
     println!(
@@ -101,11 +100,10 @@ fn main() {
     let mut jobs = Vec::new();
     for i in 0..3u64 {
         jobs.push(FleetJob::new(
-            GroupRequest::new(
-                template.clone().with_base_seed(100 + i),
-                seq_lens.iter().map(|&s| member(s)).collect(),
-            )
-            .build(),
+            template
+                .clone()
+                .with_base_seed(100 + i)
+                .with_group(seq_lens.iter().map(|&s| member(s)).collect()),
         ));
         jobs.push(FleetJob::new(
             template

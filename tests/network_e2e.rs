@@ -9,7 +9,8 @@
 //!   order, closing with the `"last": true` remainder line;
 //! * graceful shutdown drains in-flight work and flushes predictor
 //!   state; a restarted server on the same `--state-dir` answers
-//!   `predict` from the persisted learned models without retraining;
+//!   `predict` from the persisted learned models without retraining,
+//!   and a state file of an older format version starts it cold;
 //! * backpressure is explicit: over-cap sessions and over-cap batches
 //!   get clean `busy` errors, oversized and malformed request lines are
 //!   isolated to their own response, and an abrupt client disconnect
@@ -24,8 +25,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use wattmul_repro::fleet::json::Json;
+use wattmul_repro::fleet::json::{obj, Json};
 use wattmul_repro::fleet::{Fleet, Scheduler};
+use wattmul_repro::prelude::a100_pcie;
 use wattmul_repro::serve::{ServeConfig, Server, ServerHandle};
 
 /// A spawned loopback server and the bits needed to talk to and stop it.
@@ -289,6 +291,90 @@ fn drain_persists_predictor_and_warm_restart_answers_without_retraining() {
         "no retraining executions happened after restart: {s}"
     );
     restarted.stop();
+    let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A `predictor.json` as the 17-feature build (byte and value entropy
+/// included) wrote it, at format version 1: one A100 GEMM model, past its
+/// serving threshold, whose fit prices every request at 100 W.
+fn version_1_state() -> String {
+    const WIDTH: usize = 17;
+    let n = 40.0;
+    let nums = |v: Vec<f64>| Json::Arr(v.into_iter().map(Json::Num).collect());
+    let model = obj(vec![
+        ("arch", Json::Str(a100_pcie().name.to_string())),
+        ("kernel", Json::Str("gemm".to_string())),
+        ("observations", Json::Num(n)),
+        (
+            "xtx",
+            nums(
+                (0..WIDTH * WIDTH)
+                    .map(|i| if i % (WIDTH + 1) == 0 { n } else { 0.0 })
+                    .collect(),
+            ),
+        ),
+        (
+            "xty",
+            nums(
+                (0..WIDTH)
+                    .map(|i| if i == 0 { 100.0 * n } else { 0.0 })
+                    .collect(),
+            ),
+        ),
+        ("lifetime_counts", nums(vec![0.0; 401])),
+        ("window", nums(Vec::new())),
+        ("degraded", Json::Bool(false)),
+        ("drift_events", Json::Num(0.0)),
+    ]);
+    let now = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .expect("clock after the epoch")
+        .as_secs();
+    obj(vec![
+        ("version", Json::Num(1.0)),
+        ("feature_dim", Json::Num(WIDTH as f64)),
+        ("saved_unix_s", Json::Num(now as f64)),
+        ("min_observations", Json::Num(32.0)),
+        ("models", Json::Arr(vec![model])),
+    ])
+    .to_string()
+}
+
+#[test]
+fn a_version_1_state_file_is_rejected_and_wattd_starts_cold() {
+    let state_dir = std::env::temp_dir().join(format!("wm_serve_e2e_v1_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    std::fs::create_dir_all(&state_dir).expect("state dir");
+    std::fs::write(state_dir.join("predictor.json"), version_1_state()).expect("write state");
+
+    let sched = Arc::new(Scheduler::with_workers(Fleet::from_catalog(), 2));
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        state_dir: Some(PathBuf::from(&state_dir)),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind(cfg, Arc::clone(&sched)).expect("bind loopback");
+    match server.warm_start() {
+        Some(Err(why)) => assert!(why.contains("state version 1"), "{why}"),
+        other => panic!("a version-1 state file must be rejected, got {other:?}"),
+    }
+    assert_eq!(sched.registry().gauge("serve_warm_start", &[]).get(), 0.0);
+
+    let addr = server.local_addr().to_string();
+    let handle = server.handle();
+    let thread = std::thread::spawn(move || server.run());
+    let mut c = Client::connect(&addr);
+    let p = c.round_trip(
+        r#"{"op": "predict", "dtype": "fp32", "dim": 32, "pattern": "gaussian", "seeds": 1, "lattice": 4, "gpu": "a100"}"#,
+    );
+    assert_eq!(p.get("ok"), Some(&Json::Bool(true)), "{p}");
+    assert_eq!(
+        p.get("source").and_then(Json::as_str),
+        Some("analytic"),
+        "a rejected state file leaves the predictor cold: {p}"
+    );
+    handle.shutdown();
+    thread.join().expect("server thread").expect("clean drain");
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
