@@ -198,9 +198,12 @@ impl AuditConfig {
             serve_layer_ops: vec![(s("shutdown"), s("crates/serve/src/server.rs"))],
             hot_path_functions: vec![
                 // The per-request estimation path EnergAIzer-style
-                // serving cannot afford to let regress: extraction,
-                // operand generation, canonical hashing, pricing.
-                s("features_for_request"),
+                // serving cannot afford to let regress: feature merging,
+                // operand generation, canonical hashing, pricing. Every
+                // auto job merges its members' seed-0 chunks and
+                // finishes its feature vector.
+                s("FeatureAccumulator::merge"),
+                s("FeatureAccumulator::finish_group"),
                 // The operand walk of one (member, seed) unit, shared by
                 // the scheduler's unit store and the figure runner.
                 s("member_seed_operands"),

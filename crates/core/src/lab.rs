@@ -134,11 +134,10 @@ pub fn member_seed_operands(
 }
 
 /// Generate the first seed's operand pair of **one member** — the seed-0
-/// case of [`member_seed_operands`], and the single source of the
-/// first-seed contract: the fleet's activity probe and the `wm-predict`
-/// feature extractor walk a request's members through it, so a change
-/// to the seed derivation reaches every consumer. A member of ordinal 0
-/// draws exactly what the plain request of its dims draws.
+/// case of [`member_seed_operands`]. Every pipeline walks seeds through
+/// [`member_seed_operands`] (the unit walk is `wm_predict::walk_unit`);
+/// this is kept only for perfbench's replay, which times it. A member of
+/// ordinal 0 draws exactly what the plain request of its dims draws.
 ///
 /// For GEMM members A is `n x k` and the stored B follows the
 /// transposition flag (`m x k` transposed — the paper's default — or

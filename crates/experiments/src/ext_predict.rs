@@ -31,13 +31,13 @@
 use crate::profile::RunProfile;
 use crate::runner::{FigureResult, PointStat, Series};
 use wm_core::RunRequest;
-use wm_fleet::{parallel_map, probe_activity};
+use wm_fleet::parallel_map;
 use wm_gpu::spec::a100_pcie;
 use wm_kernels::KernelClass;
 use wm_numerics::DType;
 use wm_patterns::{PatternKind, PatternSpec};
 use wm_power::evaluate_group;
-use wm_predict::{features_for_request, FeatureVector, PowerPredictor, Prediction};
+use wm_predict::{walk_first_seed, FeatureVector, PowerPredictor, Prediction};
 
 /// Training-volume checkpoints (observations seen so far).
 const VOLUMES: [u64; 5] = [8, 16, 32, 64, 128];
@@ -165,16 +165,12 @@ fn over_streams(
         .collect()
 }
 
-/// Ground truth: the analytic power model on the request's first-seed
-/// activity — exactly what the `wattd` acceptance test compares against.
-fn model_watts(req: &RunRequest) -> f64 {
-    evaluate_group(&a100_pcie(), &probe_activity(req)).total_w
-}
-
-/// A held-out request's features and ground truth, computed once and
-/// scored at every checkpoint.
+/// A request's features and its ground truth — the analytic power model
+/// on its first-seed activity, exactly what the `wattd` acceptance test
+/// compares against — from one walk over its operands.
 fn labelled(req: &RunRequest) -> (FeatureVector, f64) {
-    (features_for_request(req), model_watts(req))
+    let (activity, features) = walk_first_seed(req);
+    (features, evaluate_group(&a100_pcie(), &activity).total_w)
 }
 
 /// Absolute percentage error of `prediction` against `truth`; a model
@@ -261,8 +257,8 @@ fn volume_stream(
             let fam = &fams[(trained as usize) % fams.len()];
             let step = trained / fams.len() as u64;
             let req = request(profile, (fam.train)(step), (0x7A17 + trained) ^ salt);
-            let features = features_for_request(&req);
-            predictor.observe(gpu.name, KernelClass::Gemm, &features, model_watts(&req));
+            let (features, watts) = labelled(&req);
+            predictor.observe(gpu.name, KernelClass::Gemm, &features, watts);
             trained += 1;
         }
         // Score every family's held-out set at this volume.
@@ -380,8 +376,7 @@ fn mixed_kernel_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<
     for &volume in volumes {
         while trained < volume {
             let req = mixed_request(trained);
-            let features = features_for_request(&req);
-            let watts = model_watts(&req);
+            let (features, watts) = labelled(&req);
             per_kernel.observe(gpu.name, req.kernel, &features, watts);
             lumped.observe(gpu.name, KernelClass::Gemm, &features, watts);
             trained += 1;
@@ -502,22 +497,10 @@ fn ragged_shape_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<
         while trained < volume {
             let kind = kinds[(trained % kinds.len() as u64) as usize];
             let shape = train_shapes[(trained % train_shapes.len() as u64) as usize];
-            let ragged_req = decode(shape, kind, 0x5A99 + trained);
-            let features = features_for_request(&ragged_req);
-            ragged.observe(
-                gpu.name,
-                KernelClass::Gemv,
-                &features,
-                model_watts(&ragged_req),
-            );
-            let square_req = decode((d, d), kind, 0x5A99 + trained);
-            let features = features_for_request(&square_req);
-            square.observe(
-                gpu.name,
-                KernelClass::Gemv,
-                &features,
-                model_watts(&square_req),
-            );
+            let (features, watts) = labelled(&decode(shape, kind, 0x5A99 + trained));
+            ragged.observe(gpu.name, KernelClass::Gemv, &features, watts);
+            let (features, watts) = labelled(&decode((d, d), kind, 0x5A99 + trained));
+            square.observe(gpu.name, KernelClass::Gemv, &features, watts);
             trained += 1;
         }
         for (series, predictor) in p95s.iter_mut().zip([&ragged, &square]) {
@@ -539,10 +522,17 @@ fn ragged_shape_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// [`run`] at the test profile, computed once for every test here.
+    fn figures() -> &'static [FigureResult] {
+        static FIGURES: OnceLock<Vec<FigureResult>> = OnceLock::new();
+        FIGURES.get_or_init(|| run(&RunProfile::TEST))
+    }
 
     #[test]
     fn predictor_error_shrinks_with_training_volume() {
-        let fig = volume_figure(&RunProfile::TEST);
+        let fig = &figures()[0];
         assert_eq!(fig.series.len(), 4);
         for s in &fig.series {
             let first = s.points.first().unwrap();
@@ -566,7 +556,7 @@ mod tests {
 
     #[test]
     fn run_produces_all_figures() {
-        let figs = run(&RunProfile::TEST);
+        let figs = figures();
         assert_eq!(figs.len(), 3);
         assert_eq!(figs[0].id, "ext_predict");
         assert_eq!(figs[1].id, "ext_predict_mixed");
@@ -580,7 +570,7 @@ mod tests {
         // APE on held-out GEMV traffic must be strictly lower than the
         // lumped per-architecture model's — regime mixing is a bug, not
         // noise.
-        let fig = mixed_kernel_figure(&RunProfile::TEST);
+        let fig = &figures()[1];
         assert_eq!(fig.series.len(), 2);
         let keyed = fig.series[0].points.last().unwrap();
         let lumped = fig.series[1].points.last().unwrap();
@@ -606,7 +596,7 @@ mod tests {
         // trained on ragged traffic must land in the acceptance band and
         // strictly beat the square-dim-only model, whose per-axis shape
         // features never varied during training.
-        let fig = ragged_shape_figure(&RunProfile::TEST);
+        let fig = &figures()[2];
         assert_eq!(fig.series.len(), 2);
         let ragged = fig.series[0].points.last().unwrap();
         let square = fig.series[1].points.last().unwrap();

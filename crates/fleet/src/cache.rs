@@ -16,11 +16,11 @@
 //!   answers an auto one (or a run pinned elsewhere);
 //! * the **unit store** (`unit_key -> Arc<Unit>`): one canonical group
 //!   member's work for one seed index, from a single operand walk
-//!   ([`Unit::compute`]). Units are device-independent, and a member's
-//!   seed-`s` operands depend on `(dims, ordinal, s)` alone, so plain
-//!   requests and groups share units, as do requests that differ only in
-//!   seed or iteration counts — and so does every answer of one request,
-//!   whichever device or pin it names.
+//!   ([`wm_predict::walk_unit`]). Units are device-independent, and a
+//!   member's seed-`s` operands depend on `(dims, ordinal, s)` alone, so
+//!   plain requests and groups share units, as do requests that differ
+//!   only in seed or iteration counts — and so does every answer of one
+//!   request, whichever device or pin it names.
 //!
 //! Answer hits, misses and joins count straight into the registry's
 //! `fleet_cache_*_total` counters, their only book; units count nothing.
@@ -29,9 +29,8 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use wm_core::{member_seed_operands, simulate_encoded_member_activity, RunRequest, RunResult};
-use wm_gpu::GemmDims;
-use wm_kernels::{ActivityRecord, EncodedMatrix};
+use wm_core::RunResult;
+use wm_kernels::ActivityRecord;
 use wm_obs::{Counter, Registry};
 use wm_predict::FeatureAccumulator;
 
@@ -188,49 +187,19 @@ impl<T> ShardSet<T> {
     }
 }
 
-/// One canonical group member's work for one seed index: everything a
-/// single walk over that seed's generated operands yields.
+/// One canonical group member's work for one seed index: the two
+/// products of its one operand walk ([`wm_predict::walk_unit`]), stamped
+/// with the request that paid for it.
 #[derive(Debug)]
 pub struct Unit {
     /// The seed's simulated switching activity.
     pub activity: ActivityRecord,
     /// The member's input-feature chunk: present on seed 0 only, the seed
-    /// the feature extractor walks.
+    /// features are read from.
     pub chunk: Option<FeatureAccumulator>,
     /// Id of the request whose job computed the unit. A member counts as
     /// cached only when a *different* request computed its units.
     pub computed_by: u64,
-}
-
-impl Unit {
-    /// Generate seed `seed`'s operands of member `(member, ordinal)` once
-    /// ([`member_seed_operands`]), encode each operand once, and read the
-    /// words for both products: the kernel simulation (MAC loop and bus
-    /// pass) and, on seed 0, the feature chunk. Bit-identical to
-    /// `wm_core::member_seed_activities(..)[seed]` and
-    /// `wm_predict::member_feature_chunk(..)`.
-    pub fn compute(
-        req: &RunRequest,
-        member: GemmDims,
-        ordinal: u64,
-        seed: u64,
-        computed_by: u64,
-    ) -> Self {
-        let (a, b) = member_seed_operands(req, member, ordinal, seed);
-        let ea = EncodedMatrix::encode(&a, req.dtype);
-        let eb = EncodedMatrix::encode(&b, req.dtype);
-        let chunk = (seed == 0).then(|| {
-            let mut acc = FeatureAccumulator::new(req.dtype);
-            acc.add_words(ea.words());
-            acc.add_words(eb.words());
-            acc
-        });
-        Self {
-            activity: simulate_encoded_member_activity(req, member, (&a, &ea), (&b, &eb)),
-            chunk,
-            computed_by,
-        }
-    }
 }
 
 /// One request's answer: the device that ran it and the measurement
@@ -354,12 +323,12 @@ impl MemoCache {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use wm_core::{member_ordinals, member_seed_activities, PowerLab};
+    use wm_core::{PowerLab, RunRequest};
     use wm_gpu::spec::a100_pcie;
-    use wm_kernels::{KernelClass, Sampling};
+    use wm_kernels::Sampling;
     use wm_numerics::DType;
     use wm_patterns::{PatternKind, PatternSpec};
-    use wm_predict::member_feature_chunk;
+    use wm_predict::walk_unit;
 
     fn quick_request() -> RunRequest {
         RunRequest::new(DType::Int8, 64, PatternSpec::new(PatternKind::Zeros))
@@ -376,7 +345,12 @@ mod tests {
 
     fn quick_unit() -> Unit {
         let req = quick_request();
-        Unit::compute(&req, req.dims(), 0, 0, 1)
+        let (activity, chunk) = walk_unit(&req, req.dims(), 0, 0);
+        Unit {
+            activity,
+            chunk,
+            computed_by: 1,
+        }
     }
 
     #[test]
@@ -508,112 +482,5 @@ mod tests {
         }
         assert_eq!(computed.load(Ordering::Relaxed), 1, "unit dedup failed");
         assert_eq!(cache.unit_len(), 1);
-    }
-
-    #[test]
-    fn units_are_bit_identical_to_the_per_member_walks() {
-        // One operand walk per (member, seed) must reproduce both walks it
-        // replaces: the seed's activity record of the execution path and,
-        // on seed 0, the member's feature chunk.
-        let base = RunRequest::new(
-            DType::Fp16Tensor,
-            64,
-            PatternSpec::new(PatternKind::Sparse { sparsity: 0.4 }),
-        )
-        .with_seeds(3)
-        .with_sampling(Sampling::Lattice { rows: 4, cols: 4 });
-        let gemm = base.clone().with_group(vec![
-            GemmDims::square(64),
-            GemmDims::square(64),
-            GemmDims {
-                n: 32,
-                m: 48,
-                k: 96,
-            },
-        ]);
-        let gemv = base
-            .with_kernel(KernelClass::Gemv)
-            .with_shape(GemmDims { n: 96, m: 1, k: 48 });
-        for req in [gemm, gemv] {
-            for (m, ord) in member_ordinals(&req) {
-                let activities = member_seed_activities(&req, m, ord);
-                for s in 0..req.seeds {
-                    let unit = Unit::compute(&req, m, ord, s, 7);
-                    assert_eq!(
-                        unit.activity, activities[s as usize],
-                        "{m:?}#{ord} seed {s}"
-                    );
-                    assert_eq!(unit.computed_by, 7);
-                    match unit.chunk {
-                        Some(chunk) => {
-                            assert_eq!(s, 0, "only seed 0 carries a chunk");
-                            assert_eq!(chunk, member_feature_chunk(&req, m, ord));
-                        }
-                        None => assert_ne!(s, 0, "seed 0 must carry its chunk"),
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn units_are_bit_identical_for_every_input_family() {
-        // The shared words must stand in for every pass they replace, on
-        // every family the generators produce — the NaN-bearing bit
-        // surgery ones included — in every dtype and both kernels. GEMV
-        // is the close case: its kernel quantizes x while the feature
-        // chunk reads x raw, so one encoding serves both only because
-        // quantizing never changes a word.
-        let kinds = [
-            PatternKind::Gaussian,
-            PatternKind::ValueSet { set_size: 5 },
-            PatternKind::ConstantRandom,
-            PatternKind::BitFlips { probability: 0.4 },
-            PatternKind::RandomLsbs { count: 3 },
-            PatternKind::RandomMsbs { count: 5 },
-            PatternKind::SortedRows { fraction: 0.6 },
-            PatternKind::SortedCols { fraction: 1.0 },
-            PatternKind::SortedWithinRows { fraction: 0.5 },
-            PatternKind::Sparse { sparsity: 0.5 },
-            PatternKind::SortedThenSparse { sparsity: 0.2 },
-            PatternKind::ZeroLsbs { count: 3 },
-            PatternKind::ZeroMsbs { count: 2 },
-            PatternKind::Zeros,
-        ];
-        for kind in kinds {
-            for dtype in DType::EXTENDED {
-                let gemm = RunRequest::new(dtype, 24, PatternSpec::new(kind))
-                    .with_seeds(2)
-                    .with_sampling(Sampling::Lattice { rows: 3, cols: 3 })
-                    .with_shape(GemmDims {
-                        n: 24,
-                        m: 12,
-                        k: 36,
-                    });
-                let gemv = gemm
-                    .clone()
-                    .with_kernel(KernelClass::Gemv)
-                    .with_shape(GemmDims { n: 36, m: 1, k: 20 });
-                for req in [gemm, gemv] {
-                    let m = req.dims();
-                    let activities = member_seed_activities(&req, m, 0);
-                    for s in 0..req.seeds {
-                        let unit = Unit::compute(&req, m, 0, s, 1);
-                        let at = format!("{kind:?} {dtype} {:?} seed {s}", req.kernel);
-                        assert_eq!(unit.activity, activities[s as usize], "{at}");
-                        let Some(chunk) = unit.chunk else {
-                            assert_ne!(s, 0, "{at}: seed 0 must carry its chunk");
-                            continue;
-                        };
-                        let (a, b) = member_seed_operands(&req, m, 0, s);
-                        let mut by_value = FeatureAccumulator::new(dtype);
-                        for &v in a.as_slice().iter().chain(b.as_slice()) {
-                            by_value.add_value(v);
-                        }
-                        assert_eq!(chunk, by_value, "{at}");
-                    }
-                }
-            }
-        }
     }
 }

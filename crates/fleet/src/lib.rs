@@ -15,8 +15,9 @@
 //! * [`cache`] — the sharded [`MemoCache`] with in-flight deduplication:
 //!   one [`Answer`] per request and pin, so a repeat is one lookup and
 //!   identical queries never run the simulator twice, and one store of
-//!   `(member, seed)` [`Unit`]s holding every operand walk, which
-//!   features, the analytic probe and execution all read.
+//!   `(member, seed)` [`Unit`]s holding every operand walk
+//!   ([`wm_predict::walk_unit`]), which features, the analytic probe and
+//!   execution all read.
 //! * [`placement`] — power-capped placement: price the request on every
 //!   device (learned `wm-predict` models when trained and healthy, the
 //!   activity probe + power model otherwise), plan the energy-minimal
@@ -79,9 +80,7 @@ pub use cache::{Answer, MemoCache, Unit};
 pub use device::{Fleet, FleetBuilder, FleetDevice};
 pub use hash::{answer_key, canonical_key, request_key, unit_key, CanonicalHasher};
 pub use par::parallel_map;
-pub use placement::{
-    place, place_learned, probe_activity, Placement, PlacementError, PredictionSource,
-};
+pub use placement::{place, place_learned, Placement, PlacementError, PredictionSource};
 pub use protocol::{
     answer, answer_streamed, answer_streamed_with_default, oversized_line_error, serve, LineEvent,
     LineReader, MAX_LINE_BYTES,

@@ -34,7 +34,7 @@
 //! iteration counts alike. An exact repeat never reaches placement: the
 //! scheduler answers it from the memo cache first.
 
-use wm_core::{first_seed_member_operands, member_ordinals, simulate_member_activity, RunRequest};
+use wm_core::RunRequest;
 use wm_kernels::ActivityRecord;
 use wm_optimizer::{plan_dvfs, DvfsPlan};
 use wm_power::{evaluate_group, group_runtime, predicted_breakdown, PowerBreakdown};
@@ -108,25 +108,6 @@ impl std::fmt::Display for PlacementError {
             ),
         }
     }
-}
-
-/// Simulate the switching activity of the request's first seed, one
-/// record per canonical member ([`wm_core::member_ordinals`]; a plain
-/// request is its own single member). The operands come from
-/// [`wm_core::first_seed_member_operands`] and the kernel dispatch from
-/// [`wm_core::simulate_member_activity`], so the probe walks exactly the
-/// data — and the kernel family — the run executes. Activity depends
-/// only on the input data, not on the device, so one probe serves every
-/// candidate device (the scheduler reads the same records from its unit
-/// store).
-pub fn probe_activity(req: &RunRequest) -> Vec<ActivityRecord> {
-    member_ordinals(req)
-        .into_iter()
-        .map(|(m, ord)| {
-            let (a, b) = first_seed_member_operands(req, m, ord);
-            simulate_member_activity(req, m, &a, &b)
-        })
-        .collect()
 }
 
 /// One device's candidate operating point for a job.
@@ -296,6 +277,7 @@ mod tests {
     use wm_kernels::{KernelClass, Sampling};
     use wm_numerics::DType;
     use wm_patterns::{PatternKind, PatternSpec};
+    use wm_predict::walk_first_seed;
 
     fn quick_req(kind: PatternKind) -> RunRequest {
         RunRequest::new(DType::Fp16Tensor, 256, PatternSpec::new(kind))
@@ -303,16 +285,21 @@ mod tests {
             .with_sampling(Sampling::Lattice { rows: 8, cols: 8 })
     }
 
+    /// The analytic path's input: every member's seed-0 activity.
+    fn probe(req: &RunRequest) -> Vec<ActivityRecord> {
+        walk_first_seed(req).0
+    }
+
     #[test]
     fn probe_is_deterministic() {
         let req = quick_req(PatternKind::Gaussian);
-        assert_eq!(probe_activity(&req), probe_activity(&req));
+        assert_eq!(probe(&req), probe(&req));
     }
 
     #[test]
     fn placement_is_a_pure_function() {
         let fleet = Fleet::from_catalog();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = probe(&quick_req(PatternKind::Gaussian));
         let a = place(&fleet, &act, 42, None).unwrap();
         let b = place(&fleet, &act, 42, None).unwrap();
         assert_eq!(a.device, b.device);
@@ -322,7 +309,7 @@ mod tests {
     #[test]
     fn placed_power_fits_cap_and_budget() {
         let fleet = Fleet::from_catalog();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = probe(&quick_req(PatternKind::Gaussian));
         let p = place(&fleet, &act, 0, None).unwrap();
         let dev = fleet.device(p.device).unwrap();
         assert!(p.planned_power_w > 0.0);
@@ -333,7 +320,7 @@ mod tests {
     #[test]
     fn tie_salt_spreads_twin_devices() {
         let fleet = Fleet::homogeneous(a100_pcie(), 4);
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = probe(&quick_req(PatternKind::Gaussian));
         let devices: Vec<usize> = (0u64..8)
             .map(|salt| place(&fleet, &act, salt, None).unwrap().device)
             .collect();
@@ -354,7 +341,7 @@ mod tests {
         let gpu = a100_pcie();
         let idle = gpu.idle_watts;
         let fleet = Fleet::builder().device_with(gpu, 0, idle + 1.0).build();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = probe(&quick_req(PatternKind::Gaussian));
         match place(&fleet, &act, 0, None) {
             Err(PlacementError::NeverFits { cheapest_w }) => assert!(cheapest_w > idle + 1.0),
             other => panic!("expected NeverFits, got {other:?}"),
@@ -368,7 +355,7 @@ mod tests {
         let gpu = a100_pcie();
         let budget = gpu.idle_watts + 2.0;
         let fleet = Fleet::builder().device(gpu).power_budget_w(budget).build();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = probe(&quick_req(PatternKind::Gaussian));
         assert!(matches!(
             place(&fleet, &act, 0, None),
             Err(PlacementError::NeverFits { .. })
@@ -382,8 +369,8 @@ mod tests {
         // cap is derived from the model: the midpoint of the two patterns'
         // planned draws on an uncapped device.
         let uncapped = Fleet::builder().device(a100_pcie()).build();
-        let dense = probe_activity(&quick_req(PatternKind::Gaussian));
-        let zeros = probe_activity(&quick_req(PatternKind::Zeros));
+        let dense = probe(&quick_req(PatternKind::Gaussian));
+        let zeros = probe(&quick_req(PatternKind::Zeros));
         let p_dense = place(&uncapped, &dense, 0, None).unwrap().planned_power_w;
         let p_zeros = place(&uncapped, &zeros, 0, None).unwrap().planned_power_w;
         assert!(
@@ -408,7 +395,7 @@ mod tests {
             .device(a100_pcie())
             .device(rtx6000())
             .build();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = probe(&quick_req(PatternKind::Gaussian));
         let p = place(&fleet, &act, 0, None).unwrap();
         let cands_energy: Vec<f64> = fleet
             .devices()
@@ -443,8 +430,7 @@ mod tests {
         for round in 0..rounds {
             for (i, kind) in kinds.into_iter().enumerate() {
                 let req = quick_req(kind).with_base_seed(round * 100 + i as u64);
-                let features = wm_predict::features_for_request(&req);
-                let act = probe_activity(&req);
+                let (act, features) = walk_first_seed(&req);
                 for dev in fleet.devices() {
                     let watts = evaluate_group(&dev.gpu, &act).total_w;
                     p.observe(dev.gpu.name, KernelClass::Gemm, &features, watts);
@@ -461,7 +447,7 @@ mod tests {
             .device(rtx6000())
             .build();
         let req = quick_req(PatternKind::Gaussian);
-        let features = wm_predict::features_for_request(&req);
+        let features = walk_first_seed(&req).1;
         // Untrained predictor: no learned placement.
         let empty = wm_predict::PowerPredictor::new();
         assert!(place_learned(&fleet, &empty, &features, &req, 0, None).is_none());
@@ -479,12 +465,12 @@ mod tests {
             .build();
         let predictor = train_from_analytic(&fleet, 5); // 40 observations/arch
         let req = quick_req(PatternKind::Sparse { sparsity: 0.45 }).with_base_seed(0xFEED);
-        let features = wm_predict::features_for_request(&req);
+        let (act, features) = walk_first_seed(&req);
         let learned = place_learned(&fleet, &predictor, &features, &req, 7, None)
             .expect("both architectures are trained")
             .expect("an uncapped fleet admits everything");
         assert_eq!(learned.source, PredictionSource::Learned);
-        let analytic = place(&fleet, &probe_activity(&req), 7, None).unwrap();
+        let analytic = place(&fleet, &act, 7, None).unwrap();
         assert_eq!(analytic.source, PredictionSource::Analytic);
         assert_eq!(
             learned.device, analytic.device,
@@ -508,7 +494,7 @@ mod tests {
         let fleet = Fleet::builder().device_with(gpu, 0, idle + 1.0).build();
         let predictor = train_from_analytic(&fleet, 5);
         let req = quick_req(PatternKind::Gaussian).with_base_seed(0xCAFE);
-        let features = wm_predict::features_for_request(&req);
+        let features = walk_first_seed(&req).1;
         let outcome = place_learned(&fleet, &predictor, &features, &req, 0, None).expect("trained");
         assert!(matches!(outcome, Err(PlacementError::NeverFits { .. })));
     }
@@ -516,7 +502,7 @@ mod tests {
     #[test]
     fn deadline_shifts_the_operating_point() {
         let fleet = Fleet::builder().device(a100_pcie()).build();
-        let act = probe_activity(&quick_req(PatternKind::Gaussian));
+        let act = probe(&quick_req(PatternKind::Gaussian));
         let free = place(&fleet, &act, 0, None).unwrap();
         let plan = free.plan.as_ref().expect("unthrottled baseline");
         // A deadline just above the *boost* iteration time (from the

@@ -27,9 +27,10 @@
 //!
 //! The [`MemoCache`] unit store holds one [`Unit`] per canonical member
 //! and seed index: the seed's activity and, on seed 0, the member's
-//! feature chunk, from one walk over operands generated once. Features
-//! (merged once per job), the analytic probe (the seed-0 activities) and
-//! execution (every seed's activities) are views over it. Each unit
+//! feature chunk, from one walk over operands generated once
+//! ([`wm_predict::walk_unit`]). Features (merged once per job), the
+//! analytic probe (the seed-0 activities) and execution (every seed's
+//! activities) are views over it. Each unit
 //! records the request that computed it: a member is `cached` only when a
 //! different request paid for it.
 //!
@@ -60,8 +61,8 @@ use wm_obs::{stage, Counter, Gauge, Histogram, Registry, Tracer};
 use wm_optimizer::DvfsPlan;
 use wm_power::{evaluate_group, group_runtime, predicted_breakdown, PowerBreakdown};
 use wm_predict::{
-    features_from_member_chunks, FeatureAccumulator, FeatureVector, ModelStats, PowerPredictor,
-    PredictorState,
+    features_from_member_chunks, walk_unit, FeatureAccumulator, FeatureVector, ModelStats,
+    PowerPredictor, PredictorState,
 };
 
 /// Default span capacity of a scheduler's trace ring
@@ -1151,7 +1152,14 @@ fn fetch_units(inner: &Inner, req: &RunRequest, rid: u64, seeds: u64) -> Vec<Arc
     let ready: Option<Vec<Arc<Unit>>> = wanted.iter().map(|w| inner.cache.peek_unit(w.0)).collect();
     ready.unwrap_or_else(|| {
         crate::par::parallel_map(wanted, |(key, m, ord, s)| {
-            inner.cache.unit(key, || Unit::compute(req, m, ord, s, rid))
+            inner.cache.unit(key, || {
+                let (activity, chunk) = walk_unit(req, m, ord, s);
+                Unit {
+                    activity,
+                    chunk,
+                    computed_by: rid,
+                }
+            })
         })
     })
 }

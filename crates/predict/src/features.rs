@@ -4,9 +4,9 @@
 //! at fixed shape and clocks, so a fleet needs a per-request power signal
 //! that is far cheaper than simulating the kernel. This module computes a
 //! fixed-width [`FeatureVector`] of exactly such signals in a single pass
-//! over the operands' encoded words — the words a unit walk encodes once
-//! and the kernel simulation reads too
-//! ([`FeatureAccumulator::add_words`]): mean Hamming weight and
+//! over the operands' encoded words ([`FeatureAccumulator::add_words`]) —
+//! the words [`crate::walk::walk_unit`] encodes once and the kernel
+//! simulation reads too: mean Hamming weight and
 //! adjacent-word toggle density (the raw currency of the switching
 //! activity model, via `wm-bits`), sparsity, dynamic range, peak
 //! magnitude, and dtype/shape descriptors. There is no entropy feature:
@@ -281,22 +281,11 @@ impl FeatureAccumulator {
         }
     }
 
-    /// Finalize into a [`FeatureVector`]; `kernel` and `dims` are the
-    /// request's kernel class and problem geometry (the kernel-shape
-    /// descriptors: regime indicator, per-axis log sizes, and estimated
-    /// bytes-per-FLOP). Equivalent to [`FeatureAccumulator::finish_group`]
-    /// over a single member.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was accumulated or any dimension is zero.
-    pub fn finish(&self, kernel: KernelClass, dims: GemmDims) -> FeatureVector {
-        self.finish_group(kernel, &[dims])
-    }
-
-    /// Finalize features accumulated over a whole grouped request's
-    /// operand stream (every member's A then B, in member order —
-    /// chunked/merged accumulation is bit-identical as always).
+    /// Finalize features accumulated over a request's operand stream
+    /// (every member's A then B, in member order — chunked/merged
+    /// accumulation is bit-identical as always); `kernel` and `members`
+    /// are the request's kernel class and member geometries, a plain
+    /// request being its one member.
     ///
     /// The data block is the merged stream statistics; the kernel-shape
     /// block describes the *group's* geometry: power is an intensity, so
@@ -305,8 +294,8 @@ impl FeatureAccumulator {
     /// twin), `bytes_per_flop` is the aggregate working set over the
     /// aggregate FLOPs, and the `group_members` descriptor
     /// (`log2(members) / 6`, 0 for a plain request) lets the model price
-    /// launch-overhead and duty effects of batching. A 1-member group is
-    /// bit-identical to [`FeatureAccumulator::finish`].
+    /// launch-overhead and duty effects of batching. One member takes its
+    /// own log sizes exactly, with no weighted-mean rounding.
     ///
     /// # Panics
     ///
@@ -395,71 +384,14 @@ impl FeatureAccumulator {
     }
 }
 
-/// Extract the feature vector of one kernel's operand pair in a single
-/// pass: A streamed row-major, then B (GEMV's B is the `k x 1` input
-/// vector).
-pub fn extract_features(
-    dtype: DType,
-    kernel: KernelClass,
-    dims: GemmDims,
-    a: &Matrix,
-    b: &Matrix,
-) -> FeatureVector {
-    let mut acc = FeatureAccumulator::new(dtype);
-    acc.add_matrix(a);
-    acc.add_matrix(b);
-    acc.finish(kernel, dims)
-}
-
-/// Feature vector of a [`RunRequest`]'s first-seed operands.
-///
-/// Each canonical member's operands ([`wm_core::member_ordinals`]) come
-/// from [`wm_core::first_seed_member_operands`] — the single source of
-/// the first-seed contract shared with the fleet's activity probe — so
-/// features line up with the run the fleet will execute (including the
-/// kernel family and its operand shapes), without simulating anything. A
-/// grouped request streams **every member's** operand pair, in member
-/// order, through one mergeable accumulator — the group is featured (and
-/// therefore priced) as a unit, exactly as it executes and caches.
-pub fn features_for_request(req: &RunRequest) -> FeatureVector {
-    let mut acc = FeatureAccumulator::new(req.dtype);
-    for (member, ordinal) in wm_core::member_ordinals(req) {
-        let (a, b) = wm_core::first_seed_member_operands(req, member, ordinal);
-        acc.add_matrix(&a);
-        acc.add_matrix(&b);
-    }
-    acc.finish_group(req.kernel, &req.member_dims())
-}
-
-/// Accumulate one canonical group member's first-seed operand pair (A
-/// then B, the member's slice of the request's operand stream) into a
-/// standalone accumulator — the member-granular unit of feature work.
-/// Because a member's operand streams are fixed by `(dims, ordinal)`
-/// alone, the chunk is shareable across requests: a plain request's chunk
-/// (`(req.dims(), 0)`) is bit-identical to the same member's chunk inside
-/// any group, and merging every member's chunk in canonical member order
-/// ([`features_from_member_chunks`]) reproduces [`features_for_request`]
-/// exactly — the accumulator's merge contract charges the chunk-boundary
-/// toggle.
-pub fn member_feature_chunk(
-    req: &RunRequest,
-    member: GemmDims,
-    ordinal: u64,
-) -> FeatureAccumulator {
-    let (a, b) = wm_core::first_seed_member_operands(req, member, ordinal);
-    let mut acc = FeatureAccumulator::new(req.dtype);
-    acc.add_matrix(&a);
-    acc.add_matrix(&b);
-    acc
-}
-
-/// Compose a request's feature vector from precomputed per-member chunks
-/// (one per canonical member, in [`wm_core::member_ordinals`] order).
-/// Bit-identical to [`features_for_request`]: fold order matches the
-/// sequential stream order, and the mergeable-accumulator contract makes
-/// chunked accumulation exact. This is the hit path of the fleet's
-/// member-granular feature cache — only missing chunks cost a walk over
-/// operand bytes.
+/// Compose a request's feature vector from its members' seed-0 chunks
+/// (one per canonical member, in [`wm_core::member_ordinals`] order, as
+/// [`crate::walk::walk_unit`] fills them). Bit-identical to one
+/// accumulator over the whole operand stream, every member's A then B:
+/// fold order matches the stream order, and the mergeable-accumulator
+/// contract makes chunked accumulation exact. The fleet's unit store
+/// caches the chunks, so only missing members cost a walk over operand
+/// bytes.
 ///
 /// # Panics
 ///
@@ -507,7 +439,15 @@ mod tests {
 
     fn features(kind: PatternKind, dtype: DType) -> FeatureVector {
         let (a, b) = operands(kind, dtype, 64, 9);
-        extract_features(dtype, KernelClass::Gemm, GemmDims::square(64), &a, &b)
+        let mut acc = FeatureAccumulator::new(dtype);
+        acc.add_matrix(&a);
+        acc.add_matrix(&b);
+        acc.finish_group(KernelClass::Gemm, &[GemmDims::square(64)])
+    }
+
+    /// A request's features through its seed-0 walk.
+    fn request_features(req: &RunRequest) -> FeatureVector {
+        crate::walk::walk_first_seed(req).1
     }
 
     #[test]
@@ -677,7 +617,6 @@ mod tests {
 
     #[test]
     fn request_features_cover_every_pattern() {
-        use wm_core::RunRequest;
         for kind in [
             PatternKind::Gaussian,
             PatternKind::ValueSet { set_size: 16 },
@@ -686,7 +625,7 @@ mod tests {
             PatternKind::Zeros,
         ] {
             let req = RunRequest::new(DType::Fp16Tensor, 32, PatternSpec::new(kind));
-            let f = features_for_request(&req);
+            let f = request_features(&req);
             assert!(
                 f.as_slice().iter().all(|v| v.is_finite() && *v >= 0.0),
                 "{kind:?}: {f:?}"
@@ -696,15 +635,14 @@ mod tests {
 
     #[test]
     fn kernel_shape_features_separate_the_regimes() {
-        use wm_core::RunRequest;
         let gemm = RunRequest::new(
             DType::Fp16Tensor,
             64,
             PatternSpec::new(PatternKind::Gaussian),
         );
         let gemv = gemm.clone().with_kernel(KernelClass::Gemv);
-        let fm = features_for_request(&gemm);
-        let fv = features_for_request(&gemv);
+        let fm = request_features(&gemm);
+        let fv = request_features(&gemv);
         let (sm, sv) = (fm.as_slice(), fv.as_slice());
         assert_eq!(sm[at("kernel_gemv")], 0.0, "GEMM indicator");
         assert_eq!(sv[at("kernel_gemv")], 1.0, "GEMV indicator");
@@ -723,7 +661,6 @@ mod tests {
 
     #[test]
     fn shape_features_vary_per_axis_on_ragged_problems() {
-        use wm_core::RunRequest;
         // With ragged requests the three log2 axes finally move
         // independently — the model can learn shape, not just scale.
         let req = RunRequest::new(
@@ -732,7 +669,7 @@ mod tests {
             PatternSpec::new(PatternKind::Gaussian),
         )
         .with_shape(GemmDims { n: 32, m: 8, k: 64 });
-        let s = features_for_request(&req);
+        let s = request_features(&req);
         let s = s.as_slice();
         assert_eq!(s[at("log2_n")], (32f64).log2() / 16.0, "log2 n");
         assert_eq!(s[at("log2_m")], (8f64).log2() / 16.0, "log2 m");
@@ -748,7 +685,7 @@ mod tests {
             m: 64,
             k: 256,
         });
-        let f = features_for_request(&fat);
+        let f = request_features(&fat);
         let decode = req
             .clone()
             .with_kernel(KernelClass::Gemv)
@@ -757,7 +694,7 @@ mod tests {
                 m: 1,
                 k: 256,
             });
-        let d = features_for_request(&decode);
+        let d = request_features(&decode);
         let d = d.as_slice();
         assert_eq!(d[at("log2_m")], 0.0, "GEMV m = 1");
         assert_eq!(
@@ -782,12 +719,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "no data")]
     fn empty_accumulator_rejected() {
-        FeatureAccumulator::new(DType::Fp32).finish(KernelClass::Gemm, GemmDims::square(64));
+        FeatureAccumulator::new(DType::Fp32)
+            .finish_group(KernelClass::Gemm, &[GemmDims::square(64)]);
     }
 
     #[test]
     fn group_features_merge_members_and_describe_the_group() {
-        use wm_core::RunRequest;
         let template = RunRequest::new(
             DType::Fp16Tensor,
             32,
@@ -800,8 +737,8 @@ mod tests {
         };
         let plain = template.clone().with_shape(twin);
         let group = template.clone().with_group(vec![twin, twin]);
-        let fp = features_for_request(&plain);
-        let fg = features_for_request(&group);
+        let fp = request_features(&plain);
+        let fg = request_features(&group);
         let (sp, sg) = (fp.as_slice(), fg.as_slice());
         // A group of twins has the twin's geometry (FLOP-weighted mean of
         // identical members) and the twin's arithmetic intensity...
@@ -820,10 +757,10 @@ mod tests {
             k: 128,
         };
         let ragged = template.clone().with_group(vec![twin, big]);
-        let fr = features_for_request(&ragged);
+        let fr = request_features(&ragged);
         let sr = fr.as_slice();
-        let f_small = features_for_request(&template.clone().with_shape(twin));
-        let f_big = features_for_request(&template.clone().with_shape(big));
+        let f_small = request_features(&template.clone().with_shape(twin));
+        let f_big = request_features(&template.clone().with_shape(big));
         for i in ["log2_n", "log2_m", "log2_k"].map(at) {
             let (lo, hi) = (
                 f_small.as_slice()[i].min(f_big.as_slice()[i]),
@@ -850,104 +787,19 @@ mod tests {
     }
 
     #[test]
-    fn member_chunks_compose_to_the_request_features_exactly() {
-        use wm_core::{member_ordinals, RunRequest};
-        // Grouped (with twins, so ordinals matter) and plain requests:
-        // chunked member extraction merged in canonical order must be
-        // bit-identical to the sequential full-stream pass.
-        let twin = GemmDims {
-            n: 32,
-            m: 16,
-            k: 64,
-        };
-        let reqs = [
-            RunRequest::new(
-                DType::Fp16Tensor,
-                48,
-                PatternSpec::new(PatternKind::Gaussian),
-            ),
-            RunRequest::new(
-                DType::Fp16Tensor,
-                32,
-                PatternSpec::new(PatternKind::Sparse { sparsity: 0.3 }),
-            )
-            .with_group(vec![twin, GemmDims::square(48), twin]),
-        ];
-        for req in reqs {
-            let chunks: Vec<FeatureAccumulator> = member_ordinals(&req)
-                .into_iter()
-                .map(|(m, ord)| member_feature_chunk(&req, m, ord))
-                .collect();
-            let refs: Vec<&FeatureAccumulator> = chunks.iter().collect();
-            assert_eq!(
-                features_from_member_chunks(&req, &refs),
-                features_for_request(&req)
-            );
-        }
-    }
-
-    #[test]
-    fn member_chunks_are_shareable_across_request_spellings() {
-        use wm_core::RunRequest;
-        // The chunk a plain request computes is the chunk a group
-        // containing the same member at ordinal 0 needs — the cache-reuse
-        // contract at the feature layer.
-        let dims = GemmDims {
-            n: 48,
-            m: 24,
-            k: 96,
-        };
-        let template = RunRequest::new(
-            DType::Fp16Tensor,
-            48,
-            PatternSpec::new(PatternKind::Gaussian),
-        );
-        let plain = template.clone().with_shape(dims);
-        let group = template
-            .clone()
-            .with_group(vec![dims, GemmDims::square(32)]);
-        assert_eq!(
-            member_feature_chunk(&plain, dims, 0),
-            member_feature_chunk(&group, dims, 0)
-        );
-        // Twin chunks differ: the ordinal decorrelates their streams.
-        assert_ne!(
-            member_feature_chunk(&group, dims, 0),
-            member_feature_chunk(&group, dims, 1)
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "one feature chunk per canonical member")]
     fn chunk_count_mismatch_rejected() {
-        use wm_core::RunRequest;
         let req = RunRequest::new(DType::Fp32, 32, PatternSpec::new(PatternKind::Gaussian));
-        let chunk = member_feature_chunk(&req, req.dims(), 0);
+        let chunk = FeatureAccumulator::new(DType::Fp32);
         let _ = features_from_member_chunks(&req, &[&chunk, &chunk]);
     }
 
     #[test]
     fn single_member_group_features_are_bit_identical_to_plain() {
-        use wm_core::RunRequest;
         // Through the public request path the 1-member group *is* the
-        // plain request; at the accumulator level, finish_group over one
-        // member must equal finish exactly (shared arithmetic, no
-        // weighted-mean rounding).
-        let (a, b) = operands(PatternKind::Sparse { sparsity: 0.4 }, DType::Fp16, 48, 7);
-        let mut acc = FeatureAccumulator::new(DType::Fp16);
-        acc.add_matrix(&a);
-        acc.add_matrix(&b);
-        let dims = GemmDims {
-            n: 48,
-            m: 24,
-            k: 48,
-        };
-        assert_eq!(
-            acc.finish(KernelClass::Gemm, dims),
-            acc.finish_group(KernelClass::Gemm, &[dims])
-        );
+        // plain request.
         let req = RunRequest::new(DType::Fp16, 48, PatternSpec::new(PatternKind::Gaussian));
         let grouped = req.clone().with_group(vec![GemmDims::square(48)]);
-        assert_eq!(features_for_request(&req), features_for_request(&grouped));
+        assert_eq!(request_features(&req), request_features(&grouped));
     }
 }

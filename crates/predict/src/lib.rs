@@ -24,6 +24,11 @@
 //! * [`sketch`] — the deterministic, exactly-mergeable quantile sketches:
 //!   [`QuantileSketch`] behind the error percentiles, and the log-bucketed
 //!   [`LogHistogram`] that `wm-obs` builds its latency/energy metrics on.
+//! * [`walk`] — the one operand walk of a `(member, seed)` unit
+//!   ([`walk_unit`]): operands generated and encoded once, read for both
+//!   the simulated switching activity and, on seed 0, the feature chunk.
+//!   [`walk_first_seed`] walks a whole request's seed 0 into its pricing
+//!   probe and its [`FeatureVector`].
 //!
 //! `wm-fleet` wires this end to end: placement consults predictions for
 //! admission control and energy-minimal clock selection, the scheduler
@@ -39,13 +44,12 @@
 pub mod features;
 pub mod predictor;
 pub mod sketch;
+pub mod walk;
 
-pub use features::{
-    extract_features, features_for_request, features_from_member_chunks, member_feature_chunk,
-    FeatureAccumulator, FeatureVector, FEATURE_DIM,
-};
+pub use features::{features_from_member_chunks, FeatureAccumulator, FeatureVector, FEATURE_DIM};
 pub use predictor::{
     ModelStats, PowerPredictor, Prediction, PredictorState, SavedModel, DEFAULT_MIN_OBSERVATIONS,
 };
 pub use sketch::{LogHistogram, QuantileSketch};
+pub use walk::{walk_first_seed, walk_unit};
 pub use wm_kernels::KernelClass;

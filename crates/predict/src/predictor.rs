@@ -487,7 +487,7 @@ impl PowerPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::features_for_request;
+    use crate::walk::walk_first_seed;
     use wm_core::RunRequest;
     use wm_numerics::DType;
     use wm_patterns::{PatternKind, PatternSpec};
@@ -507,6 +507,11 @@ mod tests {
     fn feature(f: &FeatureVector, name: &str) -> f64 {
         let i = FeatureVector::NAMES.iter().position(|n| *n == name);
         f.as_slice()[i.expect("a feature name")]
+    }
+
+    /// A request's features through its seed-0 walk.
+    fn features_of(req: &RunRequest) -> FeatureVector {
+        walk_first_seed(req).1
     }
 
     fn request(kind: PatternKind, seed: u64) -> RunRequest {
@@ -529,7 +534,7 @@ mod tests {
     fn train(p: &mut PowerPredictor, rounds: u64) {
         for round in 0..rounds {
             for (i, kind) in training_kinds().into_iter().enumerate() {
-                let f = features_for_request(&request(kind, round * 100 + i as u64));
+                let f = features_of(&request(kind, round * 100 + i as u64));
                 p.observe(ARCH, GEMM, &f, synthetic_watts(&f));
             }
         }
@@ -538,7 +543,7 @@ mod tests {
     #[test]
     fn untrained_model_declines_to_predict() {
         let p = PowerPredictor::new();
-        let f = features_for_request(&request(PatternKind::Gaussian, 1));
+        let f = features_of(&request(PatternKind::Gaussian, 1));
         assert_eq!(p.predict(ARCH, GEMM, &f), None);
         assert!(!p.ready(ARCH, GEMM));
         assert_eq!(p.observations(ARCH, GEMM), 0);
@@ -549,7 +554,7 @@ mod tests {
         let mut p = PowerPredictor::new();
         train(&mut p, 8); // 64 observations
         assert!(p.ready(ARCH, GEMM));
-        let unseen = features_for_request(&request(PatternKind::Sparse { sparsity: 0.45 }, 991));
+        let unseen = features_of(&request(PatternKind::Sparse { sparsity: 0.45 }, 991));
         let pred = p
             .predict(ARCH, GEMM, &unseen)
             .expect("ready model must serve");
@@ -570,11 +575,11 @@ mod tests {
         assert!(p.ready(ARCH, GEMM));
         // Adversarial feedback: measurements wildly off the feature law.
         for i in 0..16 {
-            let f = features_for_request(&request(PatternKind::Gaussian, 5000 + i));
+            let f = features_of(&request(PatternKind::Gaussian, 5000 + i));
             p.observe(ARCH, GEMM, &f, synthetic_watts(&f) * 4.0);
         }
         assert!(!p.ready(ARCH, GEMM), "drift must disable the model");
-        let f = features_for_request(&request(PatternKind::Gaussian, 7777));
+        let f = features_of(&request(PatternKind::Gaussian, 7777));
         assert_eq!(p.predict(ARCH, GEMM, &f), None);
         let stats = p.stats();
         assert!(stats[0].degraded || stats[0].observations < p.min_observations());
@@ -583,11 +588,11 @@ mod tests {
         // observations rebuilds the model (possibly through one more trip
         // that flushes the corrupted remainder) and restores service.
         for i in 0..160 {
-            let f = features_for_request(&request(PatternKind::Gaussian, 9000 + i));
+            let f = features_of(&request(PatternKind::Gaussian, 9000 + i));
             p.observe(ARCH, GEMM, &f, synthetic_watts(&f));
         }
         assert!(p.ready(ARCH, GEMM), "{:?}", p.stats());
-        let probe = features_for_request(&request(PatternKind::Gaussian, 424242));
+        let probe = features_of(&request(PatternKind::Gaussian, 424242));
         let pred = p.predict(ARCH, GEMM, &probe).unwrap();
         let truth = synthetic_watts(&probe);
         assert!(
@@ -607,7 +612,7 @@ mod tests {
         train(&mut p, 8);
         assert!(p.ready(ARCH, GEMM));
         for i in 0..200u64 {
-            let f = features_for_request(&request(PatternKind::Gaussian, 20_000 + i));
+            let f = features_of(&request(PatternKind::Gaussian, 20_000 + i));
             let w = synthetic_watts(&f) * if i % 2 == 0 { 5.0 } else { 0.2 };
             p.observe(ARCH, GEMM, &f, w);
             if i >= 2 {
@@ -624,7 +629,7 @@ mod tests {
     fn architectures_are_independent() {
         let mut p = PowerPredictor::new();
         train(&mut p, 8);
-        let f = features_for_request(&request(PatternKind::Gaussian, 3));
+        let f = features_of(&request(PatternKind::Gaussian, 3));
         assert!(p.predict(ARCH, GEMM, &f).is_some());
         assert_eq!(p.predict("Other GPU", GEMM, &f), None);
         assert_eq!(p.observations("Other GPU", GEMM), 0);
@@ -639,14 +644,14 @@ mod tests {
         train(&mut p, 8);
         assert!(p.ready(ARCH, KernelClass::Gemm));
         let req = request(PatternKind::Gaussian, 77).with_kernel(KernelClass::Gemv);
-        let f = features_for_request(&req);
+        let f = features_of(&req);
         assert_eq!(p.predict(ARCH, KernelClass::Gemv, &f), None);
         assert!(!p.ready(ARCH, KernelClass::Gemv));
         assert_eq!(p.observations(ARCH, KernelClass::Gemv), 0);
         // Training the GEMV key opens it without touching the GEMM model.
         for i in 0..40u64 {
             let r = request(PatternKind::Gaussian, 500 + i).with_kernel(KernelClass::Gemv);
-            let f = features_for_request(&r);
+            let f = features_of(&r);
             let watts = 100.0 + 40.0 * feature(&f, "toggle_density");
             p.observe(ARCH, KernelClass::Gemv, &f, watts);
         }
@@ -669,7 +674,7 @@ mod tests {
         ]
         .into_iter()
         .enumerate()
-        .map(|(i, k)| features_for_request(&request(k, i as u64)))
+        .map(|(i, k)| features_of(&request(k, i as u64)))
         .collect();
         let build = |order: &[usize]| {
             let mut p = PowerPredictor::with_min_observations(1);
@@ -680,7 +685,7 @@ mod tests {
         };
         let a = build(&[0, 0, 1, 1, 2, 2]);
         let b = build(&[2, 1, 0, 0, 1, 2]);
-        let probe = features_for_request(&request(PatternKind::Gaussian, 50));
+        let probe = features_of(&request(PatternKind::Gaussian, 50));
         let (pa, pb) = (
             a.raw_predict(ARCH, GEMM, &probe).unwrap().watts,
             b.raw_predict(ARCH, GEMM, &probe).unwrap().watts,
@@ -699,7 +704,7 @@ mod tests {
     #[should_panic(expected = "finite and positive")]
     fn nonpositive_measurements_rejected() {
         let mut p = PowerPredictor::new();
-        let f = features_for_request(&request(PatternKind::Gaussian, 1));
+        let f = features_of(&request(PatternKind::Gaussian, 1));
         p.observe(ARCH, GEMM, &f, 0.0);
     }
 
@@ -711,13 +716,13 @@ mod tests {
         assert!(restored.ready(ARCH, GEMM));
         assert_eq!(restored.min_observations(), p.min_observations());
         assert_eq!(restored.stats(), p.stats());
-        let probe = features_for_request(&request(PatternKind::Sparse { sparsity: 0.3 }, 4242));
+        let probe = features_of(&request(PatternKind::Sparse { sparsity: 0.3 }, 4242));
         assert_eq!(
             restored.predict(ARCH, GEMM, &probe),
             p.predict(ARCH, GEMM, &probe)
         );
         // The restored predictor keeps learning where the original left off.
-        let f = features_for_request(&request(PatternKind::Gaussian, 31_337));
+        let f = features_of(&request(PatternKind::Gaussian, 31_337));
         let mut restored = restored;
         restored.observe(ARCH, GEMM, &f, synthetic_watts(&f));
         assert_eq!(restored.observations(ARCH, GEMM), 65);
@@ -728,7 +733,7 @@ mod tests {
         let mut p = PowerPredictor::new();
         train(&mut p, 8);
         for i in 0..16 {
-            let f = features_for_request(&request(PatternKind::Gaussian, 5000 + i));
+            let f = features_of(&request(PatternKind::Gaussian, 5000 + i));
             p.observe(ARCH, GEMM, &f, synthetic_watts(&f) * 4.0);
         }
         assert!(!p.ready(ARCH, GEMM));

@@ -9,10 +9,7 @@ use wm_core::RunRequest;
 use wm_gpu::GemmDims;
 use wm_numerics::DType;
 use wm_patterns::{PatternKind, PatternSpec};
-use wm_predict::{
-    extract_features, features_for_request, FeatureAccumulator, FeatureVector, KernelClass,
-    PowerPredictor,
-};
+use wm_predict::{walk_first_seed, FeatureAccumulator, FeatureVector, KernelClass, PowerPredictor};
 
 fn arb_dtype() -> impl Strategy<Value = DType> {
     prop::sample::select(DType::EXTENDED.to_vec())
@@ -65,7 +62,7 @@ fn extract_parallel(req: &RunRequest, stream: &[f32], workers: usize) -> Feature
     for part in &partials {
         whole.merge(part);
     }
-    whole.finish(req.kernel, req.dims())
+    whole.finish_group(req.kernel, &[req.dims()])
 }
 
 fn bits_of(f: &FeatureVector) -> Vec<u64> {
@@ -110,7 +107,7 @@ proptest! {
     #[test]
     fn extraction_is_bit_identical_across_worker_counts(req in arb_request()) {
         let stream = operand_stream(&req);
-        let sequential = features_for_request(&req);
+        let sequential = walk_first_seed(&req).1;
         for workers in [1usize, 2, 3, 5, 8] {
             let parallel = extract_parallel(&req, &stream, workers);
             prop_assert_eq!(
@@ -125,8 +122,9 @@ proptest! {
 
     #[test]
     fn extraction_matches_the_matrix_entry_point(req in arb_request()) {
-        // `extract_features` over the matrices and the streaming
-        // accumulator over their concatenated storage are the same pass.
+        // `add_matrix` over the matrices (the encode-then-accumulate path
+        // a caller holding plain matrices uses) and the walk over their
+        // shared encoded words are the same pass.
         let mut root = Xoshiro256pp::seed_from_u64(req.base_seed ^ 1);
         let dims = req.dims();
         let a = req.pattern_a.generate(req.dtype, dims.n, dims.k, &mut root.fork(0));
@@ -138,8 +136,11 @@ proptest! {
             (dims.m, dims.k)
         };
         let b = req.pattern_b.generate(req.dtype, b_rows, b_cols, &mut root.fork(1));
-        let via_matrices = extract_features(req.dtype, req.kernel, dims, &a, &b);
-        prop_assert_eq!(bits_of(&via_matrices), bits_of(&features_for_request(&req)));
+        let mut acc = FeatureAccumulator::new(req.dtype);
+        acc.add_matrix(&a);
+        acc.add_matrix(&b);
+        let via_matrices = acc.finish_group(req.kernel, &[dims]);
+        prop_assert_eq!(bits_of(&via_matrices), bits_of(&walk_first_seed(&req).1));
     }
 }
 
@@ -164,7 +165,7 @@ proptest! {
                     PatternSpec::new(PatternKind::Gaussian),
                 )
                 .with_base_seed(s);
-                let f = features_for_request(&req);
+                let f = walk_first_seed(&req).1;
                 let toggles = FeatureVector::NAMES.iter().position(|n| *n == "toggle_density");
                 let watts = 100.0 + 200.0 * f.as_slice()[toggles.expect("a feature name")];
                 (f, watts)
@@ -188,10 +189,11 @@ proptest! {
             order.swap(i, (state >> 33) as usize % (i + 1));
         }
         let shuffled = fit(&order);
-        let probe = features_for_request(
+        let probe = walk_first_seed(
             &RunRequest::new(DType::Fp16Tensor, 24, PatternSpec::new(PatternKind::Gaussian))
                 .with_base_seed(12345),
-        );
+        )
+        .1;
         let a = baseline.raw_predict("GPU", KernelClass::Gemm, &probe);
         let b = shuffled.raw_predict("GPU", KernelClass::Gemm, &probe);
         // Sufficient statistics are order-free sums; only floating-point

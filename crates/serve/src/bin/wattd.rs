@@ -113,6 +113,15 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 .filter(|&n| n > 0)
                 .ok_or_else(|| format!("{flag} needs a positive count"))
         };
+        // NaN and infinity slip past every comparison `build_fleet` makes;
+        // leaving the flag out already means "no limit".
+        let parse_watts = |flag: &str, value: String| {
+            value
+                .parse::<f64>()
+                .ok()
+                .filter(|w| w.is_finite())
+                .ok_or_else(|| format!("{flag} needs a finite number of watts"))
+        };
         match arg.as_str() {
             "--gpus" => {
                 opts.gpus = value_for("--gpus")?
@@ -122,18 +131,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .collect();
             }
             "--budget" => {
-                opts.budget_w = Some(
-                    value_for("--budget")?
-                        .parse::<f64>()
-                        .map_err(|_| "--budget needs a number of watts".to_string())?,
-                );
+                opts.budget_w = Some(parse_watts("--budget", value_for("--budget")?)?);
             }
             "--cap" => {
-                opts.cap_w = Some(
-                    value_for("--cap")?
-                        .parse::<f64>()
-                        .map_err(|_| "--cap needs a number of watts".to_string())?,
-                );
+                opts.cap_w = Some(parse_watts("--cap", value_for("--cap")?)?);
             }
             "--workers" => {
                 opts.workers = Some(parse_count("--workers", value_for("--workers")?)?);

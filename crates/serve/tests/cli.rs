@@ -62,3 +62,25 @@ fn snapshot_secs_rejects_non_numbers() {
         assert!(stderr.contains("non-negative"), "{bad:?}: {stderr}");
     }
 }
+
+/// `--budget` and `--cap` take finite watts only: NaN passed every
+/// comparison the fleet checks make and panicked in the fleet builder,
+/// and infinity spells "no limit", which leaving the flag out already
+/// means. Both modes parse the flags alike; a rejection exits 2 before
+/// the daemon touches stdin or the network.
+#[test]
+fn non_finite_watts_are_rejected_naming_the_flag() {
+    for (flag, bad) in [("--budget", "nan"), ("--budget", "inf"), ("--cap", "nan")] {
+        for mode in [&[][..], &["serve", "--addr", "256.256.256.256:0"][..]] {
+            let mut args = mode.to_vec();
+            args.extend(["--gpus", "a100", flag, bad]);
+            let out = wattd(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("{flag} needs a finite number of watts")),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+}

@@ -10,21 +10,24 @@
 //! moves GPU power by up to ~38%. This workspace rebuilds that entire
 //! study in Rust on top of a switching-activity GPU power simulator:
 //!
-//! * [`bits`] — Hamming/alignment/toggle primitives and the deterministic PRNG.
-//! * [`numerics`] — FP32/FP16/INT8 codecs and Gaussian sampling.
-//! * [`matrix`] — dense matrices with layout and tile iteration.
+//! * [`bits`] — Hamming weight/distance and stream toggles, the §IV
+//!   bit-field surgery, and the deterministic PRNG.
+//! * [`numerics`] — FP32/FP16/BF16/INT8 codecs and Gaussian sampling.
+//! * [`matrix`] — dense row-major matrices and optionally transposed views.
 //! * [`patterns`] — every §IV input-pattern generator.
 //! * [`gpu`] — GPU architecture models (A100, V100, H100, RTX 6000).
 //! * [`kernels`] — CUTLASS-like tiled GEMM with an exact-per-sample activity engine.
 //! * [`power`] — activity → watts mapping with per-component coefficients.
 //! * [`telemetry`] — DCGM-like sampling, warmup trim, VM process variation.
-//! * [`analysis`] — statistics and the Fig. 8 alignment/Hamming analyses.
+//! * [`analysis`] — Pearson/Spearman correlation, result tables, and
+//!   `RidgeFitter`, the one linear solver every fit uses.
 //! * [`core`] — the [`core::PowerLab`] façade tying it all together.
 //! * [`experiments`] — one runner per paper figure plus the `wattmul` CLI.
 //! * [`optimizer`] — the paper's §V future-work directions, implemented.
-//! * [`predict`] — input-feature power prediction: one-pass feature
-//!   extraction, online per-architecture ridge models, error tracking
-//!   with drift fallback.
+//! * [`predict`] — input-feature power prediction: the one operand walk
+//!   that yields a unit's activity and feature chunk, one-pass mergeable
+//!   features, online ridge models keyed per `(architecture, kernel)`,
+//!   error tracking with drift fallback.
 //! * [`fleet`] — the multi-GPU fleet scheduler and the `wattd`
 //!   power-estimation service (work stealing, memo cache, power-capped
 //!   placement consulting the learned predictor, grouped-GEMM batch

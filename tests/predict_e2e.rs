@@ -7,9 +7,10 @@
 
 use wattmul_repro::core::RunRequest;
 use wattmul_repro::fleet::json::Json;
-use wattmul_repro::fleet::{probe_activity, serve, Fleet, Scheduler};
+use wattmul_repro::fleet::{serve, Fleet, Scheduler};
 use wattmul_repro::gpu::spec::a100_pcie;
 use wattmul_repro::power::evaluate_group;
+use wattmul_repro::predict::walk_first_seed;
 use wattmul_repro::telemetry::VmInstance;
 
 const DIM: usize = 96;
@@ -60,7 +61,7 @@ fn training_lines(rounds: u64) -> Vec<String> {
 fn model_evaluated_watts(req: &RunRequest) -> f64 {
     let gpu = a100_pcie();
     let vm = VmInstance::provision(&gpu, 0);
-    evaluate_group(&gpu, &probe_activity(req)).total_w + vm.offset_w
+    evaluate_group(&gpu, &walk_first_seed(req).0).total_w + vm.offset_w
 }
 
 fn unseen_request(base_seed: u64) -> RunRequest {
