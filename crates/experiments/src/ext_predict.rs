@@ -127,17 +127,19 @@ fn request(profile: &RunProfile, kind: PatternKind, seed: u64) -> RunRequest {
 /// A figure's series over the profile's `seeds` seed streams.
 /// `stream(salt)` trains and scores one stream, returning one value per
 /// series and checkpoint; each point is the mean over streams, with the
-/// sample standard deviation over streams as its error bar.
+/// sample standard deviation over streams as its error bar. Streams run
+/// one after another; each fans its own labelling out over the cores
+/// ([`label_up_front`]), which keeps every core busy however many
+/// streams the profile has.
 fn over_streams(
     profile: &RunProfile,
     names: &[&str],
     volumes: &[u64],
-    stream: impl Fn(u64) -> Vec<Vec<f64>> + Sync,
+    stream: impl Fn(u64) -> Vec<Vec<f64>>,
 ) -> Vec<Series> {
-    let salts = (0..profile.seeds)
-        .map(|s| s.wrapping_mul(STREAM_SALT))
+    let runs: Vec<Vec<Vec<f64>>> = (0..profile.seeds)
+        .map(|s| stream(s.wrapping_mul(STREAM_SALT)))
         .collect();
-    let runs = parallel_map(salts, stream);
     let n = runs.len() as f64;
     names
         .iter()
@@ -165,12 +167,35 @@ fn over_streams(
         .collect()
 }
 
+/// A request's features and its ground-truth watts.
+type Label = (FeatureVector, f64);
+
 /// A request's features and its ground truth — the analytic power model
 /// on its first-seed activity, exactly what the `wattd` acceptance test
 /// compares against — from one walk over its operands.
-fn labelled(req: &RunRequest) -> (FeatureVector, f64) {
+fn labelled(req: &RunRequest) -> Label {
     let (activity, features) = walk_first_seed(req);
     (features, evaluate_group(&a100_pcie(), &activity).total_w)
+}
+
+/// Label a stream's held-out and training requests in one fan-out over
+/// the cores, in order, and split the labels back into the two sets.
+/// Labels do not depend on any model, so a stream computes all of them
+/// before it trains and scores sequentially.
+fn label_up_front(
+    held_out: Vec<RunRequest>,
+    training: impl Iterator<Item = RunRequest>,
+) -> (Vec<Label>, Vec<Label>) {
+    let n = held_out.len();
+    let requests = held_out.into_iter().chain(training).collect();
+    let mut labels = parallel_map(requests, |req: RunRequest| labelled(&req));
+    let training = labels.split_off(n);
+    (labels, training)
+}
+
+/// Training observations a stream needs: enough for its last checkpoint.
+fn training_volume(volumes: &[u64]) -> u64 {
+    volumes.iter().copied().max().unwrap_or(0)
 }
 
 /// Absolute percentage error of `prediction` against `truth`; a model
@@ -233,7 +258,7 @@ fn volume_stream(
     let gpu = a100_pcie();
     // Held-out evaluation sets are fixed up front (seeds disjoint from
     // the training stream's).
-    let held_out: Vec<(usize, (FeatureVector, f64))> = fams
+    let (held_out_fams, held_out): (Vec<usize>, Vec<RunRequest>) = fams
         .iter()
         .enumerate()
         .flat_map(|(fi, fam)| {
@@ -244,21 +269,26 @@ fn volume_stream(
         })
         .map(|(fi, (kind, i))| {
             let seed = (0x8E1D_0000 + (fi * 16 + i) as u64) ^ salt;
-            (fi, labelled(&request(profile, kind, seed)))
+            (fi, request(profile, kind, seed))
         })
-        .collect();
+        .unzip();
+    // The round-robin training stream, one family per step.
+    let training = (0..training_volume(volumes)).map(|t| {
+        let fam = &fams[(t as usize) % fams.len()];
+        let step = t / fams.len() as u64;
+        request(profile, (fam.train)(step), (0x7A17 + t) ^ salt)
+    });
+    let (held_out, training) = label_up_front(held_out, training);
+    let held_out: Vec<(usize, Label)> = held_out_fams.into_iter().zip(held_out).collect();
 
     let mut predictor = PowerPredictor::with_min_observations(1);
     let mut apes = vec![Vec::new(); fams.len()];
     let mut trained = 0u64;
     for &volume in volumes {
-        // Extend the round-robin training stream up to this checkpoint.
+        // Extend the training stream up to this checkpoint.
         while trained < volume {
-            let fam = &fams[(trained as usize) % fams.len()];
-            let step = trained / fams.len() as u64;
-            let req = request(profile, (fam.train)(step), (0x7A17 + trained) ^ salt);
-            let (features, watts) = labelled(&req);
-            predictor.observe(gpu.name, KernelClass::Gemm, &features, watts);
+            let (features, watts) = &training[trained as usize];
+            predictor.observe(gpu.name, KernelClass::Gemm, features, *watts);
             trained += 1;
         }
         // Score every family's held-out set at this volume.
@@ -280,7 +310,8 @@ fn volume_stream(
 }
 
 /// P95 absolute percentage error of the held-out `apes` (percentage
-/// points) — the nearest-rank P95 the predictor's own sketch reports.
+/// points) — the same nearest-rank P95 that the predictor reports over
+/// its recent-error window (`window_p95_ape_pct`).
 fn p95(apes: &mut [f64]) -> f64 {
     assert!(!apes.is_empty());
     apes.sort_by(f64::total_cmp);
@@ -332,23 +363,25 @@ fn mixed_kernel_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<
         PatternKind::ZeroLsbs { count: 6 },
         PatternKind::Zeros,
     ];
-    let mixed_request = |i: u64| {
-        // Alternate kernels so the stream is genuinely interleaved.
-        let kernel = if i.is_multiple_of(2) {
+    // Alternate kernels so the stream is genuinely interleaved.
+    let kernel = |i: u64| {
+        if i.is_multiple_of(2) {
             KernelClass::Gemm
         } else {
             KernelClass::Gemv
-        };
+        }
+    };
+    let training = (0..training_volume(volumes)).map(|i| {
         request(
             profile,
             kinds[(i / 2 % kinds.len() as u64) as usize],
             (0x317ED + i) ^ salt,
         )
-        .with_kernel(kernel)
-    };
+        .with_kernel(kernel(i))
+    });
     // Held-out GEMV traffic: same families, disjoint seeds, parameters
     // off the training grid.
-    let held_out: Vec<(FeatureVector, f64)> = [
+    let held_out = [
         PatternKind::Gaussian,
         PatternKind::Sparse { sparsity: 0.45 },
         PatternKind::Sparse { sparsity: 0.85 },
@@ -359,11 +392,10 @@ fn mixed_kernel_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<
     .into_iter()
     .enumerate()
     .map(|(i, kind)| {
-        labelled(
-            &request(profile, kind, (0x6E1D_0000 + i as u64) ^ salt).with_kernel(KernelClass::Gemv),
-        )
+        request(profile, kind, (0x6E1D_0000 + i as u64) ^ salt).with_kernel(KernelClass::Gemv)
     })
     .collect();
+    let (held_out, training) = label_up_front(held_out, training);
 
     // Two predictors see the *same* interleaved stream; the lumped one
     // files every observation under one key (the old per-architecture
@@ -375,10 +407,9 @@ fn mixed_kernel_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<
     let mut trained = 0u64;
     for &volume in volumes {
         while trained < volume {
-            let req = mixed_request(trained);
-            let (features, watts) = labelled(&req);
-            per_kernel.observe(gpu.name, req.kernel, &features, watts);
-            lumped.observe(gpu.name, KernelClass::Gemm, &features, watts);
+            let (features, watts) = &training[trained as usize];
+            per_kernel.observe(gpu.name, kernel(trained), features, *watts);
+            lumped.observe(gpu.name, KernelClass::Gemm, features, *watts);
             trained += 1;
         }
         let ape_of = |keyed: bool| {
@@ -471,7 +502,7 @@ fn ragged_shape_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<
             .with_kernel(KernelClass::Gemv)
             .with_shape(wm_gpu::GemmDims { n, m: 1, k })
     };
-    let held_out: Vec<(FeatureVector, f64)> = held_out_shapes
+    let held_out = held_out_shapes
         .iter()
         .enumerate()
         .flat_map(|(si, &shape)| {
@@ -483,8 +514,19 @@ fn ragged_shape_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<
             .enumerate()
             .map(move |(pi, kind)| (shape, kind, 0x4A66_0000 + (si * 8 + pi) as u64))
         })
-        .map(|(shape, kind, seed)| labelled(&decode(shape, kind, seed)))
+        .map(|(shape, kind, seed)| decode(shape, kind, seed))
         .collect();
+    // Each step trains both models on one pattern: the ragged one at a
+    // grid shape (even entries), the square one at `dim` (odd entries).
+    let training = (0..training_volume(volumes)).flat_map(|t| {
+        let kind = kinds[(t % kinds.len() as u64) as usize];
+        let shape = train_shapes[(t % train_shapes.len() as u64) as usize];
+        [
+            decode(shape, kind, 0x5A99 + t),
+            decode((d, d), kind, 0x5A99 + t),
+        ]
+    });
+    let (held_out, training) = label_up_front(held_out, training);
 
     // Both models see the same pattern stream and observation count; only
     // the shapes differ: ragged grid vs. the square `dim` the paper used.
@@ -495,12 +537,11 @@ fn ragged_shape_stream(profile: &RunProfile, volumes: &[u64], salt: u64) -> Vec<
     let mut trained = 0u64;
     for &volume in volumes {
         while trained < volume {
-            let kind = kinds[(trained % kinds.len() as u64) as usize];
-            let shape = train_shapes[(trained % train_shapes.len() as u64) as usize];
-            let (features, watts) = labelled(&decode(shape, kind, 0x5A99 + trained));
-            ragged.observe(gpu.name, KernelClass::Gemv, &features, watts);
-            let (features, watts) = labelled(&decode((d, d), kind, 0x5A99 + trained));
-            square.observe(gpu.name, KernelClass::Gemv, &features, watts);
+            let t = 2 * trained as usize;
+            let (features, watts) = &training[t];
+            ragged.observe(gpu.name, KernelClass::Gemv, features, *watts);
+            let (features, watts) = &training[t + 1];
+            square.observe(gpu.name, KernelClass::Gemv, features, *watts);
             trained += 1;
         }
         for (series, predictor) in p95s.iter_mut().zip([&ragged, &square]) {

@@ -809,7 +809,7 @@ impl Scheduler {
     }
 
     /// Export the shared predictor's complete state (sufficient
-    /// statistics, error sketches, drift flags) for persistence — the
+    /// statistics, error histograms, drift flags) for persistence — the
     /// graceful-drain flush in `wm-serve` writes this to disk.
     pub fn predictor_snapshot(&self) -> PredictorState {
         lock_clean(&self.inner.predictor).export_state()

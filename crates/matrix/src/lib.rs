@@ -1,12 +1,12 @@
-//! # wm-matrix — dense matrices with layout and views
+//! # wm-matrix — dense row-major matrices
 //!
-//! Minimal but complete dense-matrix substrate for the GEMM simulator:
-//!
-//! * [`Matrix`] — row-major dense storage of logical `f32` values (the
-//!   paper generates FP32 once; dtype conversion happens downstream).
-//! * [`MatrixView`] — a borrowed, optionally transposed view; GEMM operand
-//!   access goes through views so the placement experiments can flip the
-//!   paper's "B transposed / not transposed" switch without copying.
+//! Minimal dense-matrix substrate for the GEMM simulator: [`Matrix`] is
+//! row-major dense storage of logical `f32` values (the paper generates
+//! FP32 once; dtype conversion happens downstream). The pattern
+//! generators build operands as `Matrix`es, and the GEMM and GEMV engines
+//! read them as `Matrix`es or as `wm_kernels::EncodedMatrix` words; there
+//! is no view type, and a transposed operand is a [`Matrix::transposed`]
+//! copy.
 //!
 //! Indexing is `(row, col)` everywhere; storage is row-major. Out-of-range
 //! indexing panics (debug *and* release): index arithmetic bugs must never
@@ -161,24 +161,6 @@ impl Matrix {
         t
     }
 
-    /// A borrowed view (not transposed).
-    #[inline]
-    pub fn view(&self) -> MatrixView<'_> {
-        MatrixView {
-            m: self,
-            transposed: false,
-        }
-    }
-
-    /// A borrowed transposed view: `view_t().get(r, c) == self.get(c, r)`.
-    #[inline]
-    pub fn view_t(&self) -> MatrixView<'_> {
-        MatrixView {
-            m: self,
-            transposed: true,
-        }
-    }
-
     /// Elementwise approximate equality with absolute-or-relative tolerance
     /// `tol`: `|a-b| <= tol * max(1, |a|, |b|)`.
     pub fn approx_eq(&self, other: &Self, tol: f32) -> bool {
@@ -201,60 +183,6 @@ impl Matrix {
     /// Mean of all elements.
     pub fn mean(&self) -> f64 {
         self.data.iter().map(|&v| v as f64).sum::<f64>() / self.data.len() as f64
-    }
-}
-
-/// A borrowed, optionally transposed matrix view.
-///
-/// GEMM operand access is expressed against views, so the B-transposition
-/// switch in the placement experiments (§IV.C) is a zero-cost flag flip.
-#[derive(Debug, Clone, Copy)]
-pub struct MatrixView<'a> {
-    m: &'a Matrix,
-    transposed: bool,
-}
-
-impl<'a> MatrixView<'a> {
-    /// Rows of the *viewed* matrix (after any transposition).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        if self.transposed {
-            self.m.cols
-        } else {
-            self.m.rows
-        }
-    }
-
-    /// Columns of the *viewed* matrix (after any transposition).
-    #[inline]
-    pub fn cols(&self) -> usize {
-        if self.transposed {
-            self.m.rows
-        } else {
-            self.m.cols
-        }
-    }
-
-    /// Whether this view transposes the underlying storage.
-    #[inline]
-    pub fn is_transposed(&self) -> bool {
-        self.transposed
-    }
-
-    /// Element access in view coordinates.
-    #[inline(always)]
-    pub fn get(&self, row: usize, col: usize) -> f32 {
-        if self.transposed {
-            self.m.get(col, row)
-        } else {
-            self.m.get(row, col)
-        }
-    }
-
-    /// The underlying matrix (storage coordinates).
-    #[inline]
-    pub fn inner(&self) -> &'a Matrix {
-        self.m
     }
 }
 
@@ -299,19 +227,16 @@ mod tests {
     }
 
     #[test]
-    fn transposed_copy_matches_view() {
+    fn transposed_copy_swaps_indices() {
         // Shapes inside one tile, a whole number of tiles, and ragged
         // edges in both directions.
         for (rows, cols) in [(3, 5), (16, 24), (37, 21)] {
             let m = Matrix::from_fn(rows, cols, |r, c| (r * 100 + c) as f32);
             let t = m.transposed();
-            let v = m.view_t();
             assert_eq!((t.rows(), t.cols()), (cols, rows));
-            assert_eq!((v.rows(), v.cols()), (cols, rows));
             for r in 0..cols {
                 for c in 0..rows {
                     assert_eq!(t.get(r, c), m.get(c, r));
-                    assert_eq!(v.get(r, c), m.get(c, r));
                 }
             }
         }
@@ -321,15 +246,6 @@ mod tests {
     fn double_transpose_is_identity() {
         let m = Matrix::from_fn(4, 2, |r, c| (r + c) as f32 * 0.5);
         assert_eq!(m.transposed().transposed(), m);
-    }
-
-    #[test]
-    fn plain_view_passes_through() {
-        let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
-        let v = m.view();
-        assert!(!v.is_transposed());
-        assert_eq!(v.rows(), 2);
-        assert_eq!(v.get(1, 2), m.get(1, 2));
     }
 
     #[test]

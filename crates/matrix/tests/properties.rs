@@ -17,19 +17,6 @@ proptest! {
     }
 
     #[test]
-    fn transpose_view_matches_copy(m in arb_matrix()) {
-        let t = m.transposed();
-        let v = m.view_t();
-        prop_assert_eq!(v.rows(), t.rows());
-        prop_assert_eq!(v.cols(), t.cols());
-        for r in 0..t.rows() {
-            for c in 0..t.cols() {
-                prop_assert_eq!(v.get(r, c).to_bits(), t.get(r, c).to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn rows_concatenate_to_storage(m in arb_matrix()) {
         let mut collected = Vec::new();
         for r in 0..m.rows() {

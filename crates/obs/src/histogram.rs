@@ -1,126 +1,16 @@
-//! Deterministic quantile sketching for prediction-error tracking.
+//! The workspace's one histogram type: a deterministic, exactly-mergeable
+//! log-bucketed sketch.
 //!
-//! The predictor reports P50/P95 **absolute percentage error** per device
-//! and must do so deterministically (the whole workspace is bit-stable by
-//! policy) and in O(1) memory per model. A [`QuantileSketch`] is an exact
-//! integer histogram over fixed APE bins — 0.25-point-wide bins up to
-//! 100%, plus one overflow bin — so observations merge exactly and
-//! quantile reads are pure functions of the counts. The 0.25-point
-//! resolution is far finer than any decision threshold built on top (the
-//! drift detector trips at tens of points).
-//!
-//! APEs live on a known `[0, ~100]` scale, so linear bins suffice there.
-//! Latencies do not: a serving stack observes microseconds and seconds in
-//! the same stream, so the general-purpose sibling [`LogHistogram`] bins
-//! by the value's binary exponent instead — `SUBDIVISIONS` mantissa
-//! slices per power-of-two octave, giving a bounded relative error at
-//! every magnitude. It shares the sketch contract: integer counts only,
-//! exact merges (associative and commutative by construction), and
-//! quantile reads that are pure functions of the counts, so merged
-//! shard-local histograms are bit-identical to a sequential one whatever
-//! the worker count. `wm-obs` builds its metrics registry on it.
-
-/// Width of one histogram bin, in APE percentage points.
-const BIN_WIDTH_PCT: f64 = 0.25;
-/// Number of regular bins (covers 0..100%); index `BINS` is overflow.
-const BINS: usize = 400;
-
-/// An exact histogram sketch over absolute percentage errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuantileSketch {
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Default for QuantileSketch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QuantileSketch {
-    /// An empty sketch.
-    pub fn new() -> Self {
-        Self {
-            counts: vec![0; BINS + 1],
-            total: 0,
-        }
-    }
-
-    /// Record one absolute percentage error (in percentage points; `7.5`
-    /// means 7.5% off). Negative or non-finite inputs are a caller bug.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ape_pct` is negative or non-finite.
-    pub fn observe(&mut self, ape_pct: f64) {
-        assert!(
-            ape_pct.is_finite() && ape_pct >= 0.0,
-            "APE must be finite and non-negative, got {ape_pct}"
-        );
-        let bin = ((ape_pct / BIN_WIDTH_PCT) as usize).min(BINS);
-        self.counts[bin] += 1;
-        self.total += 1;
-    }
-
-    /// Observations recorded.
-    pub fn observations(&self) -> u64 {
-        self.total
-    }
-
-    /// The `q`-quantile (e.g. `0.5`, `0.95`) as the upper edge of the bin
-    /// containing it — a conservative (never understating) estimate.
-    /// Returns 0 for an empty sketch; the overflow bin reads as 100+ (one
-    /// bin width past 100).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < q <= 1`.
-    pub fn quantile_pct(&self, q: f64) -> f64 {
-        assert!(q > 0.0 && q <= 1.0, "quantile must be in (0, 1], got {q}");
-        if self.total == 0 {
-            return 0.0;
-        }
-        let rank = (q * self.total as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return (i + 1) as f64 * BIN_WIDTH_PCT;
-            }
-        }
-        (BINS + 1) as f64 * BIN_WIDTH_PCT
-    }
-
-    /// Fold another sketch in (exact).
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-
-    /// The raw bin counts (`BINS` regular bins plus one overflow bin) —
-    /// the sketch's entire state, for persistence.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Rebuild a sketch from counts previously read via [`Self::counts`].
-    /// Exact round trip; `Err` on a bin-count length mismatch (persisted
-    /// files are external input, not caller bugs).
-    pub fn from_counts(counts: Vec<u64>) -> Result<Self, String> {
-        if counts.len() != BINS + 1 {
-            return Err(format!(
-                "sketch has {} bins, expected {}",
-                counts.len(),
-                BINS + 1
-            ));
-        }
-        let total = counts.iter().sum();
-        Ok(Self { counts, total })
-    }
-}
+//! A serving stack observes microseconds and seconds in the same stream,
+//! and the predictor's absolute percentage errors span fractions of a
+//! point to hundreds, so [`LogHistogram`] bins by the value's binary
+//! exponent — `SUBDIVISIONS` mantissa slices per power-of-two octave,
+//! giving a bounded relative error at every magnitude. Counts are
+//! integers only, merges are exact (associative and commutative by
+//! construction), and quantile reads are pure functions of the counts,
+//! so merged shard-local histograms are bit-identical to a sequential
+//! one whatever the worker count. The [`crate::metrics`] registry and
+//! the predictor's lifetime error tracking both build on it.
 
 /// Mantissa slices per power-of-two octave in a [`LogHistogram`]: 16
 /// slices bound the bucket's upper-edge overestimate to 1/16 ≈ 6.25%
@@ -131,8 +21,8 @@ const SUBDIVISIONS: u32 = 16;
 const SUB_BITS: u32 = SUBDIVISIONS.trailing_zeros();
 
 /// A deterministic, exactly-mergeable log-bucketed histogram over
-/// non-negative values (latencies, watts, joules — anything spanning
-/// magnitudes).
+/// non-negative values (latencies, watts, percentage errors — anything
+/// spanning magnitudes).
 ///
 /// Buckets are derived from the observed value's IEEE-754 bit pattern —
 /// binary exponent plus the top `log2(SUBDIVISIONS)` mantissa bits — so bucketing
@@ -140,9 +30,8 @@ const SUB_BITS: u32 = SUBDIVISIONS.trailing_zeros();
 /// Counts are integers in a sparse ordered map: merging is exact
 /// (associative and commutative), and [`LogHistogram::quantile`] is a
 /// pure function of the counts, reported as the conservative upper edge
-/// of the bucket containing the rank (never understating, same contract
-/// as [`QuantileSketch::quantile_pct`]).
-#[derive(Debug, Clone, PartialEq, Default)]
+/// of the bucket containing the rank (never understating).
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     /// Sparse bucket counts keyed by `(exponent << SUB_BITS) | slice`.
     counts: std::collections::BTreeMap<u32, u64>,
@@ -150,6 +39,12 @@ pub struct LogHistogram {
     /// Exact extrema (order-independent, so merges stay exact).
     min: f64,
     max: f64,
+}
+
+impl Default for LogHistogram {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl LogHistogram {
@@ -174,6 +69,12 @@ impl LogHistogram {
     /// would hold. Exact: reconstructed from the bit pattern.
     fn upper_edge(key: u32) -> f64 {
         f64::from_bits(((key as u64) + 1) << (52 - SUB_BITS))
+    }
+
+    /// The key of the bucket whose upper edge is exactly `edge`, if any.
+    fn key_of_edge(edge: f64) -> Option<u32> {
+        let key = Self::key(edge).checked_sub(1)?;
+        (edge > 0.0 && Self::upper_edge(key).to_bits() == edge.to_bits()).then_some(key)
     }
 
     /// Record one value.
@@ -259,87 +160,51 @@ impl LogHistogram {
     }
 
     /// The non-empty buckets in ascending order, as `(upper_edge, count)`
-    /// pairs — the raw material for text exposition.
+    /// pairs — the raw material for text exposition and persistence.
     pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
         self.counts.iter().map(|(&k, &c)| (Self::upper_edge(k), c))
+    }
+
+    /// Rebuild a histogram from its [`Self::buckets`], [`Self::min`] and
+    /// [`Self::max`] — their exact inverse, for persistence.
+    ///
+    /// Returns `Err` (never panics) on parts no histogram produces: an
+    /// edge that is not a bucket edge, edges out of ascending order, a
+    /// zero count, counts that overflow, or extrema that are NaN,
+    /// negative, or outside the first and last buckets. Persisted files
+    /// are external input, not caller bugs.
+    pub fn from_parts(buckets: &[(f64, u64)], min: f64, max: f64) -> Result<Self, String> {
+        let mut h = Self::new();
+        for &(edge, count) in buckets {
+            let key = Self::key_of_edge(edge).ok_or_else(|| format!("{edge} is no bucket edge"))?;
+            if count == 0 {
+                return Err(format!("bucket {edge} has a zero count"));
+            }
+            if h.counts.keys().next_back().is_some_and(|&last| last >= key) {
+                return Err(format!("bucket edge {edge} is out of order"));
+            }
+            h.counts.insert(key, count);
+            h.total = h.total.checked_add(count).ok_or("bucket counts overflow")?;
+        }
+        if !(min.is_finite() && max.is_finite() && 0.0 <= min && min <= max) {
+            return Err(format!("bad extrema: min {min}, max {max}"));
+        }
+        match h.counts.keys().next().zip(h.counts.keys().next_back()) {
+            Some((&first, &last)) if Self::key(min) == first && Self::key(max) == last => {
+                h.min = min;
+                h.max = max;
+            }
+            // An empty histogram reads 0 for both extrema.
+            None if max == 0.0 => {}
+            _ => return Err(format!("extrema {min}..{max} disagree with the buckets")),
+        }
+        Ok(h)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_sketch_reads_zero() {
-        assert_eq!(QuantileSketch::new().quantile_pct(0.95), 0.0);
-    }
-
-    #[test]
-    fn quantiles_of_a_known_stream() {
-        let mut s = QuantileSketch::new();
-        // 100 observations: 1%, 2%, ..., 100%.
-        for i in 1..=100 {
-            s.observe(i as f64);
-        }
-        assert_eq!(s.observations(), 100);
-        // P50 lands in the bin holding 50%; upper edge 50.25.
-        assert!((s.quantile_pct(0.5) - 50.25).abs() < 1e-9);
-        assert!((s.quantile_pct(0.95) - 95.25).abs() < 1e-9);
-        assert!((s.quantile_pct(1.0) - 100.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantile_is_conservative() {
-        let mut s = QuantileSketch::new();
-        for _ in 0..10 {
-            s.observe(3.1);
-        }
-        let p50 = s.quantile_pct(0.5);
-        assert!((3.1..=3.1 + BIN_WIDTH_PCT).contains(&p50));
-    }
-
-    #[test]
-    fn overflow_bin_absorbs_large_errors() {
-        let mut s = QuantileSketch::new();
-        s.observe(5000.0);
-        assert!(s.quantile_pct(0.5) > 100.0);
-    }
-
-    #[test]
-    fn merge_is_exact() {
-        let mut a = QuantileSketch::new();
-        let mut b = QuantileSketch::new();
-        let mut whole = QuantileSketch::new();
-        for i in 0..50 {
-            let v = (i * 7 % 97) as f64;
-            whole.observe(v);
-            if i % 2 == 0 {
-                a.observe(v);
-            } else {
-                b.observe(v);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_ape_rejected() {
-        QuantileSketch::new().observe(-1.0);
-    }
-
-    #[test]
-    fn counts_round_trip_exactly() {
-        let mut s = QuantileSketch::new();
-        for i in 0..77 {
-            s.observe((i * 13 % 120) as f64);
-        }
-        let rebuilt = QuantileSketch::from_counts(s.counts().to_vec()).unwrap();
-        assert_eq!(rebuilt, s);
-        assert_eq!(rebuilt.observations(), 77);
-        assert!(QuantileSketch::from_counts(vec![0; 3]).is_err());
-    }
 
     #[test]
     fn log_histogram_quantiles_bound_the_true_value() {
@@ -368,6 +233,7 @@ mod tests {
     #[test]
     fn log_histogram_handles_zero_and_empty() {
         let empty = LogHistogram::new();
+        assert_eq!(LogHistogram::default(), empty);
         assert_eq!(empty.quantile(0.95), 0.0);
         assert_eq!(empty.min(), 0.0);
         assert_eq!(empty.max(), 0.0);
@@ -408,5 +274,44 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn log_histogram_rejects_negatives() {
         LogHistogram::new().observe(-0.5);
+    }
+
+    #[test]
+    fn from_parts_inverts_buckets_and_extrema() {
+        let mut zero = LogHistogram::new();
+        zero.observe(0.0);
+        let mut spread = LogHistogram::new();
+        for i in 1..=1000u64 {
+            spread.observe(i as f64 * 1000.0 + 0.5);
+        }
+        for h in [LogHistogram::new(), zero, spread.clone()] {
+            let buckets: Vec<(f64, u64)> = h.buckets().collect();
+            let rebuilt = LogHistogram::from_parts(&buckets, h.min(), h.max());
+            assert_eq!(rebuilt.as_ref(), Ok(&h));
+        }
+
+        let buckets: Vec<(f64, u64)> = spread.buckets().collect();
+        let (min, max) = (spread.min(), spread.max());
+        let rejects = |buckets: &[(f64, u64)], min: f64, max: f64| {
+            LogHistogram::from_parts(buckets, min, max).is_err()
+        };
+        let mut off_edge = buckets.clone();
+        off_edge[3].0 *= 1.01;
+        assert!(
+            rejects(&off_edge, min, max),
+            "an edge that is not a bucket edge"
+        );
+        let mut swapped = buckets.clone();
+        swapped.swap(3, 4);
+        assert!(rejects(&swapped, min, max), "edges out of order");
+        let mut zero_count = buckets.clone();
+        zero_count[3].1 = 0;
+        assert!(rejects(&zero_count, min, max), "a zero count");
+        assert!(rejects(&buckets, f64::NAN, max), "a NaN min");
+        assert!(rejects(&buckets, min, f64::NAN), "a NaN max");
+        assert!(rejects(&buckets, -1.0, max), "a negative min");
+        assert!(rejects(&[], -1.0, 0.0), "a negative min, empty");
+        assert!(rejects(&buckets, min / 2.0, max), "min below the buckets");
+        assert!(rejects(&[], 0.0, 1.0), "extrema without buckets");
     }
 }

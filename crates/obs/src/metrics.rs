@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use wm_predict::LogHistogram;
+use crate::histogram::LogHistogram;
 
 /// A monotonically increasing counter handle.
 #[derive(Debug, Clone, Default)]
@@ -360,6 +360,12 @@ mod tests {
         assert_eq!(snap.len(), 3);
         // Key order: latency_us < peak_w < requests_total.
         assert_eq!(snap[0].name, "latency_us");
+        // A registered histogram starts empty, so its extrema are the
+        // observed ones, not a zero it was born with.
+        let MetricValue::Histogram(latency) = &snap[0].value else {
+            panic!("latency_us is a histogram");
+        };
+        assert_eq!((latency.min, latency.max), (100.0, 200.0));
         assert_eq!(snap[2].name, "requests_total");
         assert_eq!(snap[2].value, MetricValue::Counter(6));
     }

@@ -18,12 +18,10 @@
 //!   `(device architecture, kernel class)` key (the shared
 //!   normal-equations core in `wm_analysis::fit`), trained continuously
 //!   from completed fleet runs, with prequential P50/P95 error tracking
-//!   and drift detection that pulls a misbehaving model out of serving.
+//!   (a `wm_obs::LogHistogram` per model) and drift detection that pulls
+//!   a misbehaving model out of serving.
 //!   Compute-bound GEMM and memory-bound GEMV move power through
 //!   different units, so their observations never share coefficients.
-//! * [`sketch`] — the deterministic, exactly-mergeable quantile sketches:
-//!   [`QuantileSketch`] behind the error percentiles, and the log-bucketed
-//!   [`LogHistogram`] that `wm-obs` builds its latency/energy metrics on.
 //! * [`walk`] — the one operand walk of a `(member, seed)` unit
 //!   ([`walk_unit`]): operands generated and encoded once, read for both
 //!   the simulated switching activity and, on seed 0, the feature chunk.
@@ -43,13 +41,11 @@
 
 pub mod features;
 pub mod predictor;
-pub mod sketch;
 pub mod walk;
 
 pub use features::{features_from_member_chunks, FeatureAccumulator, FeatureVector, FEATURE_DIM};
 pub use predictor::{
     ModelStats, PowerPredictor, Prediction, PredictorState, SavedModel, DEFAULT_MIN_OBSERVATIONS,
 };
-pub use sketch::{LogHistogram, QuantileSketch};
 pub use walk::{walk_first_seed, walk_unit};
 pub use wm_kernels::KernelClass;

@@ -35,9 +35,9 @@ use std::collections::{BTreeMap, VecDeque};
 
 use wm_analysis::{linear_predict, RidgeFitter};
 use wm_kernels::KernelClass;
+use wm_obs::LogHistogram;
 
 use crate::features::{FeatureVector, FEATURE_DIM};
-use crate::sketch::QuantileSketch;
 
 /// Per-architecture model table: one [`ArchModel`] per kernel class. The
 /// nesting (rather than a `(String, KernelClass)` tuple key) keeps every
@@ -67,7 +67,7 @@ struct ArchModel {
     /// so the prediction hot path — several calls per placement, under
     /// the scheduler's shared lock — is a dot product, not a Cholesky.
     beta: Option<Vec<f64>>,
-    lifetime: QuantileSketch,
+    lifetime: LogHistogram,
     window: VecDeque<f64>,
     degraded: bool,
     drift_events: u64,
@@ -78,7 +78,7 @@ impl ArchModel {
         Self {
             fitter: RidgeFitter::new(FEATURE_DIM, LAMBDA),
             beta: None,
-            lifetime: QuantileSketch::new(),
+            lifetime: LogHistogram::new(),
             window: VecDeque::with_capacity(DRIFT_WINDOW),
             degraded: false,
             drift_events: 0,
@@ -173,8 +173,8 @@ pub struct ModelStats {
 }
 
 /// One `(architecture, kernel)` model's complete persistable state: the
-/// ridge sufficient statistics, the lifetime error sketch's bin counts,
-/// and the drift bookkeeping. Plain data — `wm-serve` turns it into JSON
+/// ridge sufficient statistics, the lifetime error histogram, and the
+/// drift bookkeeping. Plain data — `wm-serve` turns it into JSON
 /// and back; this crate stays format-agnostic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SavedModel {
@@ -188,8 +188,8 @@ pub struct SavedModel {
     pub xtx: Vec<f64>,
     /// `Xᵀy` vector, length `FEATURE_DIM`.
     pub xty: Vec<f64>,
-    /// Lifetime APE sketch bin counts ([`QuantileSketch::counts`]).
-    pub lifetime_counts: Vec<u64>,
+    /// Lifetime APE histogram (percentage points).
+    pub lifetime: LogHistogram,
     /// Recent-error window, oldest first (percentage points).
     pub window: Vec<f64>,
     /// Whether drift currently disables this model.
@@ -384,7 +384,7 @@ impl PowerPredictor {
                     observations: m.fitter.observations(),
                     xtx: m.fitter.xtx().to_vec(),
                     xty: m.fitter.xty().to_vec(),
-                    lifetime_counts: m.lifetime.counts().to_vec(),
+                    lifetime: m.lifetime.clone(),
                     window: m.window.iter().copied().collect(),
                     degraded: m.degraded,
                     drift_events: m.drift_events,
@@ -426,8 +426,6 @@ impl PowerPredictor {
                 saved.observations,
             )
             .map_err(|e| format!("model {key}: {e}"))?;
-            let lifetime = QuantileSketch::from_counts(saved.lifetime_counts)
-                .map_err(|e| format!("model {key}: {e}"))?;
             if saved.window.len() > DRIFT_WINDOW {
                 return Err(format!(
                     "model {key}: window has {} entries, cap is {DRIFT_WINDOW}",
@@ -441,7 +439,7 @@ impl PowerPredictor {
             let model = ArchModel {
                 fitter,
                 beta,
-                lifetime,
+                lifetime: saved.lifetime,
                 window: saved.window.into_iter().collect(),
                 degraded: saved.degraded,
                 drift_events: saved.drift_events,
@@ -472,8 +470,8 @@ impl PowerPredictor {
                     kernel: *kernel,
                     observations: m.fitter.observations(),
                     tracked_errors: m.lifetime.observations(),
-                    p50_ape_pct: m.lifetime.quantile_pct(0.5),
-                    p95_ape_pct: m.lifetime.quantile_pct(0.95),
+                    p50_ape_pct: m.lifetime.quantile(0.5),
+                    p95_ape_pct: m.lifetime.quantile(0.95),
                     window_p95_ape_pct: m.window_p95_pct(),
                     drift_events: m.drift_events,
                     degraded: m.degraded,

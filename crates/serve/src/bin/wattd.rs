@@ -63,7 +63,7 @@ struct Options {
     max_sessions: usize,
     max_inflight: usize,
     state_dir: Option<PathBuf>,
-    snapshot_secs: Option<u64>,
+    snapshot_secs: u64,
 }
 
 fn usage() -> &'static str {
@@ -159,10 +159,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 // flushing, same as omitting the flag, but overriding any
                 // wrapper script that injects a default interval — so this
                 // flag takes any count, not `parse_count`'s positive ones.
-                let secs = value_for("--snapshot-secs")?
+                opts.snapshot_secs = value_for("--snapshot-secs")?
                     .parse::<u64>()
                     .map_err(|_| "--snapshot-secs needs a non-negative count".to_string())?;
-                opts.snapshot_secs = Some(secs);
             }
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown argument {other:?}\n{}", usage())),

@@ -21,7 +21,7 @@
 //!   SIGTERM in the binary — stops accepting, finishes in-flight work,
 //!   flushes predictor state, then returns.
 //! * [`persist`] — predictor persistence: every `(architecture, kernel)`
-//!   ridge model's sufficient statistics and error sketches serialized
+//!   ridge model's sufficient statistics and error histogram serialized
 //!   through `wm_fleet::json` to `--state-dir`, reloaded on startup
 //!   behind a version + feature-dimension + staleness check. A warm
 //!   start answers `predict` from learned models immediately instead of

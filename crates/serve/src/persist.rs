@@ -13,26 +13,31 @@
 //! The format is the workspace's own `wm_fleet::json` (the repo is
 //! hermetic — no serde): one `predictor.json` per state directory with a
 //! `version`, the `feature_dim` the Gram matrices assume, a
-//! `saved_unix_s` stamp, and per-model sufficient statistics + error
-//! sketches. Loading is strict where it must be (wrong version, wrong
-//! feature dimension, malformed statistics, stale file → [`LoadOutcome::Rejected`],
-//! never a silently wrong model) and lenient where it can be (a missing
-//! file is simply a cold start). Writes go through a temp file + rename
-//! so a crash mid-flush can never leave a truncated state file behind.
+//! `saved_unix_s` stamp, and per-model sufficient statistics plus the
+//! lifetime error histogram (its `[upper_edge, count]` buckets and
+//! extrema). Loading is strict where it must be (wrong version, wrong
+//! feature dimension, malformed statistics or histogram, stale file →
+//! [`LoadOutcome::Rejected`], never a silently wrong model) and lenient
+//! where it can be (a missing file is simply a cold start). Writes go
+//! through a temp file + rename so a crash mid-flush can never leave a
+//! truncated state file behind.
 //!
 //! [`DEFAULT_MIN_OBSERVATIONS`]: wm_predict::DEFAULT_MIN_OBSERVATIONS
 
 use std::path::{Path, PathBuf};
 
 use wm_fleet::json::{obj, Json};
+use wm_obs::LogHistogram;
 use wm_predict::{KernelClass, PredictorState, SavedModel};
 
 /// Format version written to (and required of) every state file. It
-/// names the feature set the sufficient statistics are over, not only
-/// the layout: version 2 has the 15 features left after the two entropy
-/// features were deleted, so a version-1 file is rejected even where its
-/// width would match.
-pub const STATE_VERSION: u64 = 2;
+/// names both the feature set the sufficient statistics are over and the
+/// layout: version 2 has the 15 features left after the two entropy
+/// features were deleted (version 1 had 17), and version 3 stores the
+/// lifetime error histogram as log buckets where version 2 stored 401
+/// linear bin counts. A file of any other version is rejected, even
+/// where its width would match.
+pub const STATE_VERSION: u64 = 3;
 /// File name inside the state directory.
 pub const STATE_FILE: &str = "predictor.json";
 /// State older than this (by its own `saved_unix_s` stamp) is rejected:
@@ -62,14 +67,16 @@ fn model_json(m: &SavedModel) -> Json {
         ("xtx", nums(&m.xtx)),
         ("xty", nums(&m.xty)),
         (
-            "lifetime_counts",
+            "lifetime",
             Json::Arr(
-                m.lifetime_counts
-                    .iter()
-                    .map(|&c| Json::Num(c as f64))
+                m.lifetime
+                    .buckets()
+                    .map(|(edge, count)| nums(&[edge, count as f64]))
                     .collect(),
             ),
         ),
+        ("lifetime_min", Json::Num(m.lifetime.min())),
+        ("lifetime_max", Json::Num(m.lifetime.max())),
         ("window", nums(&m.window)),
         ("degraded", Json::Bool(m.degraded)),
         ("drift_events", Json::Num(m.drift_events as f64)),
@@ -122,17 +129,32 @@ fn field_f64_arr(v: &Json, key: &str) -> Result<Vec<f64>, String> {
         .collect()
 }
 
-fn field_u64_arr(v: &Json, key: &str) -> Result<Vec<u64>, String> {
-    let arr = v
-        .get(key)
+fn field_f64(v: &Json, key: &str) -> Result<f64, String> {
+    v.get(key)
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("missing or non-numeric {key:?}"))
+}
+
+/// The lifetime histogram: `"lifetime"` holds its `[upper_edge, count]`
+/// buckets, `"lifetime_min"`/`"lifetime_max"` its extrema.
+fn field_lifetime(v: &Json) -> Result<LogHistogram, String> {
+    let buckets = v
+        .get("lifetime")
         .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing or non-array {key:?}"))?;
-    arr.iter()
-        .map(|x| {
-            x.as_u64()
-                .ok_or_else(|| format!("non-integer entry in {key:?}"))
+        .ok_or("missing or non-array \"lifetime\"")?
+        .iter()
+        .map(|pair| match pair.as_arr() {
+            Some([edge, count]) => edge.as_f64().zip(count.as_u64()),
+            _ => None,
         })
-        .collect()
+        .collect::<Option<Vec<_>>>()
+        .ok_or("\"lifetime\" entry is not an [edge, count] pair")?;
+    LogHistogram::from_parts(
+        &buckets,
+        field_f64(v, "lifetime_min")?,
+        field_f64(v, "lifetime_max")?,
+    )
+    .map_err(|e| format!("\"lifetime\": {e}"))
 }
 
 fn parse_model(v: &Json) -> Result<SavedModel, String> {
@@ -153,7 +175,7 @@ fn parse_model(v: &Json) -> Result<SavedModel, String> {
         observations: field_u64(v, "observations")?,
         xtx: field_f64_arr(v, "xtx")?,
         xty: field_f64_arr(v, "xty")?,
-        lifetime_counts: field_u64_arr(v, "lifetime_counts")?,
+        lifetime: field_lifetime(v)?,
         window: field_f64_arr(v, "window")?,
         degraded: v
             .get("degraded")
@@ -167,8 +189,9 @@ fn parse_model(v: &Json) -> Result<SavedModel, String> {
 /// judged against `now_unix_s` for staleness.
 ///
 /// The returned state has passed the *format-level* checks (version,
-/// staleness, field shapes); the semantic checks — Gram-matrix sizes,
-/// finite statistics, window bounds — happen when the caller feeds it to
+/// staleness, field shapes, a well-formed lifetime histogram); the
+/// semantic checks — Gram-matrix sizes, finite statistics, window
+/// bounds — happen when the caller feeds it to
 /// [`wm_fleet::Scheduler::restore_predictor`], which rejects without
 /// touching the live predictor.
 pub fn load_predictor(dir: &Path, now_unix_s: u64) -> LoadOutcome {
@@ -303,6 +326,58 @@ mod tests {
             load_predictor(&dir, now),
             LoadOutcome::Rejected(_)
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One model whose lifetime histogram holds four errors, one of them
+    /// exactly zero (its bucket edge is subnormal).
+    fn state_with_lifetime() -> PredictorState {
+        let mut lifetime = LogHistogram::new();
+        for ape in [0.0, 0.5, 2.0, 7.25] {
+            lifetime.observe(ape);
+        }
+        let dim = wm_predict::FEATURE_DIM;
+        PredictorState {
+            feature_dim: dim,
+            min_observations: 32,
+            models: vec![SavedModel {
+                arch: "Test GPU".to_string(),
+                kernel: KernelClass::Gemm,
+                observations: 0,
+                xtx: vec![0.0; dim * dim],
+                xty: vec![0.0; dim],
+                lifetime,
+                window: Vec::new(),
+                degraded: false,
+                drift_events: 0,
+            }],
+        }
+    }
+
+    #[test]
+    fn malformed_lifetime_entries_are_rejected_not_panicked() {
+        let dir = tmp_dir("lifetime");
+        let state = state_with_lifetime();
+        let now = 1_700_000_000;
+        let path = save_predictor(&dir, &state, now).unwrap();
+        let LoadOutcome::Loaded(loaded) = load_predictor(&dir, now) else {
+            panic!("a well-formed histogram must load");
+        };
+        assert_eq!(loaded, state, "the histogram round-trips exactly");
+
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"lifetime\":["), "{text}");
+        // Not an [edge, count] pair, then pairs with a bad edge or count.
+        for bad in [
+            "[1]", "[1,1,1]", "\"x\"", "[null,1]", "[1,-1]", "[1.03,1]", "[0,1]", "[-1,1]", "[1,1]",
+        ] {
+            let broken = text.replace("\"lifetime\":[", &format!("\"lifetime\":[{bad},"));
+            std::fs::write(&path, broken).unwrap();
+            match load_predictor(&dir, now) {
+                LoadOutcome::Rejected(why) => assert!(why.contains("lifetime"), "{bad}: {why}"),
+                other => panic!("{bad}: must be rejected, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -66,16 +66,13 @@ pub struct ServeConfig {
     /// checks) at bind, flushed on graceful drain. `None` disables
     /// persistence.
     pub state_dir: Option<PathBuf>,
-    /// Periodic predictor-snapshot interval in seconds. When set (and
-    /// `state_dir` is configured), a timer thread flushes
+    /// Periodic predictor-snapshot interval in seconds. When positive
+    /// (and `state_dir` is configured), a timer thread flushes
     /// `state_dir/predictor.json` every interval while the server runs,
     /// so a crash loses at most one interval of training — not the whole
-    /// session. `None` (the default) keeps drain-only flushing, and
-    /// `Some(0)` is the *explicit* disabled spelling — identical
-    /// semantics to `None` (no timer thread, no periodic writes, the
-    /// drain-time flush still runs), so `wattd serve --snapshot-secs 0`
-    /// can override an interval a wrapper injected.
-    pub snapshot_secs: Option<u64>,
+    /// session. 0 (the default) keeps drain-only flushing: no timer
+    /// thread, no periodic writes, the drain-time flush still runs.
+    pub snapshot_secs: u64,
 }
 
 impl Default for ServeConfig {
@@ -86,7 +83,7 @@ impl Default for ServeConfig {
             max_inflight: 256,
             max_line_bytes: MAX_LINE_BYTES,
             state_dir: None,
-            snapshot_secs: None,
+            snapshot_secs: 0,
         }
     }
 }
@@ -323,8 +320,8 @@ impl Server {
         Ok(())
     }
 
-    /// Spawn the periodic-snapshot timer when both `state_dir` and
-    /// `snapshot_secs` are configured. The thread counts slept
+    /// Spawn the periodic-snapshot timer when `state_dir` is configured
+    /// and `snapshot_secs` is positive. The thread counts slept
     /// milliseconds instead of reading a clock (interval accuracy is not
     /// a contract; the determinism audit rule is), flushes the predictor
     /// each full interval, and exits on drain — `run` joins it before the
@@ -334,12 +331,11 @@ impl Server {
         reg: &Arc<wm_obs::Registry>,
     ) -> Option<std::thread::JoinHandle<()>> {
         let dir = self.cfg.state_dir.clone()?;
-        let every_ms = self.cfg.snapshot_secs?.checked_mul(1000)?;
-        if every_ms == 0 {
-            // Some(0) is the explicit "disabled" spelling: no timer
-            // thread, so `serve_snapshots_total` never advances.
-            return None;
-        }
+        let every_ms = self
+            .cfg
+            .snapshot_secs
+            .checked_mul(1000)
+            .filter(|&ms| ms > 0)?;
         let sched = Arc::clone(&self.sched);
         let state = Arc::clone(&self.state);
         let reg = Arc::clone(reg);

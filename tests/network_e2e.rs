@@ -294,11 +294,11 @@ fn drain_persists_predictor_and_warm_restart_answers_without_retraining() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
-/// A `predictor.json` as the 17-feature build (byte and value entropy
-/// included) wrote it, at format version 1: one A100 GEMM model, past its
-/// serving threshold, whose fit prices every request at 100 W.
-fn version_1_state() -> String {
-    const WIDTH: usize = 17;
+/// A `predictor.json` as an earlier build wrote it, at format `version`
+/// over `width` features with the lifetime errors as 401 linear bin
+/// counts: one A100 GEMM model, past its serving threshold, whose fit
+/// prices every request at 100 W.
+fn old_state(version: u64, width: usize) -> String {
     let n = 40.0;
     let nums = |v: Vec<f64>| Json::Arr(v.into_iter().map(Json::Num).collect());
     let model = obj(vec![
@@ -308,15 +308,15 @@ fn version_1_state() -> String {
         (
             "xtx",
             nums(
-                (0..WIDTH * WIDTH)
-                    .map(|i| if i % (WIDTH + 1) == 0 { n } else { 0.0 })
+                (0..width * width)
+                    .map(|i| if i % (width + 1) == 0 { n } else { 0.0 })
                     .collect(),
             ),
         ),
         (
             "xty",
             nums(
-                (0..WIDTH)
+                (0..width)
                     .map(|i| if i == 0 { 100.0 * n } else { 0.0 })
                     .collect(),
             ),
@@ -331,8 +331,8 @@ fn version_1_state() -> String {
         .expect("clock after the epoch")
         .as_secs();
     obj(vec![
-        ("version", Json::Num(1.0)),
-        ("feature_dim", Json::Num(WIDTH as f64)),
+        ("version", Json::Num(version as f64)),
+        ("feature_dim", Json::Num(width as f64)),
         ("saved_unix_s", Json::Num(now as f64)),
         ("min_observations", Json::Num(32.0)),
         ("models", Json::Arr(vec![model])),
@@ -340,12 +340,15 @@ fn version_1_state() -> String {
     .to_string()
 }
 
-#[test]
-fn a_version_1_state_file_is_rejected_and_wattd_starts_cold() {
-    let state_dir = std::env::temp_dir().join(format!("wm_serve_e2e_v1_{}", std::process::id()));
+/// Write [`old_state`] into a fresh state directory, then check that the
+/// server rejects it by its version and answers from the analytic model.
+fn old_state_file_is_rejected_and_wattd_starts_cold(version: u64, width: usize) {
+    let state_dir =
+        std::env::temp_dir().join(format!("wm_serve_e2e_v{version}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&state_dir);
     std::fs::create_dir_all(&state_dir).expect("state dir");
-    std::fs::write(state_dir.join("predictor.json"), version_1_state()).expect("write state");
+    std::fs::write(state_dir.join("predictor.json"), old_state(version, width))
+        .expect("write state");
 
     let sched = Arc::new(Scheduler::with_workers(Fleet::from_catalog(), 2));
     let cfg = ServeConfig {
@@ -355,8 +358,8 @@ fn a_version_1_state_file_is_rejected_and_wattd_starts_cold() {
     };
     let server = Server::bind(cfg, Arc::clone(&sched)).expect("bind loopback");
     match server.warm_start() {
-        Some(Err(why)) => assert!(why.contains("state version 1"), "{why}"),
-        other => panic!("a version-1 state file must be rejected, got {other:?}"),
+        Some(Err(why)) => assert!(why.contains(&format!("state version {version}")), "{why}"),
+        other => panic!("a version-{version} state file must be rejected, got {other:?}"),
     }
     assert_eq!(sched.registry().gauge("serve_warm_start", &[]).get(), 0.0);
 
@@ -378,6 +381,19 @@ fn a_version_1_state_file_is_rejected_and_wattd_starts_cold() {
     let _ = std::fs::remove_dir_all(&state_dir);
 }
 
+/// Version 1: the 17-feature build, byte and value entropy included.
+#[test]
+fn a_version_1_state_file_is_rejected_and_wattd_starts_cold() {
+    old_state_file_is_rejected_and_wattd_starts_cold(1, 17);
+}
+
+/// Version 2: today's 15 features, but the lifetime errors in 401 linear
+/// bins rather than log buckets.
+#[test]
+fn a_version_2_state_file_is_rejected_and_wattd_starts_cold() {
+    old_state_file_is_rejected_and_wattd_starts_cold(2, 15);
+}
+
 #[test]
 fn periodic_snapshots_flush_predictor_while_serving() {
     let state_dir =
@@ -385,7 +401,7 @@ fn periodic_snapshots_flush_predictor_while_serving() {
     let _ = std::fs::remove_dir_all(&state_dir);
     let server = spawn_server(ServeConfig {
         state_dir: Some(PathBuf::from(&state_dir)),
-        snapshot_secs: Some(1),
+        snapshot_secs: 1,
         ..ServeConfig::default()
     });
     let mut c = Client::connect(&server.addr);
@@ -426,7 +442,7 @@ fn periodic_snapshots_flush_predictor_while_serving() {
 
 #[test]
 fn snapshot_secs_zero_explicitly_disables_periodic_snapshots() {
-    // `--snapshot-secs 0` (ServeConfig { snapshot_secs: Some(0) }) is the
+    // `--snapshot-secs 0` (ServeConfig { snapshot_secs: 0 }) is the
     // explicit disabled spelling: no timer thread, no periodic writes,
     // `serve_snapshots_total` never advances — but the drain-time flush
     // still runs.
@@ -435,7 +451,7 @@ fn snapshot_secs_zero_explicitly_disables_periodic_snapshots() {
     let _ = std::fs::remove_dir_all(&state_dir);
     let server = spawn_server(ServeConfig {
         state_dir: Some(PathBuf::from(&state_dir)),
-        snapshot_secs: Some(0),
+        snapshot_secs: 0,
         ..ServeConfig::default()
     });
     let mut c = Client::connect(&server.addr);
