@@ -210,6 +210,9 @@ impl AuditConfig {
                 // The one answer-store lookup key every job computes,
                 // hit or miss.
                 s("answer_key"),
+                // The hit-only answer read that serves a cached repeat
+                // on the submitting thread.
+                s("MemoCache::hit"),
                 s("pack_ffd"),
                 // The unit-store key sits on the miss path right after
                 // the answer lookup.

@@ -237,10 +237,21 @@ impl MemoCache {
 
     /// Whether `key` holds a *ready* answer. A probe, not a read: it
     /// counts nothing, so callers can classify (e.g. the batch packer
-    /// sifting cached repeats out of the rounds) without inflating the
+    /// sifting cached repeats out before pricing) without inflating the
     /// hit statistics.
     pub fn contains(&self, key: u64) -> bool {
         self.answers.contains(key)
+    }
+
+    /// The ready answer under `key`, counted as one hit. An absent key, or
+    /// one a twin is still computing, returns `None` and counts nothing:
+    /// this call never waits and never computes, so a caller that gets
+    /// `None` goes through [`MemoCache::answer`], which joins or computes
+    /// and counts that.
+    pub fn hit(&self, key: u64) -> Option<Arc<Answer>> {
+        let answer = self.answers.peek(key)?;
+        self.hits.inc();
+        Some(answer)
     }
 
     /// The answer under `key`: ready (a hit), joined while a twin computes
@@ -436,6 +447,36 @@ mod tests {
             (0, 1),
             "a failure counts nothing"
         );
+    }
+
+    #[test]
+    fn a_hit_reads_only_ready_answers_and_counts_only_them() {
+        let cache = Arc::new(MemoCache::new(4, &Registry::new()));
+        assert!(cache.hit(5).is_none(), "an absent key is no hit");
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let owner = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || {
+                cache
+                    .answer::<Infallible>(5, || {
+                        started_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                        Ok(quick_answer())
+                    })
+                    .unwrap()
+            })
+        };
+        // While the owner computes, the key is pending: `hit` neither
+        // waits for it nor counts it.
+        started_rx.recv().unwrap();
+        assert!(cache.hit(5).is_none(), "a pending key is no hit");
+        assert_eq!((cache.hits(), cache.misses(), cache.joins()), (0, 0, 0));
+        release_tx.send(()).unwrap();
+        let computed = owner.join().unwrap();
+        let hit = cache.hit(5).expect("a ready answer is a hit");
+        assert!(Arc::ptr_eq(&computed, &hit), "a hit shares the allocation");
+        assert_eq!((cache.hits(), cache.misses(), cache.joins()), (1, 1, 0));
     }
 
     #[test]

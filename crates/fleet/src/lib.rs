@@ -23,13 +23,15 @@
 //!   activity probe + power model otherwise), plan the energy-minimal
 //!   clock per device with [`wm_optimizer::plan_dvfs`], and pick the
 //!   cheapest device that fits under cap and budget.
-//! * [`scheduler`] — the work-stealing [`Scheduler`]: per-worker deques,
-//!   idle workers steal, execution-time budget backpressure, running
-//!   stats (cache hits/misses, steals, per-device utilization/joules),
-//!   the prediction loop — every fresh run trains the shared
-//!   [`wm_predict::PowerPredictor`] — and the predictor-aware power
-//!   packer: `run_batch` prices every job and first-fit-decreasing packs
-//!   the fleet budget ([`pack_ffd`]) instead of trickling FIFO.
+//! * [`scheduler`] — the work-stealing [`Scheduler`]: `submit` answers a
+//!   cached repeat on the calling thread, and only misses reach the
+//!   per-worker deques, where idle workers steal; execution-time budget
+//!   backpressure, running stats (cache hits/misses, steals, per-device
+//!   utilization/joules), the prediction loop — every fresh run trains
+//!   the shared [`wm_predict::PowerPredictor`] — and the predictor-aware
+//!   power packer: `run_batch` sifts out cached repeats and pinned jobs,
+//!   prices the rest and first-fit-decreasing packs the fleet budget
+//!   ([`pack_ffd`]) instead of trickling FIFO.
 //!   Grouped-GEMM requests ([`wm_core::RunRequest::with_group`]) flow
 //!   through every layer as a single unit: one hash, one answer, one
 //!   placement, one priced execution.
@@ -44,7 +46,8 @@
 //!   ring. [`answer_streamed`] additionally streams a `batch` as one
 //!   response line per packed round.
 //! * [`par`] — an order-preserving `parallel_map` over scoped threads:
-//!   the fan-out under batch pricing, unit walks, the figure runner and
+//!   the fan-out under batch pricing (of the jobs left to price), unit
+//!   walks (of the units not yet in the store), the figure runner and
 //!   the GEMV sweeps.
 //!
 //! ```

@@ -1,8 +1,8 @@
 //! Order-preserving parallel map over scoped std threads.
 //!
 //! A fan-out with no external thread-pool dependency. The scheduler
-//! prices a batch and walks a job's missing `(member, seed)` units
-//! through it, the figure runner (`wm_experiments::runner::execute`)
+//! prices a batch's unpriced jobs and walks a job's missing
+//! `(member, seed)` units through it, the figure runner (`wm_experiments::runner::execute`)
 //! walks every distinct sweep request's units through it, and the GEMV
 //! sweeps map their points over it. Work is distributed through a
 //! shared claim queue, so uneven item costs still balance across

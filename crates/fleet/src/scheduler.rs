@@ -1,22 +1,26 @@
 //! The work-stealing fleet scheduler.
 //!
-//! Jobs ([`FleetJob`]) arrive over a channel-like `submit` API, land on
-//! per-worker deques, and idle workers steal from the back of their
-//! peers' deques. Each job flows through:
+//! Jobs ([`FleetJob`]) arrive through `submit`, which answers a cached
+//! repeat itself; the rest land on per-worker deques, and idle workers
+//! steal from the back of their peers' deques. Each job flows through:
 //!
 //! 1. **Placement** — auto jobs read their seed-0 units (below) for
 //!    features and the analytic probe, and ask [`crate::placement`] for
 //!    the device + clock that fits under the fleet power budget; pinned
 //!    jobs skip straight to their device.
-//! 2. **Memo cache** — before step 1, the job's [`answer_key`] (its
-//!    request and pin, naming no device) is looked up once in the sharded
-//!    [`MemoCache`]. A hit replays the stored answer — the device that
-//!    ran it and the shared result — and a twin still in flight is
-//!    joined before anything is placed or any budget reserved. Only a
-//!    miss places the job, reserves its planned draw and assembles a run
-//!    from its units; a job that fails or panics publishes no answer.
+//! 2. **Memo cache** — before step 1, `submit` hashes the job's
+//!    [`answer_key`] (its request and pin, naming no device) once and
+//!    reads the sharded [`MemoCache`]. A ready answer — the device that
+//!    ran it and the shared result — is served right there, on the
+//!    calling thread. Only a miss or a twin still in flight goes to the
+//!    workers, which look the key up once more: a twin is joined before
+//!    anything is placed or any budget reserved, and only a miss places
+//!    the job, reserves its planned draw and assembles a run from its
+//!    units. A job that fails or panics publishes no answer.
 //! 3. **Reply** — the response (shared `Arc<RunResult>`, chosen device,
-//!    clock, cache-hit flag) is sent back over the job's reply channel.
+//!    clock, cache-hit flag) is in the job's handle when `submit` returns
+//!    for a hit, and comes back over a reply channel from the worker
+//!    otherwise.
 //!
 //! The scheduler counts submitted/completed jobs, cache hits/misses/joins
 //! and steals straight into its metrics registry, their only book, and
@@ -293,6 +297,8 @@ type Reply = mpsc::Sender<Result<FleetResponse, FleetError>>;
 
 struct Task {
     job: FleetJob,
+    /// The job's [`answer_key`], hashed once in `submit`.
+    key: u64,
     reply: Reply,
     /// Tracer-clock submission stamp; completion minus this is the
     /// end-to-end job latency (queue wait included) the latency
@@ -352,15 +358,24 @@ struct Inner {
     request_latency: [OnceLock<Histogram>; KNOWN_OPS.len() + 1],
 }
 
-/// Handle to one submitted job; `recv` blocks until the answer arrives.
-pub struct JobHandle {
-    rx: mpsc::Receiver<Result<FleetResponse, FleetError>>,
+/// Handle to one submitted job; `recv` returns the answer, blocking until
+/// a worker sends it unless `submit` answered the job already.
+pub struct JobHandle(Delivery);
+
+enum Delivery {
+    /// Answered on the submitting thread: a cached repeat.
+    Ready(Result<FleetResponse, FleetError>),
+    /// Queued for a worker, which answers over this channel.
+    Queued(mpsc::Receiver<Result<FleetResponse, FleetError>>),
 }
 
 impl JobHandle {
     /// Wait for the job's answer.
     pub fn recv(self) -> Result<FleetResponse, FleetError> {
-        self.rx.recv().unwrap_or(Err(FleetError::Shutdown))
+        match self.0 {
+            Delivery::Ready(outcome) => outcome,
+            Delivery::Queued(rx) => rx.recv().unwrap_or(Err(FleetError::Shutdown)),
+        }
     }
 }
 
@@ -494,19 +509,38 @@ impl Scheduler {
 
     /// Submit one job; returns a handle to await the answer. Jobs without
     /// a caller-assigned request id get the next monotonic one here.
-    pub fn submit(&self, mut job: FleetJob) -> JobHandle {
-        let (tx, rx) = mpsc::channel();
+    ///
+    /// A job whose answer is ready in the memo cache is answered here, on
+    /// the calling thread, with the worker's panic containment and
+    /// accounting: its handle holds the response when `submit` returns.
+    /// Only a miss, or a twin of a job still in flight, goes to the
+    /// worker deques.
+    pub fn submit(&self, job: FleetJob) -> JobHandle {
+        let key = answer_key(&job.request, job.pin);
+        self.submit_keyed(job, key)
+    }
+
+    /// [`Scheduler::submit`] for a job whose [`answer_key`] is `key`.
+    fn submit_keyed(&self, mut job: FleetJob, key: u64) -> JobHandle {
+        let inner = &*self.inner;
         job.request_id
-            .get_or_insert_with(|| self.inner.tracer.next_request_id());
-        self.inner.submitted.inc();
-        let slot = self.inner.next_queue.fetch_add(1, Ordering::Relaxed) % self.inner.queues.len();
-        lock_clean(&self.inner.queues[slot]).push_back(Task {
+            .get_or_insert_with(|| inner.tracer.next_request_id());
+        inner.submitted.inc();
+        let enqueued_us = inner.tracer.now_us();
+        if let Some(outcome) = contained(|| replay(inner, &job, key)).transpose() {
+            account(inner, job.request.kernel, enqueued_us, &outcome);
+            return JobHandle(Delivery::Ready(outcome));
+        }
+        let (tx, rx) = mpsc::channel();
+        let slot = inner.next_queue.fetch_add(1, Ordering::Relaxed) % inner.queues.len();
+        lock_clean(&inner.queues[slot]).push_back(Task {
             job,
+            key,
             reply: tx,
-            enqueued_us: self.inner.tracer.now_us(),
+            enqueued_us,
         });
-        self.inner.wake.notify_all();
-        JobHandle { rx }
+        inner.wake.notify_all();
+        JobHandle(Delivery::Queued(rx))
     }
 
     /// Submit a batch and wait for all answers, preserving input order.
@@ -527,7 +561,9 @@ impl Scheduler {
     /// jobs (which bypass budget accounting, as the paper's
     /// dedicated-device methodology does), and jobs no placement admits
     /// skip the packer entirely: they hold no budget, so there is nothing
-    /// to pack.
+    /// to pack. The first two are sifted out before pricing, so a batch of
+    /// cached repeats prices nothing, spawns no thread, and is answered on
+    /// the calling thread.
     ///
     /// The budget itself is still enforced at execution time by the slot
     /// reservation ([`Scheduler::peak_committed_w`] witnesses compliance);
@@ -591,40 +627,42 @@ impl Scheduler {
             job.request_id
                 .get_or_insert_with(|| inner.tracer.next_request_id());
         }
+        let keys: Vec<u64> = jobs
+            .iter()
+            .map(|job| answer_key(&job.request, job.pin))
+            .collect();
         let pack_span = inner.tracer.start(parent_rid, stage::PACK);
-        // Price the whole batch in parallel (order-preserving fan-out;
-        // each job's seed-0 units land in the unit store, so the workers
-        // executing the rounds walk no operand twice). `None` marks a job
-        // the packer must not touch.
-        let pricing: Vec<Option<(usize, f64)>> =
-            crate::par::parallel_map((0..jobs.len()).collect(), |i| {
-                let job = &jobs[i];
-                // A repeat whose answer is cached replays without running:
-                // no draw, nothing to pack. This stays a whole-answer check
-                // deliberately — a group whose members are all covered by
-                // the *unit* store still evaluates and measures as a fresh
-                // run (committing its planned draw and training the
-                // predictor), so it must be packed.
-                if job.pin.is_some() || inner.cache.contains(answer_key(&job.request, job.pin)) {
-                    return None;
-                }
-                // Price as placement will. A pricing panic (malformed
-                // library-level request) is not answered here: the worker
-                // owns panic containment, so the job goes through unpacked
-                // and comes back as a clean error. Infeasible jobs hold no
-                // budget; the worker re-derives and answers the error.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let first = first_seed(inner, &job.request, job.request_id.unwrap_or(0));
-                    plan_placement(inner, &job.request, job.deadline_s, &first)
-                }))
-                .ok()
-                .and_then(Result::ok)
-                .map(|p| (p.device, p.planned_power_w))
-            });
-        let mut bypass: Vec<usize> = Vec::new();
+        // Sift first: a repeat whose answer is cached replays without
+        // running (no draw, nothing to pack), and a pinned job bypasses
+        // budget accounting. This stays a whole-answer check deliberately
+        // — a group whose members are all covered by the *unit* store
+        // still evaluates and measures as a fresh run (committing its
+        // planned draw and training the predictor), so it must be packed.
+        let (to_price, mut bypass): (Vec<usize>, Vec<usize>) =
+            (0..jobs.len()).partition(|&i| jobs[i].pin.is_none() && !inner.cache.contains(keys[i]));
+        // Price the rest in parallel (order-preserving fan-out; each job's
+        // seed-0 units land in the unit store, so the workers executing
+        // the rounds walk no operand twice). `None` marks a job placement
+        // rejects, which the packer must not touch.
+        let pricing = crate::par::parallel_map(to_price, |i| {
+            let job = &jobs[i];
+            // Price as placement will. A pricing panic (malformed
+            // library-level request) is not answered here: the worker
+            // owns panic containment, so the job goes through unpacked
+            // and comes back as a clean error. Infeasible jobs hold no
+            // budget; the worker re-derives and answers the error.
+            let planned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let first = first_seed(inner, &job.request, job.request_id.unwrap_or(0));
+                plan_placement(inner, &job.request, job.deadline_s, &first)
+            }))
+            .ok()
+            .and_then(Result::ok)
+            .map(|p| (p.device, p.planned_power_w));
+            (i, planned)
+        });
         let mut priced_jobs: Vec<usize> = Vec::new();
         let mut priced: Vec<(usize, f64)> = Vec::new();
-        for (i, outcome) in pricing.into_iter().enumerate() {
+        for (i, outcome) in pricing {
             match outcome {
                 Some(entry) => {
                     priced_jobs.push(i);
@@ -645,12 +683,12 @@ impl Scheduler {
             bypass.len()
         ));
         let total_rounds = rounds.len();
-        // Bypass jobs first: cache replays answer instantly, pinned jobs
+        // Bypass jobs first: cache replays answer inline, pinned jobs
         // take no slot, and rejections fail fast — none of them contend
         // with the packed rounds for budget.
         let bypass_handles: Vec<(usize, JobHandle)> = bypass
             .iter()
-            .map(|&i| (i, self.submit(jobs[i].clone())))
+            .map(|&i| (i, self.submit_keyed(jobs[i].clone(), keys[i])))
             .collect();
         for (r, round) in rounds.iter().enumerate() {
             let handles: Vec<(usize, JobHandle)> = round
@@ -658,7 +696,7 @@ impl Scheduler {
                 .iter()
                 .map(|&p| {
                     let i = priced_jobs[p];
-                    (i, self.submit(jobs[i].clone()))
+                    (i, self.submit_keyed(jobs[i].clone(), keys[i]))
                 })
                 .collect();
             // The round fit under the budget when it was priced, so its
@@ -710,9 +748,11 @@ impl Scheduler {
     /// Refresh the registry's readings of state kept elsewhere: the hit
     /// ratio, this scheduler's budget peak (its own witness, never merged)
     /// and resident answers, trace drops, per-device totals and predictor
-    /// health (wm-obs depends on wm-predict, so the predictor cannot hold
-    /// registry handles). Called by the `metrics` protocol op — and by
-    /// anything else about to export the registry.
+    /// health. The predictor's counts stay readings because they are
+    /// persisted state that a warm start restores: a counter bumped at
+    /// each observation would be a second book, at odds with
+    /// [`Scheduler::model_stats`] after a restore. Called by the `metrics`
+    /// protocol op — and by anything else about to export the registry.
     pub fn sync_metrics(&self) {
         let reg = &self.inner.registry;
         let s = self.stats();
@@ -1060,31 +1100,12 @@ fn worker_loop(inner: &Inner, me: usize) {
                 }
                 let Task {
                     job,
+                    key,
                     reply,
                     enqueued_us,
                 } = task;
-                let kernel = job.request.kernel;
-                // A panicking job must not take the worker (and with it the
-                // whole queue) down: surface it as an error response. The
-                // cache's pending guard and the slot guard both release
-                // their state on unwind.
-                let outcome =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(inner, job)))
-                        .unwrap_or_else(|payload| {
-                            Err(FleetError::Internal(panic_message(&*payload)))
-                        });
-                if outcome.is_err() {
-                    inner.failed.inc();
-                }
-                inner.completed.inc();
-                // End-to-end latency, queue wait included — every answered
-                // job lands exactly one observation, so the histogram
-                // count equals the `completed` counter by construction.
-                let latency_us = inner.tracer.now_us().saturating_sub(enqueued_us);
-                match kernel {
-                    KernelClass::Gemv => inner.latency_gemv.observe(latency_us as f64),
-                    _ => inner.latency_gemm.observe(latency_us as f64),
-                }
+                let outcome = contained(|| process(inner, &job, key));
+                account(inner, job.request.kernel, enqueued_us, &outcome);
                 // Receiver may have gone away (fire-and-forget submit).
                 let _ = reply.send(outcome);
             }
@@ -1093,8 +1114,12 @@ fn worker_loop(inner: &Inner, me: usize) {
                     return;
                 }
                 let guard = lock_clean(&inner.idle);
-                // Re-check under the lock, then sleep briefly; the timeout
-                // bounds the shutdown latency.
+                // Sleep until a submit's notify or the timeout, which also
+                // bounds the shutdown latency. Nothing is re-checked under
+                // `idle`, and `submit` notifies without holding it: a task
+                // pushed after the empty `pop_task` above but before this
+                // wait misses its wake-up, and if every worker is asleep
+                // it waits out the timeout (an open ROADMAP item).
                 let _unused = inner
                     .wake
                     .wait_timeout(guard, Duration::from_millis(5))
@@ -1140,28 +1165,41 @@ fn analytic_probe(inner: &Inner, first: &FirstSeed) -> Vec<ActivityRecord> {
 }
 
 /// Units `0..seeds` of every canonical member, in [`unit_layout`] order.
-/// When all are ready nothing is spawned; otherwise the missing ones are
-/// walked in parallel, recording `rid` as the request that computed them
-/// (a unit another request is walking right now is joined, not
-/// recomputed).
+/// Every unit is peeked first, and only the missing ones are walked — in
+/// parallel when there are several — recording `rid` as the request that
+/// computed them (a unit another request is walking right now is joined,
+/// not recomputed). With none missing nothing is spawned, and a lone
+/// missing unit walks on the calling thread.
 fn fetch_units(inner: &Inner, req: &RunRequest, rid: u64, seeds: u64) -> Vec<Arc<Unit>> {
+    let walk = |(key, m, ord, s): (u64, GemmDims, u64, u64)| {
+        inner.cache.unit(key, || {
+            let (activity, chunk) = walk_unit(req, m, ord, s);
+            Unit {
+                activity,
+                chunk,
+                computed_by: rid,
+            }
+        })
+    };
     let wanted: Vec<(u64, GemmDims, u64, u64)> = unit_layout(req, seeds)
         .into_iter()
         .map(|(m, ord, s)| (unit_key(req, m, ord, s), m, ord, s))
         .collect();
-    let ready: Option<Vec<Arc<Unit>>> = wanted.iter().map(|w| inner.cache.peek_unit(w.0)).collect();
-    ready.unwrap_or_else(|| {
-        crate::par::parallel_map(wanted, |(key, m, ord, s)| {
-            inner.cache.unit(key, || {
-                let (activity, chunk) = walk_unit(req, m, ord, s);
-                Unit {
-                    activity,
-                    chunk,
-                    computed_by: rid,
-                }
-            })
-        })
-    })
+    let ready: Vec<Option<Arc<Unit>>> = wanted.iter().map(|w| inner.cache.peek_unit(w.0)).collect();
+    let missing = wanted
+        .iter()
+        .zip(&ready)
+        .filter(|(_, unit)| unit.is_none())
+        .map(|(w, _)| *w)
+        .collect();
+    // One walked unit per empty slot, in order. Should that ever fall
+    // short, the slot asks the store itself, which joins or walks.
+    let mut walked = crate::par::parallel_map(missing, walk).into_iter();
+    ready
+        .into_iter()
+        .zip(wanted)
+        .map(|(unit, w)| unit.or_else(|| walked.next()).unwrap_or_else(|| walk(w)))
+        .collect()
 }
 
 /// Execute a request from the unit store — walking only the units no
@@ -1319,7 +1357,54 @@ fn acquire_slot<'a>(
     }
 }
 
-fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
+/// Run one job's answering step, turning a panic into
+/// [`FleetError::Internal`] with its message: a panicking job must not
+/// take down a worker (and with it the whole queue) or unwind into the
+/// thread that submitted it. The cache's pending guard and the slot guard
+/// both release their state on unwind.
+fn contained<T>(answer: impl FnOnce() -> Result<T, FleetError>) -> Result<T, FleetError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(answer))
+        .unwrap_or_else(|payload| Err(FleetError::Internal(panic_message(&*payload))))
+}
+
+/// Account one answered job: the failed and completed counts, and its
+/// end-to-end latency from `submit` (queue wait included) in the
+/// histogram of its kernel class. Every answered job lands exactly one
+/// observation, so the histogram counts equal `completed` by
+/// construction.
+fn account(
+    inner: &Inner,
+    kernel: KernelClass,
+    enqueued_us: u64,
+    outcome: &Result<FleetResponse, FleetError>,
+) {
+    if outcome.is_err() {
+        inner.failed.inc();
+    }
+    inner.completed.inc();
+    let latency_us = inner.tracer.now_us().saturating_sub(enqueued_us);
+    match kernel {
+        KernelClass::Gemv => inner.latency_gemv.observe(latency_us as f64),
+        _ => inner.latency_gemm.observe(latency_us as f64),
+    }
+}
+
+/// Answer `job` from a ready memo-cache entry under its `key`, on the
+/// calling thread: one counted hit, its `cache_lookup` span and the
+/// replayed response. `Ok(None)` — nothing counted or recorded — when the
+/// answer is absent or still in flight; the job then goes to a worker.
+fn replay(inner: &Inner, job: &FleetJob, key: u64) -> Result<Option<FleetResponse>, FleetError> {
+    let lookup = inner
+        .tracer
+        .start(job.request_id.unwrap_or(0), stage::CACHE_LOOKUP);
+    let Some(answer) = inner.cache.hit(key) else {
+        return Ok(None);
+    };
+    lookup.finish(format!("hit device={}", answer.device));
+    respond(inner, job, &answer, None).map(Some)
+}
+
+fn process(inner: &Inner, job: &FleetJob, key: u64) -> Result<FleetResponse, FleetError> {
     // `submit` always assigns an id; 0 only appears for tasks forged
     // around it (none today) and keeps the trail well-formed regardless.
     let rid = job.request_id.unwrap_or(0);
@@ -1332,17 +1417,29 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     // runs `run_fresh`, and only its success is published.
     let mut lookup = Some(inner.tracer.start(rid, stage::CACHE_LOOKUP));
     let mut fresh = None;
-    let answer = inner.cache.answer(answer_key(&job.request, job.pin), || {
+    let answer = inner.cache.answer(key, || {
         if let Some(span) = lookup.take() {
             span.finish("miss");
         }
-        let (answer, placement, member_cached) = run_fresh(inner, &job, rid)?;
+        let (answer, placement, member_cached) = run_fresh(inner, job, rid)?;
         fresh = Some((placement, member_cached));
         Ok(answer)
     })?;
     if let Some(span) = lookup {
         span.finish(format!("hit device={}", answer.device));
     }
+    respond(inner, job, &answer, fresh)
+}
+
+/// The response to `job` from its `answer`. `fresh` holds what a miss
+/// computed: the placement an auto job ran under and per-member
+/// provenance. `None` is a replay.
+fn respond(
+    inner: &Inner,
+    job: &FleetJob,
+    answer: &Answer,
+    fresh: Option<(Option<Placement>, Vec<bool>)>,
+) -> Result<FleetResponse, FleetError> {
     let dev = inner
         .fleet
         .device(answer.device)
@@ -1358,7 +1455,7 @@ fn process(inner: &Inner, job: FleetJob) -> Result<FleetResponse, FleetError> {
     };
     let result = Arc::clone(&answer.result);
     Ok(FleetResponse {
-        request_id: rid,
+        request_id: job.request_id.unwrap_or(0),
         device: dev.id,
         gpu_name: dev.gpu.name,
         clock_scale: placement
@@ -1633,6 +1730,79 @@ mod tests {
         let repeats = sched.run_batch(vec![FleetJob::new(req); 8]);
         assert!(repeats.iter().all(|r| r.as_ref().unwrap().cache_hit));
         assert_eq!(sched.stats().cache_misses, 1);
+    }
+
+    /// Wait until the workers have taken every queued task.
+    fn until_queues_drain(sched: &Scheduler) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while sched.inner.queues.iter().any(|q| !lock_clean(q).is_empty()) {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no worker took the job"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_cached_repeat_is_answered_while_every_worker_is_busy() {
+        let sched = Scheduler::with_workers(Fleet::homogeneous(a100_pcie(), 1), 1);
+        let req = quick(PatternKind::Gaussian, 91);
+        let first = sched.submit(FleetJob::new(req.clone())).recv().unwrap();
+        // Park the only worker: a fresh auto job waits in pricing for the
+        // predictor this thread holds.
+        let predictor = lock_clean(&sched.inner.predictor);
+        let parked = sched.submit(FleetJob::new(quick(PatternKind::Gaussian, 92)));
+        until_queues_drain(&sched);
+        let repeat = sched.submit(FleetJob::new(req));
+        assert_eq!(
+            sched.stats().completed,
+            2,
+            "submit answers a cached repeat itself"
+        );
+        let repeat = repeat.recv().unwrap();
+        assert!(repeat.cache_hit);
+        assert!(Arc::ptr_eq(&first.result, &repeat.result));
+        drop(predictor);
+        assert!(!parked.recv().unwrap().cache_hit);
+        assert_eq!(sched.stats().completed, 3);
+    }
+
+    #[test]
+    fn a_batch_of_cached_repeats_completes_while_every_worker_is_busy() {
+        let sched = Arc::new(Scheduler::with_workers(
+            Fleet::homogeneous(a100_pcie(), 1),
+            1,
+        ));
+        let jobs: Vec<FleetJob> = (0..3)
+            .map(|i| FleetJob::new(quick(PatternKind::Gaussian, 93 + i)))
+            .collect();
+        let firsts = sched.run_batch(jobs.clone());
+        let probed = sched.probed_requests();
+        let predictor = lock_clean(&sched.inner.predictor);
+        let parked = sched.submit(FleetJob::new(quick(PatternKind::Gaussian, 99)));
+        until_queues_drain(&sched);
+        let (tx, rx) = mpsc::channel();
+        let helper = {
+            let sched = Arc::clone(&sched);
+            std::thread::spawn(move || tx.send(sched.run_batch(jobs)))
+        };
+        let repeats = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a batch of cached repeats waits for no worker");
+        assert_eq!(
+            sched.probed_requests(),
+            probed,
+            "the repeats priced nothing"
+        );
+        for (first, repeat) in firsts.iter().zip(&repeats) {
+            let (first, repeat) = (first.as_ref().unwrap(), repeat.as_ref().unwrap());
+            assert!(repeat.cache_hit);
+            assert!(Arc::ptr_eq(&first.result, &repeat.result));
+        }
+        drop(predictor);
+        assert!(!parked.recv().unwrap().cache_hit);
+        helper.join().unwrap().unwrap();
     }
 
     #[test]
