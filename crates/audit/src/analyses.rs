@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use crate::config::AuditConfig;
 use crate::lexer::lex;
 use crate::model::WorkspaceModel;
-use crate::rules::{Allow, Violation};
+use crate::rules::{readme_table, Allow, Violation};
 use crate::workspace::SourceFile;
 
 /// One lock-order edge: while a guard of `from` was live, `to` was (or
@@ -304,43 +304,10 @@ pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut V
         }
     }
 
-    // The README metrics table, parsed like the protocol ops table: the
-    // name and kind cells of each row under the configured heading.
+    // The README metrics table: the name and kind cells of each row
+    // under the configured heading.
     let readme = std::fs::read_to_string(cfg.root.join(&cfg.readme_file)).unwrap_or_default();
-    let mut documented: Vec<(String, String, usize)> = Vec::new();
-    let mut heading_line = 0usize;
-    let mut in_table = false;
-    for (idx, raw) in readme.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if heading_line == 0 {
-            if line == cfg.metric_readme_heading {
-                heading_line = line_no;
-            }
-            continue;
-        }
-        if !line.starts_with('|') {
-            if in_table {
-                break;
-            }
-            continue;
-        }
-        in_table = true;
-        let mut cells = line
-            .trim_matches('|')
-            .split('|')
-            .map(|c| c.trim().trim_matches('`').trim());
-        let name = cells.next().unwrap_or("");
-        if name.is_empty() || name.chars().all(|c| c == '-' || c == ':' || c == ' ') {
-            continue;
-        }
-        if name.eq_ignore_ascii_case("metric") {
-            continue; // header row
-        }
-        let kind = cells.next().unwrap_or("");
-        documented.push((name.to_string(), kind.to_string(), line_no));
-    }
-    if heading_line == 0 {
+    let Some((_, rows)) = readme_table(&readme, &cfg.metric_readme_heading, "metric") else {
         out.push(Violation::new(
             &cfg.readme_file,
             1,
@@ -351,10 +318,14 @@ pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut V
             ),
         ));
         return;
-    }
+    };
+    let documented: Vec<(&str, &str, usize)> = rows
+        .iter()
+        .map(|(cells, line)| (cells[0], cells.get(1).copied().unwrap_or(""), *line))
+        .collect();
 
     for r in &first_site {
-        if !documented.iter().any(|(d, _, _)| d == &r.name) {
+        if !documented.iter().any(|(d, _, _)| *d == r.name) {
             out.push(Violation::new(
                 &r.file,
                 r.line,
@@ -367,14 +338,14 @@ pub fn check_metric_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut V
         }
     }
     for (d, kind, line) in &documented {
-        if !names.contains(d.as_str()) {
+        if !names.contains(d) {
             out.push(Violation::new(
                 &cfg.readme_file,
                 *line,
                 "metric-drift",
                 format!("metrics table documents {d:?}, which no producer registers"),
             ));
-        } else if let Some(r) = registered.iter().find(|r| &r.name == d && &r.kind != kind) {
+        } else if let Some(r) = registered.iter().find(|r| r.name == *d && r.kind != *kind) {
             out.push(Violation::new(
                 &cfg.readme_file,
                 *line,

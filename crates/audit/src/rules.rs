@@ -309,6 +309,44 @@ fn check_unsafe(cfg: &AuditConfig, src: &SourceFile, lexed: &Lexed, out: &mut Ve
     }
 }
 
+/// One body row of a README table: its cells and 1-based line number.
+pub(crate) type TableRow<'a> = (Vec<&'a str>, usize);
+
+/// The body rows of the first `|` table after the line `heading` in
+/// `readme`: each row's cells (trimmed, backticks stripped) and its
+/// 1-based line number, skipping separator rows and the header row (first
+/// cell `header`, any case), with the heading's line number. `None` when
+/// no line is `heading`.
+pub(crate) fn readme_table<'a>(
+    readme: &'a str,
+    heading: &str,
+    header: &str,
+) -> Option<(usize, Vec<TableRow<'a>>)> {
+    let mut lines = readme
+        .lines()
+        .enumerate()
+        .map(|(i, raw)| (i + 1, raw.trim()));
+    let (heading_line, _) = lines.find(|(_, line)| *line == heading)?;
+    let rows = lines
+        .skip_while(|(_, line)| !line.starts_with('|'))
+        .take_while(|(_, line)| line.starts_with('|'))
+        .map(|(line_no, line)| {
+            let cells = line
+                .trim_matches('|')
+                .split('|')
+                .map(|c| c.trim().trim_matches('`').trim())
+                .collect::<Vec<_>>();
+            (cells, line_no)
+        })
+        .filter(|(cells, _)| {
+            let first = cells[0];
+            let separator = first.chars().all(|c| c == '-' || c == ':' || c == ' ');
+            !separator && !first.eq_ignore_ascii_case(header)
+        })
+        .collect();
+    Some((heading_line, rows))
+}
+
 /// protocol-drift: the `"op"` strings the dispatcher knows
 /// (`KNOWN_OPS`) must agree with the README ops table, and serve-layer
 /// ops must exist where they claim to be implemented.
@@ -361,38 +399,8 @@ fn check_protocol_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut Vec
     }
 
     // The README table.
-    let readme_path = cfg.root.join(&cfg.readme_file);
-    let readme = std::fs::read_to_string(&readme_path).unwrap_or_default();
-    let mut readme_ops: Vec<(String, usize)> = Vec::new();
-    let mut heading_line = 0usize;
-    let mut in_table = false;
-    for (idx, raw) in readme.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.trim();
-        if heading_line == 0 {
-            if line == cfg.readme_ops_heading {
-                heading_line = line_no;
-            }
-            continue;
-        }
-        if !line.starts_with('|') {
-            if in_table {
-                break; // table finished
-            }
-            continue;
-        }
-        in_table = true;
-        let cell = line.trim_matches('|').split('|').next().unwrap_or("");
-        let op = cell.trim().trim_matches('`').trim();
-        if op.is_empty() || op.chars().all(|c| c == '-' || c == ':' || c == ' ') {
-            continue; // separator row
-        }
-        if op.eq_ignore_ascii_case("op") {
-            continue; // header row
-        }
-        readme_ops.push((op.to_string(), line_no));
-    }
-    if heading_line == 0 {
+    let readme = std::fs::read_to_string(cfg.root.join(&cfg.readme_file)).unwrap_or_default();
+    let Some((heading_line, rows)) = readme_table(&readme, &cfg.readme_ops_heading, "op") else {
         out.push(Violation {
             file: cfg.readme_file.clone(),
             line: 1,
@@ -404,7 +412,9 @@ fn check_protocol_drift(cfg: &AuditConfig, sources: &[SourceFile], out: &mut Vec
             witness: Vec::new(),
         });
         return;
-    }
+    };
+    let readme_ops: Vec<(&str, usize)> =
+        rows.iter().map(|(cells, line)| (cells[0], *line)).collect();
 
     let mut expected: Vec<&str> = code_ops.clone();
     for (op, _) in &cfg.serve_layer_ops {

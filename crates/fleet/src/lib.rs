@@ -43,8 +43,11 @@
 //!   Every response carries a monotonic `request_id`, and every request
 //!   leaves a span trail (parse → cache lookup → features → pricing →
 //!   placement → execute → feedback) in the scheduler's bounded trace
-//!   ring. [`answer_streamed`] additionally streams a `batch` as one
-//!   response line per packed round.
+//!   ring. Both transports answer a parsed line through the one entry
+//!   point [`answer`], which reads its `op` once ([`RequestLine`]) and
+//!   streams a `batch` as one response line per packed round when the
+//!   batch or the transport asks; a line that never parsed is answered
+//!   by [`reject_line`].
 //! * [`par`] — an order-preserving `parallel_map` over scoped threads:
 //!   the fan-out under batch pricing (of the jobs left to price), unit
 //!   walks (of the units not yet in the store), the figure runner and
@@ -85,8 +88,7 @@ pub use hash::{answer_key, canonical_key, request_key, unit_key, CanonicalHasher
 pub use par::parallel_map;
 pub use placement::{place, place_learned, Placement, PlacementError, PredictionSource};
 pub use protocol::{
-    answer, answer_streamed, answer_streamed_with_default, oversized_line_error, serve, LineEvent,
-    LineReader, MAX_LINE_BYTES,
+    answer, reject_line, serve, BadLine, LineEvent, LineReader, RequestLine, MAX_LINE_BYTES,
 };
 pub use scheduler::{
     pack_ffd, BatchRound, DeviceStats, FleetError, FleetJob, FleetResponse, JobHandle, PackedRound,

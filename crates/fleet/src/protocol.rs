@@ -51,10 +51,10 @@
 //!   the memo cache and **power-packed**: admitted jobs execute in
 //!   first-fit-decreasing predicted-watts order against the fleet budget
 //!   (see [`crate::scheduler::pack_ffd`]) instead of FIFO, so the budget
-//!   fills instead of trickling. Under [`answer_streamed`] (the TCP
-//!   serving path) a batch instead yields **one response line per packed
-//!   round** as rounds complete, closed by a `"last": true` remainder
-//!   line; `"stream": false` opts a single request back into the blob.
+//!   fills instead of trickling. A streamed batch (`"stream": true`, the
+//!   TCP default) instead yields **one response line per packed round**
+//!   as rounds complete, closed by a `"last": true` remainder line; see
+//!   [`answer`].
 //! * `"predict"` — same fields as `run`, but nothing executes: answers
 //!   the pre-execution power estimate (`predicted_w`), which device would
 //!   take the job, the `kernel` key the estimate was priced under, and
@@ -98,7 +98,13 @@
 //! an `"error"` string) and a `"request_id"`: the monotonic id the daemon
 //! assigned the incoming line (batch members each get their own, echoed in
 //! their member result). The id is what a later `trace` query filters on.
+//!
+//! Both transports, the stdio loop ([`serve`]) and `wm-serve`'s TCP
+//! sessions, answer a parsed line through [`answer`], which reads its
+//! `op` once ([`RequestLine`]), and a line that never became a request
+//! object through [`reject_line`].
 
+use std::fmt::Display;
 use std::io::{BufRead, Write};
 
 use wm_core::RunRequest;
@@ -108,64 +114,63 @@ use wm_numerics::DType;
 use wm_obs::{stage, MetricValue, SpanRecord};
 use wm_patterns::{PatternKind, PatternSpec};
 
-use crate::json::{obj, Json};
-use crate::scheduler::{FleetError, FleetJob, FleetResponse, Scheduler};
+use crate::json::{obj, Json, JsonError};
+use crate::scheduler::{FleetJob, FleetResponse, Scheduler};
+
+/// A JSON type a request field can hold, read strictly by [`field`].
+trait FieldType<'a>: Sized {
+    /// The type as an error names it: `"seeds" must be {EXPECTED}`.
+    const EXPECTED: &'static str;
+    /// The accessor reading a value of the type.
+    const READ: fn(&'a Json) -> Option<Self>;
+}
+
+impl<'a> FieldType<'a> for u64 {
+    const EXPECTED: &'static str = "a non-negative integer";
+    const READ: fn(&'a Json) -> Option<Self> = Json::as_u64;
+}
+
+impl<'a> FieldType<'a> for usize {
+    const EXPECTED: &'static str = "a non-negative integer";
+    const READ: fn(&'a Json) -> Option<Self> = Json::as_usize;
+}
+
+impl<'a> FieldType<'a> for f64 {
+    const EXPECTED: &'static str = "a number";
+    const READ: fn(&'a Json) -> Option<Self> = Json::as_f64;
+}
+
+impl<'a> FieldType<'a> for bool {
+    const EXPECTED: &'static str = "a boolean";
+    const READ: fn(&'a Json) -> Option<Self> = Json::as_bool;
+}
+
+impl<'a> FieldType<'a> for &'a str {
+    const EXPECTED: &'static str = "a string";
+    const READ: fn(&'a Json) -> Option<Self> = Json::as_str;
+}
 
 /// Fetch an optional field strictly: absent is `Ok(None)`, but *present
 /// with the wrong type* is an error. `{"seeds": "8"}` or `{"lattice":
 /// true}` must be rejected, never silently run as if the field were
 /// missing — the client clearly meant to set something.
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(f) => f
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
-    }
+fn field<'a, T: FieldType<'a>>(v: &'a Json, key: &str) -> Result<Option<T>, String> {
+    v.get(key)
+        .map(|f| (T::READ)(f).ok_or_else(|| format!("\"{key}\" must be {}", T::EXPECTED)))
+        .transpose()
 }
 
-/// Strict optional usize field (see [`opt_u64`]).
-fn opt_usize(v: &Json, key: &str) -> Result<Option<usize>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(f) => f
-            .as_usize()
-            .map(Some)
-            .ok_or_else(|| format!("\"{key}\" must be a non-negative integer")),
-    }
-}
-
-/// Strict optional number field (see [`opt_u64`]).
-fn opt_f64(v: &Json, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(f) => f
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("\"{key}\" must be a number")),
-    }
-}
-
-/// Strict optional boolean field (see [`opt_u64`]).
-fn opt_bool(v: &Json, key: &str) -> Result<Option<bool>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(f) => f
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| format!("\"{key}\" must be a boolean")),
-    }
-}
-
-/// Strict optional string field (see [`opt_u64`]).
-fn opt_str<'a>(v: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(f) => f
-            .as_str()
-            .map(Some)
-            .ok_or_else(|| format!("\"{key}\" must be a string")),
+/// `value` of field `key` if it lies in `1..=max`, the range every axis
+/// and count shares.
+fn in_range<T: Copy + PartialOrd + From<u8> + Display>(
+    key: &str,
+    value: T,
+    max: T,
+) -> Result<T, String> {
+    if (T::from(1)..=max).contains(&value) {
+        Ok(value)
+    } else {
+        Err(format!("\"{key}\" must be in 1..={max}"))
     }
 }
 
@@ -177,15 +182,12 @@ fn opt_str<'a>(v: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
 /// budgets are checked separately, in [`check_budgets`], against the
 /// request's *effective* dims.
 fn parse_dims(v: &Json, kernel: KernelClass) -> Result<GemmDims, String> {
-    let dim = opt_usize(v, "dim")?;
-    if let Some(d) = dim {
-        if d == 0 || d > MAX_AXIS {
-            return Err(format!("\"dim\" must be in 1..={MAX_AXIS}"));
-        }
-    }
-    let n = opt_usize(v, "n")?;
-    let m = opt_usize(v, "m")?;
-    let k = opt_usize(v, "k")?;
+    let dim = field(v, "dim")?
+        .map(|d| in_range("dim", d, MAX_AXIS))
+        .transpose()?;
+    let n = field(v, "n")?;
+    let m = field(v, "m")?;
+    let k = field(v, "k")?;
     if dim.is_none() && n.is_none() && m.is_none() && k.is_none() {
         return Err(
             "missing problem shape: give square \"dim\" and/or per-axis \"n\"/\"m\"/\"k\"".into(),
@@ -196,10 +198,7 @@ fn parse_dims(v: &Json, kernel: KernelClass) -> Result<GemmDims, String> {
             let value = axis.or(dim).or(fallback).ok_or_else(|| {
                 format!("missing \"{label}\" (give it explicitly or via square \"dim\")")
             })?;
-            if value == 0 || value > MAX_AXIS {
-                return Err(format!("\"{label}\" must be in 1..={MAX_AXIS}"));
-            }
-            Ok(value)
+            in_range(label, value, MAX_AXIS)
         };
     let m_fallback = match kernel {
         KernelClass::Gemv => Some(1),
@@ -286,25 +285,25 @@ fn parse_group(v: &Json, group: &Json, kernel: KernelClass) -> Result<Vec<GemmDi
 
 /// Parse a `run` request object into a fleet job.
 fn parse_job(v: &Json, sched: &Scheduler) -> Result<FleetJob, String> {
-    let dtype_label = opt_str(v, "dtype")?.ok_or("missing \"dtype\"")?;
+    let dtype_label: &str = field(v, "dtype")?.ok_or("missing \"dtype\"")?;
     let dtype = DType::parse(dtype_label)
         .ok_or_else(|| format!("unknown dtype {dtype_label:?} (use FP32/FP16/FP16-T/BF16/INT8)"))?;
     // Absent means GEMM; *present* must be a valid string — a client
     // encoding the kernel any other way must not silently run GEMM.
-    let kernel = match opt_str(v, "kernel")? {
+    let kernel = match field(v, "kernel")? {
         None => KernelClass::Gemm,
         Some(label) => KernelClass::parse(label)
             .ok_or_else(|| format!("unknown kernel {label:?} (use \"gemm\" or \"gemv\")"))?,
     };
     let kind = parse_pattern(v)?;
     let mut spec = PatternSpec::new(kind);
-    if let Some(mean) = opt_f64(v, "mean")? {
+    if let Some(mean) = field::<f64>(v, "mean")? {
         if !mean.is_finite() {
             return Err("\"mean\" must be finite".into());
         }
         spec = spec.with_mean(mean);
     }
-    if let Some(std) = opt_f64(v, "std")? {
+    if let Some(std) = field::<f64>(v, "std")? {
         if !std.is_finite() || std <= 0.0 {
             return Err("\"std\" must be finite and positive".into());
         }
@@ -326,54 +325,45 @@ fn parse_job(v: &Json, sched: &Scheduler) -> Result<FleetJob, String> {
         }
     };
     check_budgets(&req)?;
-    if let Some(seeds) = opt_u64(v, "seeds")? {
-        if seeds == 0 || seeds > MAX_SEEDS {
-            return Err(format!("\"seeds\" must be in 1..={MAX_SEEDS}"));
-        }
-        req = req.with_seeds(seeds);
+    if let Some(seeds) = field(v, "seeds")? {
+        req = req.with_seeds(in_range("seeds", seeds, MAX_SEEDS)?);
     }
-    if let Some(base) = opt_u64(v, "base_seed")? {
+    if let Some(base) = field(v, "base_seed")? {
         req = req.with_base_seed(base);
     }
-    if let Some(iters) = opt_u64(v, "iterations")? {
-        if iters == 0 || iters > MAX_ITERATIONS {
-            return Err(format!("\"iterations\" must be in 1..={MAX_ITERATIONS}"));
-        }
-        req = req.with_iterations(iters);
+    if let Some(iters) = field(v, "iterations")? {
+        req = req.with_iterations(in_range("iterations", iters, MAX_ITERATIONS)?);
     }
-    if let Some(t) = opt_bool(v, "b_transposed")? {
+    if let Some(t) = field(v, "b_transposed")? {
         req = req.with_b_transposed(t);
     }
-    if let Some(edge) = opt_usize(v, "lattice")? {
-        if edge == 0 || edge > MAX_AXIS {
-            return Err(format!("\"lattice\" must be in 1..={MAX_AXIS}"));
-        }
+    if let Some(edge) = field(v, "lattice")? {
+        let edge = in_range("lattice", edge, MAX_AXIS)?;
         req = req.with_sampling(Sampling::Lattice {
             rows: edge,
             cols: edge,
         });
     }
 
-    let mut job = match opt_str(v, "gpu")? {
+    let mut job = match field::<&str>(v, "gpu")? {
         None => FleetJob::new(req),
         Some(name) if name.eq_ignore_ascii_case("auto") => FleetJob::new(req),
         Some(name) => {
+            // Match on names stripped of case, spaces, `-` and `_`. A name
+            // that strips to nothing names no device: every name contains
+            // the empty string.
+            let squash = |s: &str| s.to_ascii_lowercase().replace([' ', '-', '_'], "");
+            let wanted = squash(name);
             let device = sched
                 .fleet()
                 .devices()
                 .iter()
-                .find(|d| {
-                    d.gpu
-                        .name
-                        .to_ascii_lowercase()
-                        .replace([' ', '-', '_'], "")
-                        .contains(&name.to_ascii_lowercase().replace([' ', '-', '_'], ""))
-                })
+                .find(|d| !wanted.is_empty() && squash(d.gpu.name).contains(&wanted))
                 .ok_or_else(|| format!("no fleet device matches gpu {name:?}"))?;
             FleetJob::pinned(req, device.id)
         }
     };
-    if let Some(us) = opt_f64(v, "deadline_us")? {
+    if let Some(us) = field::<f64>(v, "deadline_us")? {
         // Check the converted value: a subnormal microsecond count is
         // positive but underflows to zero seconds.
         let deadline_s = us * 1e-6;
@@ -416,11 +406,8 @@ const MAX_SET_SIZE: f64 = 65536.0;
 /// a present-but-non-number parameter is an error, not "absent".
 fn pattern_param(v: &Json, keys: &[&str]) -> Result<Option<f64>, String> {
     for key in keys.iter().chain(["param"].iter()) {
-        if let Some(f) = v.get(key) {
-            return f
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| format!("\"{key}\" must be a number"));
+        if let Some(value) = field(v, key)? {
+            return Ok(Some(value));
         }
     }
     Ok(None)
@@ -448,7 +435,7 @@ fn bit_count(name: &str, value: f64) -> Result<u32, String> {
 }
 
 fn parse_pattern(v: &Json) -> Result<PatternKind, String> {
-    let name = opt_str(v, "pattern")?
+    let name = field(v, "pattern")?
         .unwrap_or("gaussian")
         .to_ascii_lowercase();
     let fraction = || {
@@ -621,28 +608,38 @@ fn run_payload(r: &FleetResponse) -> Vec<(&'static str, Json)> {
     fields
 }
 
-/// A `batch` request after parsing: per-member parse outcomes plus the
-/// submittable jobs, with every member's daemon request id assigned (in
-/// member order, so the id stream stays deterministic).
+/// A `batch` request after parsing, with every member's daemon request id
+/// assigned (in member order, so the id stream stays deterministic).
 struct ParsedBatch {
-    /// Client-side member `"id"` echo, one per member.
-    member_client_ids: Vec<Json>,
-    /// Daemon-assigned request id, one per member.
-    member_ids: Vec<u64>,
+    /// Whether the batch answers one line per round instead of one blob.
+    stream: bool,
+    /// Per member: the client's `"id"` echo and the daemon request id.
+    members: Vec<(Json, u64)>,
+    /// The parseable members' jobs, in member order: the submission list.
+    jobs: Vec<FleetJob>,
+    /// Member index of each job.
+    job_members: Vec<usize>,
     /// Per-member parse errors: `(member index, message)`.
-    parse_errors: Vec<(usize, String)>,
-    /// Parseable jobs in member order — the submission list; entry `s`
-    /// came from member `parsed_members[s]`.
-    parsed: Vec<FleetJob>,
-    /// Member index of each submitted job.
-    parsed_members: Vec<usize>,
+    unparsed: Vec<(usize, String)>,
 }
 
-/// Parse a batch request's `requests` array, recording the parse span
-/// under `rid` exactly as the blob path always has.
-fn parse_batch(v: &Json, sched: &Scheduler, rid: u64) -> Result<ParsedBatch, String> {
+/// Parse a batch request, recording the parse span under `rid`;
+/// `stream_batches` is the framing when the batch names none.
+fn parse_batch(
+    v: &Json,
+    sched: &Scheduler,
+    rid: u64,
+    stream_batches: bool,
+) -> Result<ParsedBatch, String> {
     let tracer = sched.tracer();
     let parse = tracer.start(rid, stage::PARSE);
+    let stream = match field(v, "stream") {
+        Ok(flag) => flag.unwrap_or(stream_batches),
+        Err(msg) => {
+            parse.finish("error");
+            return Err(msg);
+        }
+    };
     let Some(requests) = v.get("requests").and_then(Json::as_arr) else {
         parse.finish("error");
         return Err("batch needs a \"requests\" array".to_string());
@@ -653,41 +650,77 @@ fn parse_batch(v: &Json, sched: &Scheduler, rid: u64) -> Result<ParsedBatch, Str
     let jobs: Vec<Result<FleetJob, String>> =
         requests.iter().map(|r| parse_job(r, sched)).collect();
     parse.finish(format!("batch members={}", requests.len()));
-    // Every member — parseable or not — gets its own request id, assigned
-    // in submission order so the stream stays deterministic; member
+    let mut batch = ParsedBatch {
+        stream,
+        members: Vec::with_capacity(requests.len()),
+        jobs: Vec::new(),
+        job_members: Vec::new(),
+        unparsed: Vec::new(),
+    };
+    // Every member — parseable or not — gets its own request id; member
     // results echo it alongside the client's member "id".
-    let member_ids: Vec<u64> = requests.iter().map(|_| tracer.next_request_id()).collect();
-    let member_client_ids: Vec<Json> = requests
-        .iter()
-        .map(|r| r.get("id").cloned().unwrap_or(Json::Null))
-        .collect();
-    let mut parse_errors = Vec::new();
-    let mut parsed = Vec::new();
-    let mut parsed_members = Vec::new();
-    for (m, job) in jobs.into_iter().enumerate() {
+    for (m, (request, job)) in requests.iter().zip(jobs).enumerate() {
+        let mid = tracer.next_request_id();
+        batch
+            .members
+            .push((request.get("id").cloned().unwrap_or(Json::Null), mid));
         match job {
             Ok(job) => {
-                parsed.push(job.with_request_id(member_ids[m]));
-                parsed_members.push(m);
+                batch.jobs.push(job.with_request_id(mid));
+                batch.job_members.push(m);
             }
-            Err(msg) => parse_errors.push((m, msg)),
+            Err(msg) => batch.unparsed.push((m, msg)),
         }
     }
-    Ok(ParsedBatch {
-        member_client_ids,
-        member_ids,
-        parse_errors,
-        parsed,
-        parsed_members,
-    })
+    Ok(batch)
 }
 
-/// One batch member's response object (sans request id).
-fn member_response(outcome: Result<FleetResponse, FleetError>, client_id: Json) -> Json {
-    match outcome {
-        Ok(r) => ok_response(client_id, run_payload(&r)),
-        Err(e) => err_response(client_id, &e.to_string()),
-    }
+/// Run a parsed batch through [`Scheduler::run_batch_rounds`] and hand
+/// `on_round` each completed round's number, the batch's packed-round
+/// count, and the round's member responses sorted by member index: the
+/// one assembler behind both the blob and the streamed framing. The
+/// members that failed to parse close the last round (round 0).
+fn run_members(
+    batch: ParsedBatch,
+    sched: &Scheduler,
+    rid: u64,
+    mut on_round: impl FnMut(usize, usize, Vec<(usize, Json)>),
+) {
+    let ParsedBatch {
+        members,
+        jobs,
+        job_members,
+        mut unparsed,
+        ..
+    } = batch;
+    let respond = |m: usize, outcome: Result<FleetResponse, String>| {
+        let (id, mid) = &members[m];
+        let response = match outcome {
+            Ok(r) => ok_response(id.clone(), run_payload(&r)),
+            Err(msg) => err_response(id.clone(), &msg),
+        };
+        with_request_id(response, *mid)
+    };
+    // Every job comes back in exactly one round; one the scheduler never
+    // answered is reported in the last round, not dropped.
+    let mut unanswered = vec![true; jobs.len()];
+    sched.run_batch_rounds(jobs, rid, |round| {
+        let mut results = Vec::with_capacity(round.results.len());
+        for (j, outcome) in round.results {
+            unanswered[j] = false;
+            let m = job_members[j];
+            results.push((m, respond(m, outcome.map_err(|e| e.to_string()))));
+        }
+        if round.round == 0 {
+            for (j, _) in unanswered.iter().enumerate().filter(|(_, lost)| **lost) {
+                let msg = "internal: batch member was never answered".to_string();
+                unparsed.push((job_members[j], msg));
+            }
+            results.extend(unparsed.drain(..).map(|(m, msg)| (m, respond(m, Err(msg)))));
+        }
+        results.sort_by_key(|(m, _)| *m);
+        on_round(round.round, round.rounds, results);
+    });
 }
 
 fn ok_response(id: Json, payload: Vec<(&str, Json)>) -> Json {
@@ -704,15 +737,20 @@ fn err_response(id: Json, message: &str) -> Json {
     ])
 }
 
-/// Stamp the daemon-assigned request id onto a response object.
-fn with_request_id(response: Json, rid: u64) -> Json {
+/// Append `key: value` to a response object.
+fn with_field(response: Json, key: &str, value: Json) -> Json {
     match response {
         Json::Obj(mut fields) => {
-            fields.push(("request_id".to_string(), Json::Num(rid as f64)));
+            fields.push((key.to_string(), value));
             Json::Obj(fields)
         }
         other => other,
     }
+}
+
+/// Stamp the daemon-assigned request id onto a response object.
+fn with_request_id(response: Json, rid: u64) -> Json {
+    with_field(response, "request_id", Json::Num(rid as f64))
 }
 
 /// One span as JSON, for `trace` responses and JSONL dumps alike.
@@ -781,28 +819,52 @@ pub(crate) const KNOWN_OPS: &[&str] = &[
     "batch",
 ];
 
-/// Answer one parsed request object: assign the line its monotonic
-/// request id, dispatch, record the per-op latency, and stamp the id
-/// onto the response.
-pub fn answer(v: &Json, sched: &Scheduler) -> Json {
-    let tracer = sched.tracer();
-    let rid = tracer.next_request_id();
-    let t0 = tracer.now_us();
-    let response = answer_inner(v, sched, rid);
-    let op = match opt_str(v, "op") {
-        Ok(op) => op.unwrap_or("run"),
-        Err(_) => "other",
-    };
-    sched
-        .request_latency(op)
-        .observe(tracer.now_us().saturating_sub(t0) as f64);
-    with_request_id(response, rid)
+/// A parsed request line with its `op` read once. [`answer`] dispatches
+/// on this reading, and a transport that routes some lines itself (the
+/// TCP session's `shutdown` op and its in-flight cap on `batch`) reads
+/// the same one.
+pub struct RequestLine<'a> {
+    json: &'a Json,
+    /// The op as sent (`"run"` when absent), or the strict-field error of
+    /// an op that is not a string.
+    op: Result<&'a str, String>,
 }
 
-/// [`answer`] with **streamed batches**: a `batch` request produces one
-/// response line per packed round *as the round completes*, instead of
-/// one blob after the whole batch. Every other op (and a batch carrying
-/// `"stream": false`) emits exactly one line, identical to [`answer`].
+impl<'a> RequestLine<'a> {
+    /// Read the `op` of the request object `json`.
+    pub fn new(json: &'a Json) -> Self {
+        let op = field(json, "op").map(|op| op.unwrap_or("run"));
+        Self { json, op }
+    }
+
+    /// The op as sent (`"run"` when absent); `None` when it is not a
+    /// string.
+    pub fn op(&self) -> Option<&'a str> {
+        self.op.as_ref().ok().copied()
+    }
+
+    /// The op's bounded label: its entry in the known-op list, or
+    /// `"other"` for an unknown or non-string op. The per-op latency
+    /// histogram and the TCP session span name a line by it, so client
+    /// text never becomes a metric label or a span detail.
+    pub fn label(&self) -> &'static str {
+        let known = self
+            .op()
+            .and_then(|op| KNOWN_OPS.iter().find(|&&k| k == op));
+        known.copied().unwrap_or("other")
+    }
+}
+
+/// Answer one parsed request line — the one entry point of both
+/// transports: assign the line its monotonic request id, dispatch on its
+/// op, record the per-op latency, and emit the response.
+///
+/// Every op but `batch` emits exactly one line. A batch answers one
+/// `{"results": [...]}` blob, or **streams** one line per packed round as
+/// the round completes. Its `"stream"` flag picks the framing, and
+/// `stream_batches` is the transport's default for a batch without one:
+/// the TCP service streams (`true`), and the stdio loop answers a blob
+/// (`false`) so one-line-per-request clients are unaffected.
 ///
 /// Streamed framing — each line is an object with the batch's `id`,
 /// `"ok": true`, the slice's `"round"` (1-based packed round in execution
@@ -818,143 +880,104 @@ pub fn answer(v: &Json, sched: &Scheduler) -> Json {
 /// (every in-flight job is joined — a vanished client must not wedge
 /// workers) but nothing further is written, and the first error is
 /// returned.
-pub fn answer_streamed(
-    v: &Json,
+pub fn answer(
+    line: &RequestLine,
     sched: &Scheduler,
+    stream_batches: bool,
     emit: &mut dyn FnMut(&Json) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
-    answer_streamed_with_default(v, sched, true, emit)
-}
-
-/// [`answer_streamed`] with an explicit default for a batch that omits
-/// `"stream"`: the TCP service streams by default (`true`), the stdio
-/// loop stays a blob by default (`false`) so existing one-line-per-request
-/// clients are unaffected — either transport honors an explicit
-/// `"stream"` flag, with identical round framing.
-pub fn answer_streamed_with_default(
-    v: &Json,
-    sched: &Scheduler,
-    default_stream: bool,
-    emit: &mut dyn FnMut(&Json) -> std::io::Result<()>,
-) -> std::io::Result<()> {
-    if !matches!(opt_str(v, "op"), Ok(Some("batch"))) {
-        return emit(&answer(v, sched));
-    }
     let tracer = sched.tracer();
     let rid = tracer.next_request_id();
     let t0 = tracer.now_us();
-    let id = v.get("id").cloned().unwrap_or(Json::Null);
-    let outcome = match opt_bool(v, "stream") {
-        Err(msg) => {
-            tracer.start(rid, stage::PARSE).finish("error");
-            emit(&with_request_id(err_response(id, &msg), rid))
-        }
-        Ok(flag) if !flag.unwrap_or(default_stream) => {
-            emit(&with_request_id(answer_inner(v, sched, rid), rid))
-        }
-        Ok(_) => answer_batch_streamed(v, sched, rid, id, emit),
+    let observe = || {
+        sched
+            .request_latency(line.label())
+            .observe(tracer.now_us().saturating_sub(t0) as f64);
     };
-    sched
-        .request_latency("batch")
-        .observe(tracer.now_us().saturating_sub(t0) as f64);
-    outcome
+    if line.op() == Some("batch") {
+        let written = answer_batch(line.json, sched, rid, stream_batches, emit);
+        observe();
+        return written;
+    }
+    let id = line.json.get("id").cloned().unwrap_or(Json::Null);
+    let response = match payload(line, sched, rid) {
+        Ok(fields) => ok_response(id, fields),
+        Err(msg) => err_response(id, &msg),
+    };
+    observe();
+    emit(&with_request_id(response, rid))
 }
 
-/// The streaming batch path behind [`answer_streamed`]: parse once, then
-/// let [`Scheduler::run_batch_rounds`] drive one emitted line per slice.
-fn answer_batch_streamed(
+/// Answer a `batch` line in the framing [`answer`] describes.
+fn answer_batch(
     v: &Json,
     sched: &Scheduler,
     rid: u64,
-    id: Json,
+    stream_batches: bool,
     emit: &mut dyn FnMut(&Json) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
-    let pb = match parse_batch(v, sched, rid) {
-        Ok(pb) => pb,
+    let id = v.get("id").cloned().unwrap_or(Json::Null);
+    let batch = match parse_batch(v, sched, rid, stream_batches) {
+        Ok(batch) => batch,
         Err(msg) => return emit(&with_request_id(err_response(id, &msg), rid)),
     };
-    let ParsedBatch {
-        member_client_ids,
-        member_ids,
-        parse_errors,
-        parsed,
-        parsed_members,
-    } = pb;
-    let members = member_ids.len();
-    let mut io_outcome: std::io::Result<()> = Ok(());
-    sched.run_batch_rounds(parsed, rid, |round| {
-        // A failed emit (client gone) stops writing, but the callback
-        // keeps consuming rounds so every worker reply is joined.
-        if io_outcome.is_err() {
+    let members = batch.members.len();
+    if !batch.stream {
+        let mut results = Vec::with_capacity(members);
+        run_members(batch, sched, rid, |_, _, round| results.extend(round));
+        results.sort_by_key(|(m, _)| *m);
+        let results = results.into_iter().map(|(_, r)| r).collect();
+        let blob = ok_response(id, vec![("results", Json::Arr(results))]);
+        return emit(&with_request_id(blob, rid));
+    }
+    // A failed emit (client gone) stops writing, but the rounds keep
+    // draining so every worker reply is joined.
+    let mut written = Ok(());
+    run_members(batch, sched, rid, |round, rounds, results| {
+        if written.is_err() {
             return;
         }
-        let last = round.round == 0;
-        let mut results: Vec<(usize, Json)> = round
-            .results
+        let results = results
             .into_iter()
-            .map(|(s, outcome)| {
-                let m = parsed_members[s];
-                (m, member_response(outcome, member_client_ids[m].clone()))
-            })
+            .map(|(m, r)| with_field(r, "index", Json::Num(m as f64)))
             .collect();
-        if last {
-            // The remainder line also carries the members the scheduler
-            // never saw: per-member parse errors.
-            for (m, msg) in &parse_errors {
-                results.push((*m, err_response(member_client_ids[*m].clone(), msg)));
-            }
-        }
-        results.sort_by_key(|(m, _)| *m);
-        let results: Vec<Json> = results
-            .into_iter()
-            .map(|(m, r)| match with_request_id(r, member_ids[m]) {
-                Json::Obj(mut fields) => {
-                    fields.push(("index".to_string(), Json::Num(m as f64)));
-                    Json::Obj(fields)
-                }
-                other => other,
-            })
-            .collect();
-        let line = with_request_id(
-            obj(vec![
-                ("id", id.clone()),
-                ("ok", Json::Bool(true)),
-                ("round", Json::Num(round.round as f64)),
-                ("rounds", Json::Num(round.rounds as f64)),
-                ("members", Json::Num(members as f64)),
-                ("results", Json::Arr(results)),
-                ("last", Json::Bool(last)),
-            ]),
-            rid,
-        );
-        io_outcome = emit(&line);
+        let line = obj(vec![
+            ("id", id.clone()),
+            ("ok", Json::Bool(true)),
+            ("round", Json::Num(round as f64)),
+            ("rounds", Json::Num(rounds as f64)),
+            ("members", Json::Num(members as f64)),
+            ("results", Json::Arr(results)),
+            ("last", Json::Bool(round == 0)),
+        ]);
+        written = emit(&with_request_id(line, rid));
     });
-    io_outcome
+    written
 }
 
-fn answer_inner(v: &Json, sched: &Scheduler, rid: u64) -> Json {
+/// The payload of every op but `batch`, or the error it answers.
+fn payload(
+    line: &RequestLine,
+    sched: &Scheduler,
+    rid: u64,
+) -> Result<Vec<(&'static str, Json)>, String> {
     let tracer = sched.tracer();
-    let id = v.get("id").cloned().unwrap_or(Json::Null);
-    let op = match opt_str(v, "op") {
-        Ok(op) => op.unwrap_or("run"),
-        Err(msg) => {
-            tracer.start(rid, stage::PARSE).finish("error");
-            return err_response(id, &msg);
-        }
-    };
+    let v = line.json;
+    let op = line.op.as_deref().map_err(|msg| {
+        tracer.start(rid, stage::PARSE).finish("error");
+        msg.clone()
+    })?;
     // Job-carrying ops time their real parse below; the rest record an
     // instant parse span so every request id has a trail.
-    if !matches!(op, "run" | "predict" | "batch") {
-        tracer
-            .start(rid, stage::PARSE)
-            .finish(if KNOWN_OPS.contains(&op) {
-                op.to_string()
-            } else {
-                "error".to_string()
-            });
+    if !matches!(op, "run" | "predict") {
+        let detail = match line.label() {
+            "other" => "error",
+            known => known,
+        };
+        tracer.start(rid, stage::PARSE).finish(detail);
     }
     match op {
-        "ping" => ok_response(id, vec![("pong", Json::Bool(true))]),
+        "ping" => Ok(vec![("pong", Json::Bool(true))]),
         "stats" => {
             let s = sched.stats();
             let device_stats = sched.device_stats();
@@ -972,77 +995,55 @@ fn answer_inner(v: &Json, sched: &Scheduler, rid: u64) -> Json {
                 })
                 .collect();
             let fleet_energy: f64 = device_stats.iter().map(|d| d.energy_j).sum();
-            ok_response(
-                id,
-                vec![
-                    ("submitted", Json::Num(s.submitted as f64)),
-                    ("completed", Json::Num(s.completed as f64)),
-                    ("failed", Json::Num(s.failed as f64)),
-                    ("cache_hits", Json::Num(s.cache_hits as f64)),
-                    ("cache_misses", Json::Num(s.cache_misses as f64)),
-                    ("dedup_joins", Json::Num(s.dedup_joins as f64)),
-                    // Member-granular memo accounting: how many group
-                    // members were answered from previously simulated
-                    // activity units vs simulated fresh as residue jobs.
-                    ("member_cache_hits", Json::Num(s.member_cache_hits as f64)),
-                    (
-                        "member_residue_jobs",
-                        Json::Num(s.member_residue_jobs as f64),
-                    ),
-                    ("steals", Json::Num(s.steals as f64)),
-                    ("cached_results", Json::Num(sched.cached_results() as f64)),
-                    // The budget-compliance witness and the packer's
-                    // round accounting, so a client can audit power
-                    // packing without the full metrics export.
-                    ("peak_committed_w", Json::Num(sched.peak_committed_w())),
-                    ("packed_batches", Json::Num(s.packed_batches as f64)),
-                    ("pack_rounds", Json::Num(s.pack_rounds as f64)),
-                    ("last_batch_rounds", Json::Num(s.last_batch_rounds as f64)),
-                    ("devices", Json::Arr(devices)),
-                    ("fleet_energy_j", Json::Num(fleet_energy)),
-                ],
-            )
-        }
-        "metrics" => {
-            let format = match opt_str(v, "format") {
-                Err(msg) => return err_response(id, &msg),
-                Ok(f) => f.unwrap_or("json"),
-            };
-            match format {
-                "json" => {
-                    sched.sync_metrics();
-                    ok_response(id, vec![("metrics", metrics_json(sched))])
-                }
-                "prometheus" => {
-                    sched.sync_metrics();
-                    ok_response(
-                        id,
-                        vec![("text", Json::Str(sched.registry().to_prometheus()))],
-                    )
-                }
-                other => err_response(
-                    id,
-                    &format!("unknown metrics format {other:?} (use \"json\" or \"prometheus\")"),
+            Ok(vec![
+                ("submitted", Json::Num(s.submitted as f64)),
+                ("completed", Json::Num(s.completed as f64)),
+                ("failed", Json::Num(s.failed as f64)),
+                ("cache_hits", Json::Num(s.cache_hits as f64)),
+                ("cache_misses", Json::Num(s.cache_misses as f64)),
+                ("dedup_joins", Json::Num(s.dedup_joins as f64)),
+                // Member-granular memo accounting: how many group
+                // members were answered from previously simulated
+                // activity units vs simulated fresh as residue jobs.
+                ("member_cache_hits", Json::Num(s.member_cache_hits as f64)),
+                (
+                    "member_residue_jobs",
+                    Json::Num(s.member_residue_jobs as f64),
                 ),
-            }
+                ("steals", Json::Num(s.steals as f64)),
+                ("cached_results", Json::Num(sched.cached_results() as f64)),
+                // The budget-compliance witness and the packer's round
+                // accounting, so a client can audit power packing
+                // without the full metrics export.
+                ("peak_committed_w", Json::Num(sched.peak_committed_w())),
+                ("packed_batches", Json::Num(s.packed_batches as f64)),
+                ("pack_rounds", Json::Num(s.pack_rounds as f64)),
+                ("last_batch_rounds", Json::Num(s.last_batch_rounds as f64)),
+                ("devices", Json::Arr(devices)),
+                ("fleet_energy_j", Json::Num(fleet_energy)),
+            ])
         }
+        "metrics" => match field(v, "format")?.unwrap_or("json") {
+            "json" => {
+                sched.sync_metrics();
+                Ok(vec![("metrics", metrics_json(sched))])
+            }
+            "prometheus" => {
+                sched.sync_metrics();
+                Ok(vec![("text", Json::Str(sched.registry().to_prometheus()))])
+            }
+            other => Err(format!(
+                "unknown metrics format {other:?} (use \"json\" or \"prometheus\")"
+            )),
+        },
         "trace" => {
-            let filter = match opt_u64(v, "request_id") {
-                Err(msg) => return err_response(id, &msg),
-                Ok(f) => f,
-            };
-            let limit = match opt_usize(v, "limit") {
-                Err(msg) => return err_response(id, &msg),
-                Ok(l) => l.unwrap_or(usize::MAX),
-            };
-            let drain = match opt_bool(v, "drain") {
-                Err(msg) => return err_response(id, &msg),
-                Ok(d) => d.unwrap_or(false),
-            };
+            let filter = field(v, "request_id")?;
+            let limit = field(v, "limit")?.unwrap_or(usize::MAX);
+            let drain = field(v, "drain")?.unwrap_or(false);
             if drain && filter.is_some() {
-                return err_response(
-                    id,
-                    "\"drain\" empties the whole ring and cannot be combined with \"request_id\"",
+                return Err(
+                    "\"drain\" empties the whole ring and cannot be combined with \"request_id\""
+                        .into(),
                 );
             }
             let spans = if drain {
@@ -1050,51 +1051,43 @@ fn answer_inner(v: &Json, sched: &Scheduler, rid: u64) -> Json {
             } else {
                 tracer.snapshot(filter, limit)
             };
-            ok_response(
-                id,
-                vec![
-                    ("spans", Json::Arr(spans.iter().map(span_json).collect())),
-                    ("returned", Json::Num(spans.len() as f64)),
-                    ("buffered", Json::Num(tracer.len() as f64)),
-                    ("dropped", Json::Num(tracer.dropped() as f64)),
-                ],
-            )
+            Ok(vec![
+                ("spans", Json::Arr(spans.iter().map(span_json).collect())),
+                ("returned", Json::Num(spans.len() as f64)),
+                ("buffered", Json::Num(tracer.len() as f64)),
+                ("dropped", Json::Num(tracer.dropped() as f64)),
+            ])
         }
         "predict" => {
             let parse = tracer.start(rid, stage::PARSE);
             let parsed = parse_job(v, sched);
             parse.finish(if parsed.is_ok() { "predict" } else { "error" });
-            match parsed {
-                Err(msg) => err_response(id, &msg),
-                Ok(job) => match sched.predict(&job.with_request_id(rid)) {
-                    Ok(p) => {
-                        let mut fields = vec![
-                            ("device", Json::Num(p.device as f64)),
-                            ("gpu", Json::Str(p.gpu_name.to_string())),
-                            ("kernel", Json::Str(p.kernel.label().to_string())),
-                        ];
-                        if p.group.is_empty() {
-                            fields.extend([
-                                ("n", Json::Num(p.dims.n as f64)),
-                                ("m", Json::Num(p.dims.m as f64)),
-                                ("k", Json::Num(p.dims.k as f64)),
-                            ]);
-                        } else {
-                            fields.extend([
-                                ("members", Json::Num(p.group.len() as f64)),
-                                ("group", group_json(p.group.iter().copied())),
-                            ]);
-                        }
-                        fields.extend([
-                            ("predicted_w", Json::Num(p.predicted_w)),
-                            ("source", Json::Str(p.source.label().to_string())),
-                            ("model_observations", Json::Num(p.model_observations as f64)),
-                        ]);
-                        ok_response(id, fields)
-                    }
-                    Err(e) => err_response(id, &e.to_string()),
-                },
+            let p = sched
+                .predict(&parsed?.with_request_id(rid))
+                .map_err(|e| e.to_string())?;
+            let mut fields = vec![
+                ("device", Json::Num(p.device as f64)),
+                ("gpu", Json::Str(p.gpu_name.to_string())),
+                ("kernel", Json::Str(p.kernel.label().to_string())),
+            ];
+            if p.group.is_empty() {
+                fields.extend([
+                    ("n", Json::Num(p.dims.n as f64)),
+                    ("m", Json::Num(p.dims.m as f64)),
+                    ("k", Json::Num(p.dims.k as f64)),
+                ]);
+            } else {
+                fields.extend([
+                    ("members", Json::Num(p.group.len() as f64)),
+                    ("group", group_json(p.group.iter().copied())),
+                ]);
             }
+            fields.extend([
+                ("predicted_w", Json::Num(p.predicted_w)),
+                ("source", Json::Str(p.source.label().to_string())),
+                ("model_observations", Json::Num(p.model_observations as f64)),
+            ]);
+            Ok(fields)
         }
         "model_stats" => {
             let models: Vec<Json> = sched
@@ -1115,7 +1108,7 @@ fn answer_inner(v: &Json, sched: &Scheduler, rid: u64) -> Json {
                     ])
                 })
                 .collect();
-            ok_response(id, vec![("models", Json::Arr(models))])
+            Ok(vec![("models", Json::Arr(models))])
         }
         "fleet" => {
             let devices: Vec<Json> = sched
@@ -1134,61 +1127,22 @@ fn answer_inner(v: &Json, sched: &Scheduler, rid: u64) -> Json {
                     ])
                 })
                 .collect();
-            ok_response(
-                id,
-                vec![
-                    ("devices", Json::Arr(devices)),
-                    ("power_budget_w", Json::Num(sched.fleet().power_budget_w())),
-                ],
-            )
+            Ok(vec![
+                ("devices", Json::Arr(devices)),
+                ("power_budget_w", Json::Num(sched.fleet().power_budget_w())),
+            ])
         }
         "run" => {
             let parse = tracer.start(rid, stage::PARSE);
             let parsed = parse_job(v, sched);
             parse.finish(if parsed.is_ok() { "run" } else { "error" });
-            match parsed {
-                Err(msg) => err_response(id, &msg),
-                Ok(job) => match sched.submit(job.with_request_id(rid)).recv() {
-                    Ok(r) => ok_response(id, run_payload(&r)),
-                    Err(e) => err_response(id, &e.to_string()),
-                },
-            }
+            let r = sched
+                .submit(parsed?.with_request_id(rid))
+                .recv()
+                .map_err(|e| e.to_string())?;
+            Ok(run_payload(&r))
         }
-        "batch" => {
-            let pb = match parse_batch(v, sched, rid) {
-                Ok(pb) => pb,
-                Err(msg) => return err_response(id, &msg),
-            };
-            let members = pb.member_ids.len();
-            let answers = sched.run_batch_traced(pb.parsed, rid);
-            let mut results: Vec<Option<Json>> = (0..members).map(|_| None).collect();
-            for (m, msg) in &pb.parse_errors {
-                results[*m] = Some(err_response(pb.member_client_ids[*m].clone(), msg));
-            }
-            for (s, outcome) in answers.into_iter().enumerate() {
-                let m = pb.parsed_members[s];
-                results[m] = Some(member_response(outcome, pb.member_client_ids[m].clone()));
-            }
-            let results: Vec<Json> = results
-                .into_iter()
-                .enumerate()
-                .zip(&pb.member_ids)
-                .map(|((m, r), &mid)| {
-                    // Every member slot is either a parse error or a scheduler
-                    // answer; an unanswered slot is a scheduler bug, reported
-                    // to the client instead of aborting the session.
-                    let r = r.unwrap_or_else(|| {
-                        err_response(
-                            pb.member_client_ids[m].clone(),
-                            "internal: batch member was never answered",
-                        )
-                    });
-                    with_request_id(r, mid)
-                })
-                .collect();
-            ok_response(id, vec![("results", Json::Arr(results))])
-        }
-        other => err_response(id, &format!("unknown op {other:?}")),
+        other => Err(format!("unknown op {other:?}")),
     }
 }
 
@@ -1196,7 +1150,7 @@ fn answer_inner(v: &Json, sched: &Scheduler, rid: u64) -> Json {
 pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// The error text answering a request line longer than `cap` bytes.
-pub fn oversized_line_error(cap: usize) -> String {
+fn oversized_line_error(cap: usize) -> String {
     format!("request line exceeds the {cap}-byte cap; line discarded")
 }
 
@@ -1298,14 +1252,28 @@ impl<R: BufRead> LineReader<R> {
     }
 }
 
-/// Answer a line that never became a request object. It still takes a
-/// request id, so every response the daemon writes carries one and the
-/// trace ring shows the failed parse, finished as `detail`.
-fn reject_line(sched: &Scheduler, detail: &str, message: &str) -> Json {
+/// A request line that never became a request object.
+#[derive(Debug)]
+pub enum BadLine {
+    /// The line is not JSON: malformed, not UTF-8, or nested too deep.
+    Unparseable(JsonError),
+    /// The line ran past the cap, in bytes.
+    Oversized(usize),
+}
+
+/// Answer a line that never became a request object; both transports
+/// answer such lines here. It still takes a request id, so every
+/// response the daemon writes carries one, and the trace ring shows the
+/// failed parse (`error` or `oversized`).
+pub fn reject_line(sched: &Scheduler, line: BadLine) -> Json {
+    let (detail, message) = match line {
+        BadLine::Unparseable(e) => ("error", format!("parse error: {e}")),
+        BadLine::Oversized(cap) => ("oversized", oversized_line_error(cap)),
+    };
     let tracer = sched.tracer();
     let rid = tracer.next_request_id();
     tracer.start(rid, stage::PARSE).finish(detail);
-    with_request_id(err_response(Json::Null, message), rid)
+    with_request_id(err_response(Json::Null, &message), rid)
 }
 
 /// Serve JSON-lines requests from `reader` to `writer` until EOF. Blank
@@ -1323,28 +1291,23 @@ pub fn serve(
     sched: &Scheduler,
 ) -> std::io::Result<()> {
     let mut lines = LineReader::new(reader, MAX_LINE_BYTES);
+    let mut emit = |response: &Json| -> std::io::Result<()> {
+        writeln!(writer, "{response}")?;
+        writer.flush()
+    };
     loop {
-        let response = match lines.next_line()? {
-            LineEvent::Line(line) if line.trim().is_empty() => continue,
+        match lines.next_line()? {
+            LineEvent::Line(line) if line.trim().is_empty() => {}
             LineEvent::Line(line) => match Json::parse(&line) {
-                Ok(v) => {
-                    let mut emit = |resp: &Json| -> std::io::Result<()> {
-                        writeln!(writer, "{resp}")?;
-                        writer.flush()
-                    };
-                    answer_streamed_with_default(&v, sched, false, &mut emit)?;
-                    continue;
-                }
-                Err(e) => reject_line(sched, "error", &format!("parse error: {e}")),
+                Ok(v) => answer(&RequestLine::new(&v), sched, false, &mut emit)?,
+                Err(e) => emit(&reject_line(sched, BadLine::Unparseable(e)))?,
             },
             LineEvent::Oversized => {
-                reject_line(sched, "oversized", &oversized_line_error(MAX_LINE_BYTES))
+                emit(&reject_line(sched, BadLine::Oversized(MAX_LINE_BYTES)))?;
             }
-            LineEvent::Timeout => continue,
+            LineEvent::Timeout => {}
             LineEvent::Eof => return Ok(()),
-        };
-        writeln!(writer, "{response}")?;
-        writer.flush()?;
+        }
     }
 }
 
@@ -1358,7 +1321,9 @@ mod tests {
     }
 
     fn run_line(sched: &Scheduler, line: &str) -> Json {
-        answer(&Json::parse(line).unwrap(), sched)
+        let mut out = stream_line_with(sched, line, false);
+        assert_eq!(out.len(), 1, "{line} -> {out:?}");
+        out.remove(0)
     }
 
     #[test]
@@ -1432,6 +1397,36 @@ mod tests {
             let err = v.get("error").unwrap().as_str().unwrap();
             assert!(err.contains(needle), "{line} -> {err}");
         }
+    }
+
+    #[test]
+    fn a_gpu_name_that_strips_to_nothing_pins_no_device() {
+        // Names match by substring with case, spaces, `-` and `_`
+        // stripped. A name that strips to nothing must match no device:
+        // every name contains the empty string, so it would pin device 0
+        // and skip the power budget.
+        let s = sched();
+        for gpu in ["", " - ", "_"] {
+            let line = format!(
+                r#"{{"dtype": "fp32", "dim": 64, "pattern": "zeros", "seeds": 1, "lattice": 4, "gpu": "{gpu}"}}"#
+            );
+            let v = run_line(&s, &line);
+            assert_eq!(v.get("ok"), Some(&Json::Bool(false)), "{line} -> {v}");
+            assert_eq!(
+                v.get("error").and_then(Json::as_str),
+                Some(format!("no fleet device matches gpu {gpu:?}").as_str())
+            );
+        }
+        assert_eq!(s.stats().submitted, 0, "rejected at parse, never submitted");
+        // A spelled-out name still pins, however it is punctuated.
+        let v = run_line(
+            &s,
+            r#"{"dtype": "fp32", "dim": 64, "pattern": "zeros", "seeds": 1, "lattice": 4, "gpu": "a-100 pcie"}"#,
+        );
+        assert_eq!(
+            v.get("gpu").and_then(Json::as_str),
+            Some("NVIDIA A100 PCIe")
+        );
     }
 
     #[test]
@@ -2249,8 +2244,15 @@ mod tests {
     }
 
     fn stream_line(s: &Scheduler, line: &str) -> Vec<Json> {
+        stream_line_with(s, line, true)
+    }
+
+    /// Every line `answer` emits for `line` under a transport whose
+    /// batches stream by default (`stream_batches`) or not.
+    fn stream_line_with(s: &Scheduler, line: &str, stream_batches: bool) -> Vec<Json> {
+        let v = Json::parse(line).unwrap();
         let mut out = Vec::new();
-        answer_streamed(&Json::parse(line).unwrap(), s, &mut |j| {
+        answer(&RequestLine::new(&v), s, stream_batches, &mut |j| {
             out.push(j.clone());
             Ok(())
         })

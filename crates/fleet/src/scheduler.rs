@@ -569,24 +569,14 @@ impl Scheduler {
     /// reservation ([`Scheduler::peak_committed_w`] witnesses compliance);
     /// packing only chooses *which* jobs run together, so answers remain
     /// independent of timing.
+    ///
+    /// The packing step is recorded as a [`stage::PACK`] span under
+    /// request id 0, and feeds the packing counters surfaced by
+    /// [`Scheduler::stats`].
     pub fn run_batch(&self, jobs: Vec<FleetJob>) -> Vec<Result<FleetResponse, FleetError>> {
-        self.run_batch_traced(jobs, 0)
-    }
-
-    /// [`Scheduler::run_batch`] with the packing step recorded as a
-    /// [`stage::PACK`] span under `parent_rid` — the id of the protocol
-    /// request that carried the batch (library callers without one use
-    /// `run_batch`, which records under id 0). Also feeds the packing
-    /// counters surfaced by [`Scheduler::stats`].
-    pub fn run_batch_traced(
-        &self,
-        jobs: Vec<FleetJob>,
-        parent_rid: u64,
-    ) -> Vec<Result<FleetResponse, FleetError>> {
-        let n = jobs.len();
         let mut results: Vec<Option<Result<FleetResponse, FleetError>>> =
-            (0..n).map(|_| None).collect();
-        self.run_batch_rounds(jobs, parent_rid, |round| {
+            (0..jobs.len()).map(|_| None).collect();
+        self.run_batch_rounds(jobs, 0, |round| {
             for (i, outcome) in round.results {
                 results[i] = Some(outcome);
             }
@@ -605,15 +595,18 @@ impl Scheduler {
             .collect()
     }
 
-    /// The streaming core of [`Scheduler::run_batch_traced`]: identical
-    /// pricing, packing, and execution, but each completed slice of the
-    /// batch is handed to `on_round` the moment its barrier clears instead
-    /// of accumulating into one vector. Packed rounds arrive first as
-    /// rounds `1..=rounds` in execution order; the **bypass set** (cache
-    /// replays, pinned jobs, and jobs placement rejects — nothing the
-    /// packer touches) always arrives last as round `0`, even when empty,
-    /// so a consumer can treat the round-0 callback as the end-of-batch
-    /// marker. `wm-serve` streams one response line per callback.
+    /// The streaming core of [`Scheduler::run_batch`]: identical pricing,
+    /// packing, and execution, with the packing span recorded under
+    /// `parent_rid` (the protocol request that carried the batch), but
+    /// each completed slice of the batch is handed to `on_round` the
+    /// moment its barrier clears instead of accumulating into one vector.
+    /// Packed rounds arrive first as rounds `1..=rounds` in execution
+    /// order; the **bypass set** (cache replays, pinned jobs, and jobs
+    /// placement rejects — nothing the packer touches) always arrives last
+    /// as round `0`, even when empty, so a consumer can treat the round-0
+    /// callback as the end-of-batch marker. The protocol builds both of a
+    /// batch's framings, the blob and one line per round, from these
+    /// callbacks.
     pub fn run_batch_rounds(
         &self,
         mut jobs: Vec<FleetJob>,
@@ -2699,7 +2692,11 @@ mod tests {
         let jobs: Vec<FleetJob> = (0..4)
             .map(|i| FleetJob::new(quick(PatternKind::Gaussian, 8800 + i)))
             .collect();
-        let answers = sched.run_batch_traced(jobs, 77);
+        let mut answers = Vec::new();
+        sched.run_batch_rounds(jobs, 77, |round| {
+            answers.extend(round.results.into_iter().map(|(_, outcome)| outcome));
+        });
+        assert_eq!(answers.len(), 4);
         assert!(answers.iter().all(|a| a.is_ok()));
         let s = sched.stats();
         assert_eq!(s.packed_batches, 1);

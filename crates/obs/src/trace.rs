@@ -20,15 +20,20 @@ use std::time::Instant;
 pub mod stage {
     /// Protocol-level request parsing and validation.
     pub const PARSE: &str = "parse";
-    /// Canonical-hash memo-cache lookup.
+    /// Canonical-hash memo-cache lookup, including the wait on a twin
+    /// request still in flight, which the cache joins.
     pub const CACHE_LOOKUP: &str = "cache_lookup";
-    /// Input feature extraction (or per-request feature-cache fetch).
+    /// Input feature extraction: each member's seed-0 unit, read from the
+    /// unit store or walked into it, and the merge of their feature
+    /// chunks.
     pub const FEATURES: &str = "features";
     /// Power pricing: learned model vs analytic probe.
     pub const PRICING: &str = "pricing";
     /// Device placement and DVFS planning.
     pub const PLACEMENT: &str = "placement";
-    /// Execution (slot reservation + simulation, or in-flight join).
+    /// Execution: budget-slot reservation plus simulation of the units
+    /// the store lacks. A joined twin never executes; its wait shows
+    /// under `cache_lookup`.
     pub const EXECUTE: &str = "execute";
     /// Predictor training feedback after a fresh run.
     pub const FEEDBACK: &str = "feedback";
@@ -36,7 +41,9 @@ pub mod stage {
     pub const PACK: &str = "pack";
     /// Network-session attribution: one span per request served over a
     /// TCP session, carrying `session=<id> op=<op>` in its detail so a
-    /// request id resolves to the connection that issued it.
+    /// request id resolves to the connection that issued it. `<op>` is a
+    /// known op, `other`, `shutdown`, `parse_error` or `oversized`, never
+    /// the client's own text.
     pub const SESSION: &str = "session";
 }
 

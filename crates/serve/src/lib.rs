@@ -16,7 +16,9 @@
 //!   (`stage::SESSION`), a request-line length cap so one client cannot
 //!   OOM the daemon with an unterminated line, and **streamed batches**:
 //!   over TCP a `batch` answers one response line per packed round as
-//!   rounds complete ([`wm_fleet::answer_streamed`]). Graceful drain —
+//!   rounds complete. Every line goes through the protocol's one entry
+//!   point, [`wm_fleet::answer`], or, when it is not JSON or runs past
+//!   the cap, [`wm_fleet::reject_line`], as over stdio. Graceful drain —
 //!   [`ServerHandle::shutdown`], the serve-layer `shutdown` op, or
 //!   SIGTERM in the binary — stops accepting, finishes in-flight work,
 //!   flushes predictor state, then returns.

@@ -5,16 +5,19 @@
 //! stat-tracked JSON-lines conversation speaking exactly the
 //! `wm_fleet::protocol` schema, plus three serve-layer behaviors:
 //!
-//! * **Streamed batches** — requests route through
-//!   [`wm_fleet::answer_streamed`], so a `batch` yields one response line
-//!   per packed round as rounds complete (closed by `"last": true`)
-//!   instead of one blob; `"stream": false` opts a request back into the
-//!   blob.
+//! * **Streamed batches** — every parsed line goes through the
+//!   protocol's one entry point, [`wm_fleet::answer`], with batches
+//!   streaming by default, so a `batch` yields one response line per
+//!   packed round as rounds complete (closed by `"last": true`) instead
+//!   of one blob; `"stream": false` opts a request back into the blob. A
+//!   line that is not JSON or runs past the cap is answered by
+//!   [`wm_fleet::reject_line`], as over stdio.
 //! * **Session observability** — each request gets a `session` span
 //!   ([`wm_obs::stage::SESSION`]) tying its request id to the session
-//!   that issued it, and the `stats` op is augmented with the asking
-//!   session's id plus per-session request/error/byte/cache-hit counts
-//!   for every live session.
+//!   that issued it, named by the protocol's bounded op label
+//!   ([`wm_fleet::RequestLine::label`]), and the `stats` op is augmented
+//!   with the asking session's id plus per-session
+//!   request/error/byte/cache-hit counts for every live session.
 //! * **Backpressure, not hangs** — past `max_sessions` concurrent
 //!   sessions a new connection is answered with a single clean
 //!   `busy` error line and closed; a `batch` whose member count exceeds
@@ -39,7 +42,7 @@ use std::time::Duration;
 
 use wm_fleet::json::{obj, Json};
 use wm_fleet::{
-    answer_streamed, oversized_line_error, LineEvent, LineReader, Scheduler, MAX_LINE_BYTES,
+    answer, reject_line, BadLine, LineEvent, LineReader, RequestLine, Scheduler, MAX_LINE_BYTES,
 };
 use wm_obs::{stage, Counter, Registry, SpanRecord};
 
@@ -418,7 +421,10 @@ impl SessionCtx {
                     }
                 }
                 Ok(LineEvent::Oversized) => {
-                    if self.answer_oversized(&mut writer).is_err() {
+                    self.stats.requests.fetch_add(1, Ordering::Relaxed);
+                    let t0 = self.sched.tracer().now_us();
+                    let line = BadLine::Oversized(self.max_line_bytes);
+                    if self.reject(&mut writer, line, "oversized", t0).is_err() {
                         break;
                     }
                 }
@@ -439,44 +445,34 @@ impl SessionCtx {
             return Ok(());
         }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let tracer = Arc::clone(self.sched.tracer());
+        let tracer = self.sched.tracer();
         let t0 = tracer.now_us();
         let v = match Json::parse(trimmed) {
             Ok(v) => v,
-            Err(e) => {
-                let rid = tracer.next_request_id();
-                tracer.start(rid, stage::PARSE).finish("error");
-                let resp = self.error_response(Json::Null, &format!("parse error: {e}"), rid);
-                self.session_span(&tracer, rid, "parse_error", t0);
-                return self.emit(writer, &resp);
-            }
+            Err(e) => return self.reject(writer, BadLine::Unparseable(e), "parse_error", t0),
         };
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .unwrap_or("run")
-            .to_string();
-        let id = v.get("id").cloned().unwrap_or(Json::Null);
+        let line = RequestLine::new(&v);
+        let id = || v.get("id").cloned().unwrap_or(Json::Null);
 
         // Serve-layer op: `shutdown` triggers the same graceful drain as
         // SIGTERM, answered before the drain takes effect.
-        if op == "shutdown" {
+        if line.op() == Some("shutdown") {
             let rid = tracer.next_request_id();
             tracer.start(rid, stage::PARSE).finish("shutdown");
             self.state.shutdown.store(true, Ordering::SeqCst);
             let resp = obj(vec![
-                ("id", id),
+                ("id", id()),
                 ("ok", Json::Bool(true)),
                 ("draining", Json::Bool(true)),
                 ("request_id", Json::Num(rid as f64)),
             ]);
-            self.session_span(&tracer, rid, &op, t0);
+            self.session_span(rid, "shutdown", t0);
             return self.emit(writer, &resp);
         }
 
         // Per-session in-flight cap: a batch is the only way one session
         // puts more than one job in flight, so the cap is a member cap.
-        if op == "batch" {
+        if line.op() == Some("batch") {
             let members = v
                 .get("requests")
                 .and_then(Json::as_arr)
@@ -485,7 +481,7 @@ impl SessionCtx {
                 let rid = tracer.next_request_id();
                 tracer.start(rid, stage::PARSE).finish("busy");
                 let resp = obj(vec![
-                    ("id", id),
+                    ("id", id()),
                     ("ok", Json::Bool(false)),
                     ("busy", Json::Bool(true)),
                     (
@@ -498,14 +494,14 @@ impl SessionCtx {
                     ),
                     ("request_id", Json::Num(rid as f64)),
                 ]);
-                self.session_span(&tracer, rid, &op, t0);
+                self.session_span(rid, line.label(), t0);
                 return self.emit(writer, &resp);
             }
         }
 
         let mut first_rid = None;
-        let augment = op == "stats";
-        let result = answer_streamed(&v, &self.sched, &mut |resp| {
+        let augment = line.op() == Some("stats");
+        let result = answer(&line, &self.sched, true, &mut |resp| {
             if first_rid.is_none() {
                 first_rid = resp.get("request_id").and_then(Json::as_u64);
             }
@@ -516,33 +512,32 @@ impl SessionCtx {
             }
         });
         if let Some(rid) = first_rid {
-            self.session_span(&tracer, rid, &op, t0);
+            self.session_span(rid, line.label(), t0);
         }
         result
     }
 
-    fn answer_oversized(&self, writer: &mut BufWriter<TcpStream>) -> std::io::Result<()> {
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let tracer = self.sched.tracer();
-        let t0 = tracer.now_us();
-        let rid = tracer.next_request_id();
-        tracer.start(rid, stage::PARSE).finish("oversized");
-        let resp = self.error_response(Json::Null, &oversized_line_error(self.max_line_bytes), rid);
-        self.session_span(tracer, rid, "oversized", t0);
+    /// Answer a line that never became a request through the protocol's
+    /// [`reject_line`], attributed to this session as `op`.
+    fn reject(
+        &self,
+        writer: &mut BufWriter<TcpStream>,
+        line: BadLine,
+        op: &str,
+        start_us: u64,
+    ) -> std::io::Result<()> {
+        let resp = reject_line(&self.sched, line);
+        if let Some(rid) = resp.get("request_id").and_then(Json::as_u64) {
+            self.session_span(rid, op, start_us);
+        }
         self.emit(writer, &resp)
     }
 
-    fn error_response(&self, id: Json, message: &str, rid: u64) -> Json {
-        obj(vec![
-            ("id", id),
-            ("ok", Json::Bool(false)),
-            ("error", Json::Str(message.to_string())),
-            ("request_id", Json::Num(rid as f64)),
-        ])
-    }
-
-    /// Record the session-attribution span for one answered request.
-    fn session_span(&self, tracer: &wm_obs::Tracer, rid: u64, op: &str, start_us: u64) {
+    /// Record the session-attribution span for one answered request. `op`
+    /// is the line's bounded op label, or the serve layer's own name for
+    /// a line the protocol never dispatched.
+    fn session_span(&self, rid: u64, op: &str, start_us: u64) {
+        let tracer = self.sched.tracer();
         tracer.record(SpanRecord {
             request_id: rid,
             stage: stage::SESSION,

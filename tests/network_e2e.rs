@@ -17,7 +17,9 @@
 //!   mid-batch wedges nothing;
 //! * a pipelined session — many mixed request lines written before any
 //!   answer is read — gets every line answered exactly once, in send
-//!   order.
+//!   order;
+//! * a session span names a line's op by its bounded label, never by
+//!   the client's text.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -164,6 +166,53 @@ fn concurrent_clients_share_cache_and_get_distinct_sessions() {
         detail.contains(&format!("session={sid_b}")),
         "span detail {detail:?} must name session {sid_b}"
     );
+    server.stop();
+}
+
+/// The detail of request `rid`'s session span. The span lands just
+/// after the response line, so poll briefly.
+fn session_detail(c: &mut Client, rid: u64) -> String {
+    for _ in 0..100 {
+        let trace = c.round_trip(&format!(r#"{{"op": "trace", "request_id": {rid}}}"#));
+        let detail = trace
+            .get("spans")
+            .and_then(Json::as_arr)
+            .expect("spans")
+            .iter()
+            .find(|s| s.get("stage").and_then(Json::as_str) == Some("session"))
+            .and_then(|s| s.get("detail").and_then(Json::as_str))
+            .map(str::to_string);
+        if let Some(detail) = detail {
+            return detail;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("no session span for request {rid}");
+}
+
+#[test]
+fn session_spans_name_the_bounded_op_label() {
+    // A session span names a line's op as `wattd_request_latency_us`
+    // labels it: a known op or `other`. The client's op text never lands
+    // in the span, so a ring that caps its span count caps its bytes.
+    let server = spawn_server(ServeConfig::default());
+    let mut c = Client::connect(&server.addr);
+    let sid = num(&c.round_trip(r#"{"op": "stats"}"#), "session");
+    let unknown = format!(r#"{{"op": "{}"}}"#, "x".repeat(64 * 1024));
+    for (line, label) in [
+        (unknown.as_str(), "other"),
+        (r#"{"op": 5}"#, "other"),
+        (r#"{"op": "ping"}"#, "ping"),
+        ("not json", "parse_error"),
+    ] {
+        let rid = num(&c.round_trip(line), "request_id") as u64;
+        assert_eq!(
+            session_detail(&mut c, rid),
+            format!("session={sid} op={label}"),
+            "{}",
+            &line[..line.len().min(40)]
+        );
+    }
     server.stop();
 }
 
