@@ -8,7 +8,7 @@ use wm_kernels::{
 };
 use wm_matrix::Matrix;
 use wm_numerics::DType;
-use wm_patterns::PatternSpec;
+use wm_patterns::{BaseKey, PatternSpec};
 use wm_power::{evaluate_group_refs, PowerBreakdown};
 use wm_telemetry::{measure, Measurement, MeasurementConfig, VmInstance};
 
@@ -123,14 +123,83 @@ pub fn member_slices<'a, T>(req: &RunRequest, records: &'a [T]) -> Vec<&'a [T]> 
 /// seed. The pair depends on the request's shared knobs, `(member,
 /// ordinal)` and the seed index alone, never on the seed count or the
 /// rest of the group, so it is the operand walk behind one cacheable
-/// `(member, seed)` unit.
+/// `(member, seed)` unit: each of [`member_seed_streams`]' two operands,
+/// generated.
 pub fn member_seed_operands(
     req: &RunRequest,
     member: GemmDims,
     ordinal: u64,
     seed: u64,
 ) -> (Matrix, Matrix) {
-    generate_member_operands(req, member, ordinal, &seed_streams(req.base_seed, seed))
+    let [a, b] = member_seed_streams(req, member, ordinal, seed);
+    (a.generate(), b.generate())
+}
+
+/// One operand of a `(member, seed)` unit before it is generated: the
+/// pattern, the dtype, the stored shape and the stream the pattern starts
+/// from — every input of [`PatternSpec::generate`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OperandStream {
+    /// The operand's pattern (the request's `pattern_a` or `pattern_b`).
+    pub pattern: PatternSpec,
+    /// The request's dtype.
+    pub dtype: DType,
+    /// Stored rows.
+    pub rows: usize,
+    /// Stored columns.
+    pub cols: usize,
+    /// The stream the pattern starts from.
+    pub rng: Xoshiro256pp,
+}
+
+impl OperandStream {
+    /// The key of the base draw this operand starts with; operands of
+    /// equal keys start from bit-identical bases.
+    pub fn base_key(&self) -> BaseKey {
+        self.pattern
+            .base_key(self.dtype, self.rows, self.cols, self.rng)
+    }
+
+    /// Generate the operand.
+    pub fn generate(mut self) -> Matrix {
+        self.pattern
+            .generate(self.dtype, self.rows, self.cols, &mut self.rng)
+    }
+}
+
+/// Seed `seed`'s A and B operands of **one member**, before generation.
+/// A is `n x k` from fork `2 * ordinal` of the seed's A root. B comes from
+/// fork `2 * ordinal + 1` of its B root in its stored shape: `m x k` when
+/// transposed (the paper's default), else `k x m`, and a GEMV's `k x 1`
+/// input vector `x`. A plain request is ordinal 0, so its forks are the
+/// historical 0 and 1 of the historical draws.
+pub fn member_seed_streams(
+    req: &RunRequest,
+    member: GemmDims,
+    ordinal: u64,
+    seed: u64,
+) -> [OperandStream; 2] {
+    let SeedStreams {
+        mut a_root,
+        mut b_root,
+        ..
+    } = seed_streams(req.base_seed, seed);
+    let (b_rows, b_cols) = match req.kernel {
+        KernelClass::Gemm if req.b_transposed => (member.m, member.k),
+        KernelClass::Gemm => (member.k, member.m),
+        KernelClass::Gemv => (member.k, 1),
+    };
+    let operand = |pattern, rows, cols, rng| OperandStream {
+        pattern,
+        dtype: req.dtype,
+        rows,
+        cols,
+        rng,
+    };
+    [
+        operand(req.pattern_a, member.n, member.k, a_root.fork(2 * ordinal)),
+        operand(req.pattern_b, b_rows, b_cols, b_root.fork(2 * ordinal + 1)),
+    ]
 }
 
 /// Generate the first seed's operand pair of **one member** — the seed-0
@@ -149,33 +218,6 @@ pub fn first_seed_member_operands(
     ordinal: u64,
 ) -> (Matrix, Matrix) {
     member_seed_operands(req, member, ordinal, 0)
-}
-
-/// Generate one member's operand pair from the seed's fixed stream roots
-/// (A from fork `2 * ordinal` of the A root, the B matrix — or GEMV's x
-/// vector — from fork `2 * ordinal + 1` of the B root; a plain request is
-/// ordinal 0, so its forks are the historical 0 and 1 of the historical
-/// draws).
-fn generate_member_operands(
-    req: &RunRequest,
-    member: GemmDims,
-    ordinal: u64,
-    streams: &SeedStreams,
-) -> (Matrix, Matrix) {
-    let mut a_root = streams.a_root;
-    let a = req
-        .pattern_a
-        .generate(req.dtype, member.n, member.k, &mut a_root.fork(2 * ordinal));
-    let (b_rows, b_cols) = match req.kernel {
-        KernelClass::Gemm if req.b_transposed => (member.m, member.k),
-        KernelClass::Gemm => (member.k, member.m),
-        KernelClass::Gemv => (member.k, 1),
-    };
-    let mut b_root = streams.b_root;
-    let b = req
-        .pattern_b
-        .generate(req.dtype, b_rows, b_cols, &mut b_root.fork(2 * ordinal + 1));
-    (a, b)
 }
 
 /// Simulate one member's activity for **every seed** of `req`, one seed

@@ -28,8 +28,8 @@ pub mod lab;
 
 pub use lab::{
     first_seed_member_operands, member_ordinals, member_seed_activities, member_seed_operands,
-    member_slices, simulate_encoded_member_activity, simulate_member_activity, unit_layout,
-    PowerLab, RunRequest, RunResult,
+    member_seed_streams, member_slices, simulate_encoded_member_activity, simulate_member_activity,
+    unit_layout, OperandStream, PowerLab, RunRequest, RunResult,
 };
 
 /// Convenience re-exports for downstream users and examples.

@@ -1298,7 +1298,9 @@ pub fn serve(
     loop {
         match lines.next_line()? {
             LineEvent::Line(line) if line.trim().is_empty() => {}
-            LineEvent::Line(line) => match Json::parse(&line) {
+            // The trimmed slice, as the TCP session parses it, so a bad
+            // line's error offset reads the same over both transports.
+            LineEvent::Line(line) => match Json::parse(line.trim()) {
                 Ok(v) => answer(&RequestLine::new(&v), sched, false, &mut emit)?,
                 Err(e) => emit(&reject_line(sched, BadLine::Unparseable(e)))?,
             },
@@ -2173,6 +2175,21 @@ mod tests {
             .lines()
             .map(|l| Json::parse(l).unwrap())
             .collect()
+    }
+
+    #[test]
+    fn a_padded_bad_line_reports_the_offset_of_its_trimmed_text() {
+        // The TCP session parses the trimmed line; stdio must too, so
+        // the same line answers the same error over both transports.
+        let s = sched();
+        let lines = serve_bytes(&s, b"   {\"op\": x}\t\n");
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert_eq!(
+            lines[0].get("error").and_then(Json::as_str),
+            Some("parse error: unexpected character at byte 7"),
+            "{}",
+            lines[0]
+        );
     }
 
     #[test]

@@ -142,23 +142,34 @@ impl Matrix {
 
     /// An owned transposed copy.
     pub fn transposed(&self) -> Self {
+        // This matrix's row-major storage is its transpose's column-major.
+        Self::from_col_major(self.cols, self.rows, &self.data)
+    }
+
+    /// Create a `rows x cols` matrix from column-major data (the
+    /// transpose of `data` read as a `cols x rows` row-major matrix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn from_col_major(rows: usize, cols: usize, data: &[f32]) -> Self {
+        assert_eq!(data.len(), rows * cols, "data length mismatch");
         // Square tiles, so the lines a tile reads and the lines it writes
         // stay cached together: walking a whole column of a wide matrix
         // touches a line per row, and at power-of-two widths those lines
         // compete for the same few cache sets.
         const TILE: usize = 8;
-        let (rows, cols) = (self.rows, self.cols);
-        let mut t = Self::zeros(cols, rows);
-        for r0 in (0..rows).step_by(TILE) {
-            for c0 in (0..cols).step_by(TILE) {
-                for r in r0..(r0 + TILE).min(rows) {
-                    for c in c0..(c0 + TILE).min(cols) {
-                        t.data[c * rows + r] = self.data[r * cols + c];
+        let mut m = Self::zeros(rows, cols);
+        for c0 in (0..cols).step_by(TILE) {
+            for r0 in (0..rows).step_by(TILE) {
+                for c in c0..(c0 + TILE).min(cols) {
+                    for r in r0..(r0 + TILE).min(rows) {
+                        m.data[r * cols + c] = data[c * rows + r];
                     }
                 }
             }
         }
-        t
+        m
     }
 
     /// Elementwise approximate equality with absolute-or-relative tolerance
@@ -240,6 +251,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn column_major_data_fills_columns_first() {
+        let data: Vec<f32> = (0..6).map(|v| v as f32).collect();
+        let m = Matrix::from_col_major(2, 3, &data);
+        assert_eq!(m.as_slice(), &[0.0, 2.0, 4.0, 1.0, 3.0, 5.0]);
+        assert_eq!(m, Matrix::from_vec(3, 2, data).transposed());
     }
 
     #[test]

@@ -35,11 +35,18 @@ fn from_total_order_key(key: u32) -> f32 {
     f32::from_bits(key ^ (!((key as i32 >> 31) as u32) | 0x8000_0000))
 }
 
-/// Sort ascending in [`f32::total_cmp`] order: an LSD radix sort over the
-/// total-order key, one byte per pass, skipping bytes every key shares.
-/// Equal keys are equal bit patterns, so the result is exactly
-/// `sort_unstable_by(f32::total_cmp)`'s.
+/// Sort ascending in [`f32::total_cmp`] order. Equal keys are equal bit
+/// patterns, so the result is exactly `sort_unstable_by(f32::total_cmp)`'s.
 fn sort_total(data: &mut [f32]) {
+    let keys = sorted_keys(data);
+    for (v, &key) in data.iter_mut().zip(&keys) {
+        *v = from_total_order_key(key);
+    }
+}
+
+/// The [`total_order_key`]s of `data`, ascending: an LSD radix sort, one
+/// byte per pass, skipping bytes every key shares.
+fn sorted_keys(data: &[f32]) -> Vec<u32> {
     let mut keys: Vec<u32> = data.iter().map(|&v| total_order_key(v)).collect();
     let mut counts = [[0usize; 256]; 4];
     for &key in &keys {
@@ -63,9 +70,7 @@ fn sort_total(data: &mut [f32]) {
         }
         std::mem::swap(&mut keys, &mut out);
     }
-    for (v, &key) in data.iter_mut().zip(&keys) {
-        *v = from_total_order_key(key);
-    }
+    keys
 }
 
 /// Sort the lowest `fraction` of `data`'s values into the leading
@@ -114,6 +119,26 @@ pub fn sort_lowest_fraction(data: &mut [f32], fraction: f64) {
 /// Partially sort a matrix in row-major index order (Fig. 5a/5b pattern).
 pub fn sort_into_rows(m: &mut Matrix, fraction: f64) {
     sort_lowest_fraction(m.as_mut_slice(), fraction);
+}
+
+/// A full sort of `m`'s values in row-major index order: what
+/// [`sort_into_rows`] at fraction 1 leaves, built from a borrowed matrix
+/// (the full-sort patterns all start here, see
+/// `PatternSpec::starts_sorted`). [`column_major`] lays the same sort out
+/// column by column.
+pub fn fully_sorted(m: &Matrix) -> Matrix {
+    let values = sorted_keys(m.as_slice())
+        .into_iter()
+        .map(from_total_order_key)
+        .collect();
+    Matrix::from_vec(m.rows(), m.cols(), values)
+}
+
+/// `sorted`'s row-major sequence laid out column by column: what
+/// [`sort_into_cols`] at fraction 1 leaves, given [`fully_sorted`]'s
+/// matrix.
+pub fn column_major(sorted: &Matrix) -> Matrix {
+    Matrix::from_col_major(sorted.rows(), sorted.cols(), sorted.as_slice())
 }
 
 /// Partially sort a matrix in column-major index order (Fig. 5c pattern):
@@ -216,6 +241,24 @@ mod tests {
         };
         assert_eq!(tail, expected_tail);
         assert!(tail.iter().all(|&v| v >= threshold));
+    }
+
+    #[test]
+    fn full_sorts_from_a_borrowed_matrix_match_the_in_place_sorts() {
+        for (rows, cols, seed) in [(8, 8, 9), (5, 11, 10), (1, 7, 11)] {
+            let base = random_matrix(rows, cols, seed);
+            let mut by_rows = base.clone();
+            sort_into_rows(&mut by_rows, 1.0);
+            assert_eq!(
+                bits(fully_sorted(&base).as_slice()),
+                bits(by_rows.as_slice())
+            );
+            let mut by_cols = base.clone();
+            sort_into_cols(&mut by_cols, 1.0);
+            let laid_out = column_major(&fully_sorted(&base));
+            assert_eq!((laid_out.rows(), laid_out.cols()), (rows, cols));
+            assert_eq!(bits(laid_out.as_slice()), bits(by_cols.as_slice()));
+        }
     }
 
     #[test]

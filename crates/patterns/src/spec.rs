@@ -5,6 +5,13 @@
 //! distribution it draws from. Experiments are swept by constructing specs
 //! on a grid and calling [`PatternSpec::generate`]; the spec also carries a
 //! stable human-readable label used in result tables.
+//!
+//! `generate` is two halves: a **base draw** keyed by exactly its inputs
+//! ([`PatternSpec::base_key`], [`BaseKey::draw`]) and a **transform**
+//! ([`PatternSpec::transform`]) that continues from the base, or from its
+//! full sort, and from the RNG state the draw left behind.
+
+use std::borrow::Cow;
 
 use crate::{bit_similarity, distribution, placement, sparsity};
 use wm_bits::Xoshiro256pp;
@@ -79,6 +86,87 @@ pub enum PatternKind {
     Zeros,
 }
 
+/// What a pattern draws before its structural transform (see
+/// [`PatternSpec::base_key`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BaseKind {
+    /// `rows x cols` Gaussian variates quantized to the dtype: the start
+    /// of every Gaussian-fill pattern (placement, sparsity, bit zeroing).
+    Gaussian,
+    /// One quantized Gaussian variate everywhere: the bit-similarity
+    /// patterns' constant fill.
+    Constant,
+    /// Uniform picks from a drawn set of quantized Gaussian values: the
+    /// whole [`PatternKind::ValueSet`] pattern.
+    ValueSet {
+        /// Number of distinct values in the set.
+        set_size: usize,
+    },
+    /// The all-zero matrix, which draws nothing.
+    Zeros,
+}
+
+/// Exactly the inputs of one base draw: the base kind, the resolved mean
+/// and σ (compared by bits), the dtype, the shape and the RNG state the
+/// draw starts from. Equal keys draw bit-identical bases and leave equal
+/// RNG states, so a batch whose patterns share a key may draw its base
+/// once (`wm_experiments::runner::execute` does).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BaseKey {
+    kind: BaseKind,
+    mean_bits: u64,
+    std_bits: u64,
+    dtype: DType,
+    rows: usize,
+    cols: usize,
+    rng: Xoshiro256pp,
+}
+
+impl BaseKey {
+    /// The kind of base this key draws.
+    pub fn kind(&self) -> BaseKind {
+        self.kind
+    }
+
+    /// Draw the base: the matrix, and the RNG state the draw leaves behind
+    /// for [`PatternSpec::transform`] to continue from.
+    // audit:allow(hot-path-alloc): the base draw builds the matrix it returns
+    pub fn draw(&self) -> (Matrix, Xoshiro256pp) {
+        let mut rng = self.rng;
+        let (mean, std) = (
+            f64::from_bits(self.mean_bits),
+            f64::from_bits(self.std_bits),
+        );
+        let (rows, cols, dtype) = (self.rows, self.cols, self.dtype);
+        let base = match self.kind {
+            BaseKind::Gaussian => {
+                distribution::gaussian_matrix(rows, cols, mean, std, dtype, &mut rng)
+            }
+            BaseKind::Constant => {
+                distribution::constant_random_matrix(rows, cols, mean, std, dtype, &mut rng)
+            }
+            BaseKind::ValueSet { set_size } => {
+                distribution::value_set_matrix(rows, cols, set_size, mean, std, dtype, &mut rng)
+            }
+            BaseKind::Zeros => Matrix::zeros(rows, cols),
+        };
+        (base, rng)
+    }
+}
+
+/// Whether a placement fraction sorts every value, so the pattern can
+/// start from the base's full sort.
+fn sorts_fully(fraction: f64) -> bool {
+    fraction >= 1.0
+}
+
+/// `start`, owned (a borrowed start is copied once), after `edit`.
+fn edited<'a>(start: Cow<'a, Matrix>, edit: impl FnOnce(&mut Matrix)) -> Cow<'a, Matrix> {
+    let mut m = start.into_owned();
+    edit(&mut m);
+    Cow::Owned(m)
+}
+
 /// A complete input-pattern description: structure plus base distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PatternSpec {
@@ -118,7 +206,101 @@ impl PatternSpec {
         self.std.unwrap_or_else(|| dtype.paper_sigma())
     }
 
-    /// Generate one matrix of this pattern.
+    /// The key of this pattern's base draw of a `rows x cols` matrix of
+    /// `dtype` from `rng`: the first half of [`PatternSpec::generate`].
+    /// Every pattern of one base kind, resolved mean and σ draws the same
+    /// base from the same stream; only the transform differs.
+    pub fn base_key(&self, dtype: DType, rows: usize, cols: usize, rng: Xoshiro256pp) -> BaseKey {
+        let kind = match self.kind {
+            PatternKind::ValueSet { set_size } => BaseKind::ValueSet { set_size },
+            PatternKind::ConstantRandom
+            | PatternKind::BitFlips { .. }
+            | PatternKind::RandomLsbs { .. }
+            | PatternKind::RandomMsbs { .. } => BaseKind::Constant,
+            PatternKind::Zeros => BaseKind::Zeros,
+            _ => BaseKind::Gaussian,
+        };
+        BaseKey {
+            kind,
+            mean_bits: self.mean.to_bits(),
+            std_bits: self.sigma_for(dtype).to_bits(),
+            dtype,
+            rows,
+            cols,
+            rng,
+        }
+    }
+
+    /// Whether [`PatternSpec::transform`] starts from the base's full sort
+    /// ([`placement::fully_sorted`]) rather than the base itself: the
+    /// full row and column sorts, and the sort before sparsification.
+    pub fn starts_sorted(&self) -> bool {
+        match self.kind {
+            PatternKind::SortedRows { fraction } | PatternKind::SortedCols { fraction } => {
+                sorts_fully(fraction)
+            }
+            PatternKind::SortedThenSparse { .. } => true,
+            _ => false,
+        }
+    }
+
+    /// The second half of [`PatternSpec::generate`]: finish the pattern
+    /// from `start` — the base draw, or its full sort when
+    /// [`PatternSpec::starts_sorted`] — continuing `rng` from the state
+    /// the draw left behind (sparsity and the bit-similarity patterns
+    /// draw more). A start the pattern keeps as it is comes back as it
+    /// came, so a borrowed base costs no copy.
+    // audit:allow(hot-path-alloc): transforms build or copy the operand they return
+    pub fn transform<'a>(
+        &self,
+        dtype: DType,
+        start: Cow<'a, Matrix>,
+        rng: &mut Xoshiro256pp,
+    ) -> Cow<'a, Matrix> {
+        match self.kind {
+            PatternKind::Gaussian
+            | PatternKind::ValueSet { .. }
+            | PatternKind::ConstantRandom
+            | PatternKind::Zeros => start,
+            PatternKind::BitFlips { probability } => edited(start, |m| {
+                bit_similarity::flip_random_bits(m, dtype, probability, rng)
+            }),
+            PatternKind::RandomLsbs { count } => edited(start, |m| {
+                bit_similarity::randomize_lsbs(m, dtype, count, rng)
+            }),
+            PatternKind::RandomMsbs { count } => edited(start, |m| {
+                bit_similarity::randomize_msbs(m, dtype, count, rng)
+            }),
+            PatternKind::SortedRows { fraction } if sorts_fully(fraction) => start,
+            PatternKind::SortedRows { fraction } => {
+                edited(start, |m| placement::sort_into_rows(m, fraction))
+            }
+            PatternKind::SortedCols { fraction } if sorts_fully(fraction) => {
+                Cow::Owned(placement::column_major(&start))
+            }
+            PatternKind::SortedCols { fraction } => {
+                edited(start, |m| placement::sort_into_cols(m, fraction))
+            }
+            PatternKind::SortedWithinRows { fraction } => {
+                edited(start, |m| placement::sort_within_rows(m, fraction))
+            }
+            PatternKind::Sparse { sparsity } | PatternKind::SortedThenSparse { sparsity } => {
+                edited(start, |m| sparsity::apply_sparsity(m, sparsity, rng))
+            }
+            PatternKind::ZeroLsbs { count } => {
+                edited(start, |m| sparsity::zero_lsbs(m, dtype, count))
+            }
+            PatternKind::ZeroMsbs { count } => {
+                edited(start, |m| sparsity::zero_msbs(m, dtype, count))
+            }
+        }
+    }
+
+    /// Generate one matrix of this pattern: draw the base
+    /// ([`PatternSpec::base_key`], [`BaseKey::draw`]), fully sort it if
+    /// the pattern [starts sorted](PatternSpec::starts_sorted), and
+    /// [transform](PatternSpec::transform) it, leaving `rng` where the
+    /// transform left it.
     ///
     /// The caller supplies the RNG; experiments fork decorrelated streams
     /// for the A and B operands from a per-seed root (the paper: "The A and
@@ -131,71 +313,12 @@ impl PatternSpec {
         cols: usize,
         rng: &mut Xoshiro256pp,
     ) -> Matrix {
-        let mean = self.mean;
-        let std = self.sigma_for(dtype);
-        match self.kind {
-            PatternKind::Gaussian => {
-                distribution::gaussian_matrix(rows, cols, mean, std, dtype, rng)
-            }
-            PatternKind::ValueSet { set_size } => {
-                distribution::value_set_matrix(rows, cols, set_size, mean, std, dtype, rng)
-            }
-            PatternKind::ConstantRandom => {
-                distribution::constant_random_matrix(rows, cols, mean, std, dtype, rng)
-            }
-            PatternKind::BitFlips { probability } => {
-                let mut m = distribution::constant_random_matrix(rows, cols, mean, std, dtype, rng);
-                bit_similarity::flip_random_bits(&mut m, dtype, probability, rng);
-                m
-            }
-            PatternKind::RandomLsbs { count } => {
-                let mut m = distribution::constant_random_matrix(rows, cols, mean, std, dtype, rng);
-                bit_similarity::randomize_lsbs(&mut m, dtype, count, rng);
-                m
-            }
-            PatternKind::RandomMsbs { count } => {
-                let mut m = distribution::constant_random_matrix(rows, cols, mean, std, dtype, rng);
-                bit_similarity::randomize_msbs(&mut m, dtype, count, rng);
-                m
-            }
-            PatternKind::SortedRows { fraction } => {
-                let mut m = distribution::gaussian_matrix(rows, cols, mean, std, dtype, rng);
-                placement::sort_into_rows(&mut m, fraction);
-                m
-            }
-            PatternKind::SortedCols { fraction } => {
-                let mut m = distribution::gaussian_matrix(rows, cols, mean, std, dtype, rng);
-                placement::sort_into_cols(&mut m, fraction);
-                m
-            }
-            PatternKind::SortedWithinRows { fraction } => {
-                let mut m = distribution::gaussian_matrix(rows, cols, mean, std, dtype, rng);
-                placement::sort_within_rows(&mut m, fraction);
-                m
-            }
-            PatternKind::Sparse { sparsity } => {
-                let mut m = distribution::gaussian_matrix(rows, cols, mean, std, dtype, rng);
-                sparsity::apply_sparsity(&mut m, sparsity, rng);
-                m
-            }
-            PatternKind::SortedThenSparse { sparsity } => {
-                let mut m = distribution::gaussian_matrix(rows, cols, mean, std, dtype, rng);
-                placement::sort_into_rows(&mut m, 1.0);
-                sparsity::apply_sparsity(&mut m, sparsity, rng);
-                m
-            }
-            PatternKind::ZeroLsbs { count } => {
-                let mut m = distribution::gaussian_matrix(rows, cols, mean, std, dtype, rng);
-                sparsity::zero_lsbs(&mut m, dtype, count);
-                m
-            }
-            PatternKind::ZeroMsbs { count } => {
-                let mut m = distribution::gaussian_matrix(rows, cols, mean, std, dtype, rng);
-                sparsity::zero_msbs(&mut m, dtype, count);
-                m
-            }
-            PatternKind::Zeros => Matrix::zeros(rows, cols),
+        let (mut start, end) = self.base_key(dtype, rows, cols, *rng).draw();
+        *rng = end;
+        if self.starts_sorted() {
+            start = placement::fully_sorted(&start);
         }
+        self.transform(dtype, Cow::Owned(start), rng).into_owned()
     }
 
     /// A stable, human-readable label for result tables, e.g.

@@ -1,10 +1,14 @@
 //! Property-based tests for pattern-generator invariants.
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 use wm_bits::Xoshiro256pp;
+use wm_matrix::Matrix;
 use wm_numerics::{DType, Quantizer};
-use wm_patterns::placement::{adjacent_inversions, sort_lowest_fraction};
-use wm_patterns::{PatternKind, PatternSpec};
+use wm_patterns::placement::{adjacent_inversions, fully_sorted, sort_lowest_fraction};
+use wm_patterns::{bit_similarity, distribution, placement, sparsity};
+use wm_patterns::{BaseKey, PatternKind, PatternSpec};
 
 fn arb_dtype() -> impl Strategy<Value = DType> {
     prop::sample::select(DType::ALL.to_vec())
@@ -29,8 +33,140 @@ fn arb_kind() -> impl Strategy<Value = PatternKind> {
     ]
 }
 
+/// Every pattern kind, its parameters taken from `p` in `[0, 1]`,
+/// `count` and `set_size`; the full sorts appear at fraction 1 as well.
+fn every_kind(p: f64, count: u32, set_size: usize) -> [PatternKind; 16] {
+    [
+        PatternKind::Gaussian,
+        PatternKind::ValueSet { set_size },
+        PatternKind::ConstantRandom,
+        PatternKind::BitFlips { probability: p },
+        PatternKind::RandomLsbs { count },
+        PatternKind::RandomMsbs { count },
+        PatternKind::SortedRows { fraction: p },
+        PatternKind::SortedRows { fraction: 1.0 },
+        PatternKind::SortedCols { fraction: p },
+        PatternKind::SortedCols { fraction: 1.0 },
+        PatternKind::SortedWithinRows { fraction: p },
+        PatternKind::Sparse { sparsity: p },
+        PatternKind::SortedThenSparse { sparsity: p },
+        PatternKind::ZeroLsbs { count },
+        PatternKind::ZeroMsbs { count },
+        PatternKind::Zeros,
+    ]
+}
+
+/// The generator as one monolithic pass, each pattern's structure applied
+/// in place to a fresh draw: the reference the base/transform split must
+/// reproduce bit for bit.
+fn monolithic(
+    spec: &PatternSpec,
+    dtype: DType,
+    rows: usize,
+    cols: usize,
+    rng: &mut Xoshiro256pp,
+) -> Matrix {
+    let (mean, std) = (spec.mean, spec.sigma_for(dtype));
+    let gaussian =
+        |rng: &mut Xoshiro256pp| distribution::gaussian_matrix(rows, cols, mean, std, dtype, rng);
+    let constant = |rng: &mut Xoshiro256pp| {
+        distribution::constant_random_matrix(rows, cols, mean, std, dtype, rng)
+    };
+    let mut m = match spec.kind {
+        PatternKind::ValueSet { set_size } => {
+            return distribution::value_set_matrix(rows, cols, set_size, mean, std, dtype, rng)
+        }
+        PatternKind::Zeros => return Matrix::zeros(rows, cols),
+        PatternKind::ConstantRandom
+        | PatternKind::BitFlips { .. }
+        | PatternKind::RandomLsbs { .. }
+        | PatternKind::RandomMsbs { .. } => constant(rng),
+        _ => gaussian(rng),
+    };
+    match spec.kind {
+        PatternKind::BitFlips { probability } => {
+            bit_similarity::flip_random_bits(&mut m, dtype, probability, rng)
+        }
+        PatternKind::RandomLsbs { count } => {
+            bit_similarity::randomize_lsbs(&mut m, dtype, count, rng)
+        }
+        PatternKind::RandomMsbs { count } => {
+            bit_similarity::randomize_msbs(&mut m, dtype, count, rng)
+        }
+        PatternKind::SortedRows { fraction } => placement::sort_into_rows(&mut m, fraction),
+        PatternKind::SortedCols { fraction } => placement::sort_into_cols(&mut m, fraction),
+        PatternKind::SortedWithinRows { fraction } => placement::sort_within_rows(&mut m, fraction),
+        PatternKind::Sparse { sparsity } => sparsity::apply_sparsity(&mut m, sparsity, rng),
+        PatternKind::SortedThenSparse { sparsity } => {
+            placement::sort_into_rows(&mut m, 1.0);
+            sparsity::apply_sparsity(&mut m, sparsity, rng);
+        }
+        PatternKind::ZeroLsbs { count } => sparsity::zero_lsbs(&mut m, dtype, count),
+        PatternKind::ZeroMsbs { count } => sparsity::zero_msbs(&mut m, dtype, count),
+        _ => {}
+    }
+    m
+}
+
+/// Bit patterns, since the bit-similarity patterns produce NaNs.
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_transform_of_the_base_draw_is_generate_bit_for_bit(
+        p in 0.0f64..=1.0,
+        count in 0u32..=32,
+        set_size in 1usize..16,
+        half_rows in 0usize..6,
+        half_cols in 0usize..6,
+        std in prop_oneof![Just(None), (0.0f64..300.0).prop_map(Some)],
+        seed: u64,
+    ) {
+        // Odd element counts leave the Gaussian fill an odd tail.
+        let (rows, cols) = (2 * half_rows + 1, 2 * half_cols + 1);
+        let from = Xoshiro256pp::seed_from_u64(seed);
+        for dtype in DType::EXTENDED {
+            let mut drawn: Vec<(BaseKey, Vec<u32>, Xoshiro256pp)> = Vec::new();
+            for kind in every_kind(p, count, set_size) {
+                let spec = match std {
+                    Some(std) => PatternSpec::new(kind).with_std(std),
+                    None => PatternSpec::new(kind),
+                };
+                let mut generate_rng = from;
+                let generated = spec.generate(dtype, rows, cols, &mut generate_rng);
+                let mut reference_rng = from;
+                let reference = monolithic(&spec, dtype, rows, cols, &mut reference_rng);
+                prop_assert_eq!(bits(&generated), bits(&reference), "{:?} {}", kind, dtype);
+                prop_assert_eq!(generate_rng, reference_rng, "{:?} {}", kind, dtype);
+
+                let key = spec.base_key(dtype, rows, cols, from);
+                let (base, end) = key.draw();
+                for (other, other_base, other_end) in &drawn {
+                    if *other == key {
+                        prop_assert_eq!(other_base, &bits(&base), "{:?} {}", kind, dtype);
+                        prop_assert_eq!(*other_end, end, "{:?} {}", kind, dtype);
+                    }
+                }
+                let start = if spec.starts_sorted() { fully_sorted(&base) } else { base.clone() };
+                for start in [Cow::Borrowed(&start), Cow::Owned(start.clone())] {
+                    let mut rng = end;
+                    let split = spec.transform(dtype, start, &mut rng);
+                    prop_assert_eq!(bits(&split), bits(&generated), "{:?} {}", kind, dtype);
+                    prop_assert_eq!(rng, generate_rng, "{:?} {}: RNG end state", kind, dtype);
+                }
+                drawn.push((key, bits(&base), end));
+            }
+            // The Gaussian-fill patterns share one key, the constant
+            // fills another.
+            prop_assert_eq!(drawn[0].0, drawn[11].0);
+            prop_assert_eq!(drawn[2].0, drawn[4].0);
+            prop_assert_ne!(drawn[0].0, drawn[2].0);
+        }
+    }
 
     #[test]
     fn every_generator_is_deterministic_and_quantized(

@@ -136,6 +136,83 @@ fn runner_matches_powerlab_and_the_pinned_scheduler() {
 }
 
 #[test]
+fn runner_shares_bases_and_still_matches_powerlab() {
+    use wattmul_repro::core::member_seed_streams;
+    use wattmul_repro::experiments::runner::{execute, Metric, SweepPoint};
+
+    // One dtype, shape and base seed: every Gaussian-fill point below
+    // starts its operands from the same base draw per seed and member.
+    let request = |spec: PatternSpec| {
+        RunRequest::new(DType::Fp16Tensor, 48, spec)
+            .with_seeds(2)
+            .with_base_seed(0xBA5E)
+            .with_sampling(Sampling::Lattice { rows: 4, cols: 4 })
+    };
+    let of = |kind: PatternKind| request(PatternSpec::new(kind));
+    let twin = GemmDims {
+        n: 48,
+        m: 40,
+        k: 48,
+    };
+    let requests = vec![
+        of(PatternKind::Gaussian),
+        of(PatternKind::Sparse { sparsity: 0.3 }),
+        of(PatternKind::Sparse { sparsity: 0.9 }),
+        of(PatternKind::SortedRows { fraction: 1.0 }),
+        of(PatternKind::SortedRows { fraction: 0.5 }),
+        of(PatternKind::SortedCols { fraction: 1.0 }),
+        of(PatternKind::SortedThenSparse { sparsity: 0.4 }),
+        of(PatternKind::ZeroLsbs { count: 4 }),
+        // A σ override draws another base and must not share.
+        request(PatternSpec::new(PatternKind::Gaussian).with_std(21.0)),
+        // Member (48³, 0) shares with the plain points; the twins differ.
+        of(PatternKind::Sparse { sparsity: 0.5 }).with_group(vec![
+            twin,
+            GemmDims::square(48),
+            twin,
+        ]),
+        // GEMV's 48 x 48 A operand shares with the GEMMs' A.
+        of(PatternKind::Gaussian)
+            .with_kernel(KernelClass::Gemv)
+            .with_shape(GemmDims { n: 48, m: 1, k: 48 }),
+    ];
+
+    // The premise: bases are shared within a seed, and only there.
+    let keys = |req: &RunRequest, member: GemmDims, ordinal: u64, seed: u64| {
+        member_seed_streams(req, member, ordinal, seed).map(|op| op.base_key())
+    };
+    let square = GemmDims::square(48);
+    let gaussian = keys(&requests[0], square, 0, 0);
+    assert_eq!(keys(&requests[6], square, 0, 0), gaussian);
+    assert_eq!(keys(&requests[9], square, 0, 0), gaussian);
+    assert_eq!(keys(&requests[10], square, 0, 0)[0], gaussian[0]);
+    assert_ne!(keys(&requests[8], square, 0, 0)[0], gaussian[0]);
+    assert_ne!(keys(&requests[0], square, 0, 1)[0], gaussian[0]);
+    assert_ne!(
+        keys(&requests[9], twin, 0, 0),
+        keys(&requests[9], twin, 1, 0)
+    );
+
+    let points: Vec<SweepPoint> = requests
+        .iter()
+        .enumerate()
+        .map(|(i, request)| SweepPoint {
+            series: request.pattern_a.label(),
+            x: i as f64,
+            request: request.clone(),
+            gpu: a100_pcie(),
+            metric: Metric::PowerW,
+        })
+        .collect();
+    let executed = execute(points.clone());
+    assert_eq!(executed.len(), points.len());
+    for (p, e) in points.iter().zip(&executed) {
+        let lab = PowerLab::new(p.gpu.clone()).run(&p.request);
+        assert_eq!(e.result, lab, "runner vs PowerLab for {}", p.series);
+    }
+}
+
+#[test]
 fn dsl_and_pattern_spec_generate_identical_matrices() {
     // The DSL pipeline `gaussian |> sort_rows(f)` consumes the RNG in the
     // same order as PatternKind::SortedRows, so the outputs are identical.
