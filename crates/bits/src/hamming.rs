@@ -9,6 +9,17 @@
 //! * **Hamming distance** `HD(x, y) = HW(x ^ y)` — the number of bit
 //!   positions in which `x` and `y` differ, i.e. the number of latches that
 //!   toggle when a bus transitions from holding `x` to holding `y`.
+//!
+//! ## Paired sums
+//!
+//! The slice sums ([`slice_hamming_weight`], [`slice_hamming_distance`] and
+//! [`stream_toggles`], which the DRAM bus pass and the feature chunk run
+//! over every operand word) count two words of at most 32 bits with one
+//! popcount: the pair packed into one `u64`, the first word in the low
+//! half. A popcount costs about the same at either width, and the workspace
+//! builds for baseline x86-64, which has no `POPCNT` instruction and counts
+//! bits with a dozen-instruction sequence; pairing halves that work. The
+//! sums are exact integers, so they equal the per-word sums.
 
 /// A fixed-width machine word whose bits participate in switching-activity
 /// accounting.
@@ -80,13 +91,31 @@ pub fn hamming_distance<W: BitWord>(x: W, y: W) -> u32 {
     x.distance(y)
 }
 
-/// Total Hamming weight of a slice of words.
+/// Two words of at most 32 bits packed into one `u64`, `lo` in the low
+/// half: the popcount of the pair is the sum of theirs.
+#[inline(always)]
+fn pair(lo: u64, hi: u64) -> u64 {
+    lo | hi << 32
+}
+
+/// Total Hamming weight of a slice of words, two words per popcount for
+/// words of at most 32 bits (see [the module notes](self#paired-sums)).
 ///
 /// Used to compute the paper's Fig. 8 *average Hamming weight* statistic
-/// over a whole input matrix. The loop is written as a fold over the slice
-/// so the compiler can vectorize the popcounts.
+/// over a whole input matrix.
 pub fn slice_hamming_weight<W: BitWord>(words: &[W]) -> u64 {
-    words.iter().map(|w| u64::from(w.weight())).sum()
+    if W::BITS > 32 {
+        return words.iter().map(|w| u64::from(w.weight())).sum();
+    }
+    let pairs = words.chunks_exact(2);
+    let odd = pairs
+        .remainder()
+        .first()
+        .map_or(0, |w| u64::from(w.weight()));
+    let paired: u64 = pairs
+        .map(|p| u64::from(pair(p[0].to_u64(), p[1].to_u64()).count_ones()))
+        .sum();
+    paired + odd
 }
 
 /// Mean Hamming weight per word of a slice, `0.0` for an empty slice.
@@ -97,7 +126,9 @@ pub fn mean_hamming_weight<W: BitWord>(words: &[W]) -> f64 {
     slice_hamming_weight(words) as f64 / words.len() as f64
 }
 
-/// Total Hamming distance between corresponding elements of two slices.
+/// Total Hamming distance between corresponding elements of two slices,
+/// two word pairs per popcount for words of at most 32 bits (see [the
+/// module notes](self#paired-sums)).
 ///
 /// This is the total number of bus toggles incurred by overwriting a
 /// buffer holding `a` with the contents of `b`, one word per cycle.
@@ -112,10 +143,25 @@ pub fn slice_hamming_distance<W: BitWord>(a: &[W], b: &[W]) -> u64 {
         b.len(),
         "hamming distance requires equal-length slices"
     );
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| u64::from(x.distance(y)))
-        .sum()
+    let each = |(&x, &y): (&W, &W)| u64::from(x.distance(y));
+    if W::BITS > 32 {
+        return a.iter().zip(b).map(each).sum();
+    }
+    let (a_pairs, b_pairs) = (a.chunks_exact(2), b.chunks_exact(2));
+    let odd = a_pairs
+        .remainder()
+        .first()
+        .zip(b_pairs.remainder().first())
+        .map_or(0, each);
+    let paired: u64 = a_pairs
+        .zip(b_pairs)
+        .map(|(x, y)| {
+            let lo = x[0].to_u64() ^ y[0].to_u64();
+            let hi = x[1].to_u64() ^ y[1].to_u64();
+            u64::from(pair(lo, hi).count_ones())
+        })
+        .sum();
+    paired + odd
 }
 
 /// Total Hamming distance between *consecutive* elements of a slice:

@@ -9,7 +9,8 @@
 //!
 //! * [`hamming`] — Hamming weight and Hamming distance over machine words
 //!   and slices, plus the toggle count of a word stream: the raw currency
-//!   of switching activity.
+//!   of switching activity. The slice sums count two words of at most 32
+//!   bits per popcount ([paired sums](hamming#paired-sums)).
 //! * [`surgery`] — the bit-field manipulations behind the paper's §IV.B and
 //!   §IV.D experiments: flipping random bits, randomizing or zeroing
 //!   least/most-significant bits.

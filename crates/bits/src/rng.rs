@@ -102,6 +102,7 @@ impl Xoshiro256pp {
     /// # Panics
     ///
     /// Panics if `bound == 0`.
+    #[inline]
     pub fn next_bounded(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "next_bounded requires a positive bound");
         let bound = bound as u64;
@@ -134,21 +135,26 @@ impl Xoshiro256pp {
         }
     }
 
-    /// Choose `k` distinct indices from `0..n` (partial Fisher–Yates over an
-    /// index array; O(n) memory, O(n) time — used for sparsity masks).
+    /// Choose `k` distinct indices from `0..n` and pass each to `visit`, in
+    /// the order drawn (partial Fisher–Yates over an index array; O(n)
+    /// memory, O(n) time — used for sparsity masks).
+    ///
+    /// The index array holds `u32`s, half the memory of `usize`s: 16 MiB at
+    /// 2048², under glibc's largest mmap threshold, so a freed array's
+    /// pages can serve the next one.
     ///
     /// # Panics
     ///
-    /// Panics if `k > n`.
-    pub fn choose_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+    /// Panics if `k > n` or `n > u32::MAX`.
+    pub fn choose_indices(&mut self, n: usize, k: usize, mut visit: impl FnMut(usize)) {
         assert!(k <= n, "cannot choose {k} indices from {n}");
-        let mut idx: Vec<usize> = (0..n).collect();
+        assert!(n <= u32::MAX as usize, "cannot index {n} elements with u32");
+        let mut idx: Vec<u32> = (0..n as u32).collect();
         for i in 0..k {
             let j = i + self.next_bounded(n - i);
             idx.swap(i, j);
         }
-        idx.truncate(k);
-        idx
+        idx[..k].iter().for_each(|&i| visit(i as usize));
     }
 }
 
@@ -231,7 +237,8 @@ mod tests {
     #[test]
     fn choose_indices_distinct_and_in_range() {
         let mut rng = Xoshiro256pp::seed_from_u64(8);
-        let idx = rng.choose_indices(50, 20);
+        let mut idx = Vec::new();
+        rng.choose_indices(50, 20, |i| idx.push(i));
         assert_eq!(idx.len(), 20);
         let mut sorted = idx.clone();
         sorted.sort_unstable();
@@ -243,9 +250,81 @@ mod tests {
     #[test]
     fn choose_all_indices_is_permutation() {
         let mut rng = Xoshiro256pp::seed_from_u64(9);
-        let mut idx = rng.choose_indices(16, 16);
+        let mut idx = Vec::new();
+        rng.choose_indices(16, 16, |i| idx.push(i));
         idx.sort_unstable();
         assert_eq!(idx, (0..16).collect::<Vec<_>>());
+    }
+
+    /// The partial Fisher–Yates pass over a `usize` index array that
+    /// `choose_indices` ran before its array became `u32`.
+    fn usize_reference(rng: &mut Xoshiro256pp, n: usize, k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..n).collect();
+        for i in 0..k {
+            let j = i + rng.next_bounded(n - i);
+            idx.swap(i, j);
+        }
+        idx.truncate(k);
+        idx
+    }
+
+    #[test]
+    fn u32_index_array_chooses_what_a_usize_array_chooses() {
+        for n in [0usize, 1, 2, 7, 64, 1000] {
+            for k in [0, 1, n / 3, n / 2, n.saturating_sub(1), n] {
+                if k > n {
+                    continue;
+                }
+                let mut rng = Xoshiro256pp::seed_from_u64((n * 31 + k) as u64);
+                let mut wide = rng;
+                let mut chosen = Vec::new();
+                rng.choose_indices(n, k, |i| chosen.push(i));
+                assert_eq!(chosen, usize_reference(&mut wide, n, k), "n={n} k={k}");
+                assert_eq!(rng, wide, "n={n} k={k}: the streams must end alike");
+            }
+        }
+    }
+
+    /// Indices, and the draw after them, that the `usize` index array gave
+    /// for these seeds.
+    #[test]
+    fn choose_indices_draws_pinned_indices() {
+        let pins: [(u64, usize, &[usize], u64); 3] = [
+            (
+                8,
+                50,
+                &[
+                    19, 21, 18, 35, 22, 45, 0, 3, 20, 37, 42, 36, 46, 1, 12, 49, 2, 8, 4, 34,
+                ],
+                1_514_368_876_137_835_937,
+            ),
+            (
+                1234,
+                1000,
+                &[757, 424, 953, 9, 713, 361, 263, 916, 914, 96, 893, 291],
+                2_713_747_978_234_715_150,
+            ),
+            (
+                77,
+                16,
+                &[5, 11, 14, 0, 4, 10, 15, 9, 13, 6, 7, 1, 12, 8, 3, 2],
+                14_782_276_146_792_276_568,
+            ),
+        ];
+        for (seed, n, want, next) in pins {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let mut chosen = Vec::new();
+            rng.choose_indices(n, want.len(), |i| chosen.push(i));
+            assert_eq!(chosen, want, "seed={seed} n={n}");
+            assert_eq!(rng.next_u64(), next, "seed={seed} n={n}: the stream moved");
+        }
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    #[should_panic(expected = "with u32")]
+    fn choose_indices_rejects_more_than_u32_indices() {
+        Xoshiro256pp::seed_from_u64(0).choose_indices(u32::MAX as usize + 1, 0, |_| {});
     }
 
     #[test]

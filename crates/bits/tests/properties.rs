@@ -2,9 +2,53 @@
 
 use proptest::prelude::*;
 use wm_bits::{
-    flip_random_bits, hamming_distance, hamming_weight, randomize_lsbs, randomize_msbs, zero_lsbs,
-    zero_msbs, Xoshiro256pp,
+    flip_random_bits, hamming_distance, hamming_weight, randomize_lsbs, randomize_msbs,
+    slice_hamming_distance, slice_hamming_weight, stream_toggles, zero_lsbs, zero_msbs, BitWord,
+    Xoshiro256pp,
 };
+
+/// The paired slice sums against per-word reference sums, at every length
+/// 0..=67 (so every remainder of the pairing, and many whole pairs), over
+/// words that `narrow` cuts from random `u64`s.
+fn paired_sums_match<W: BitWord + std::fmt::Debug>(
+    rng: &mut Xoshiro256pp,
+    narrow: impl Fn(u64) -> W,
+) -> Result<(), String> {
+    for len in 0..=67 {
+        let a: Vec<W> = (0..len).map(|_| narrow(rng.next_u64())).collect();
+        let b: Vec<W> = (0..len).map(|_| narrow(rng.next_u64())).collect();
+        let weight: u64 = a.iter().map(|w| u64::from(w.weight())).sum();
+        let distance: u64 = a
+            .iter()
+            .zip(&b)
+            .map(|(x, y)| u64::from(x.distance(*y)))
+            .sum();
+        let toggles: u64 = a.windows(2).map(|p| u64::from(p[0].distance(p[1]))).sum();
+        let bits = W::BITS;
+        prop_assert_eq!(
+            slice_hamming_weight(&a),
+            weight,
+            "u{} weight, length {}",
+            bits,
+            len
+        );
+        prop_assert_eq!(
+            slice_hamming_distance(&a, &b),
+            distance,
+            "u{} distance, length {}",
+            bits,
+            len
+        );
+        prop_assert_eq!(
+            stream_toggles(&a),
+            toggles,
+            "u{} toggles, length {}",
+            bits,
+            len
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     #[test]
@@ -93,6 +137,15 @@ proptest! {
         prop_assert_eq!(flipped, x ^ ((1u64 << width) - 1));
         let mut rng2 = Xoshiro256pp::seed_from_u64(seed);
         prop_assert_eq!(flip_random_bits(x, 0.0, width, &mut rng2), x);
+    }
+
+    #[test]
+    fn paired_popcount_sums_equal_per_word_sums(seed: u64) {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        paired_sums_match(&mut rng, |x| x as u8)?;
+        paired_sums_match(&mut rng, |x| x as u16)?;
+        paired_sums_match(&mut rng, |x| x as u32)?;
+        paired_sums_match(&mut rng, |x| x)?;
     }
 
     #[test]

@@ -160,6 +160,65 @@ impl ActivityRecord {
 }
 
 #[cfg(test)]
+impl ActivityRecord {
+    /// Every field as `(name, bits)`, each `f64` by its bits: equal lists
+    /// mean bit-identical records, where `PartialEq` would equate -0.0
+    /// and +0.0.
+    pub(crate) fn field_bits(&self) -> Vec<(&'static str, u64)> {
+        let ActivityRecord {
+            kernel,
+            dtype,
+            dims,
+            b_transposed,
+            total_macs,
+            sampled_macs,
+            sampled_outputs,
+            operand_a_toggles_per_mac,
+            operand_b_toggles_per_mac,
+            mult_activity_per_mac,
+            accum_toggles_per_mac,
+            nonzero_mac_fraction,
+            mean_bit_alignment,
+            mean_hamming_weight_a,
+            mean_hamming_weight_b,
+            dram_toggles,
+            dram_words,
+            dram_weight,
+            l2_passes,
+        } = self;
+        vec![
+            ("kernel", *kernel as u64),
+            ("dtype", *dtype as u64),
+            ("dims.n", dims.n as u64),
+            ("dims.m", dims.m as u64),
+            ("dims.k", dims.k as u64),
+            ("b_transposed", u64::from(*b_transposed)),
+            ("total_macs", *total_macs),
+            ("sampled_macs", *sampled_macs),
+            ("sampled_outputs", *sampled_outputs),
+            (
+                "operand_a_toggles_per_mac",
+                operand_a_toggles_per_mac.to_bits(),
+            ),
+            (
+                "operand_b_toggles_per_mac",
+                operand_b_toggles_per_mac.to_bits(),
+            ),
+            ("mult_activity_per_mac", mult_activity_per_mac.to_bits()),
+            ("accum_toggles_per_mac", accum_toggles_per_mac.to_bits()),
+            ("nonzero_mac_fraction", nonzero_mac_fraction.to_bits()),
+            ("mean_bit_alignment", mean_bit_alignment.to_bits()),
+            ("mean_hamming_weight_a", mean_hamming_weight_a.to_bits()),
+            ("mean_hamming_weight_b", mean_hamming_weight_b.to_bits()),
+            ("dram_toggles", *dram_toggles),
+            ("dram_words", *dram_words),
+            ("dram_weight", *dram_weight),
+            ("l2_passes", l2_passes.to_bits()),
+        ]
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

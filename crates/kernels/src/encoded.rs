@@ -8,9 +8,12 @@
 //! The multiplier's per-operand factor is the *significand weight*: `HW`
 //! of the significand input (implicit-1 | mantissa for normal floats, the
 //! mantissa alone for subnormals, the full two's-complement word for
-//! INT8). It is a mask and a popcount of the word, so it is derived on
-//! access ([`EncodedMatrix::sig_weight_at`]) rather than stored.
+//! INT8). It is a mask and a popcount of the word
+//! ([`EncodedMatrix::sig_weight`]), so the matrix does not store it; the
+//! engine counts each sampled row's and column's weights once, as it
+//! gathers them.
 
+use wm_bits::slice_hamming_weight;
 use wm_matrix::Matrix;
 use wm_numerics::{DType, Quantizer};
 
@@ -102,10 +105,11 @@ impl EncodedMatrix {
         self.bits[row * self.cols + col]
     }
 
-    /// Significand weight at `(row, col)`.
+    /// Significand weight of one word of this encoding, such as
+    /// `self.bits_at(row, col)`.
     #[inline(always)]
-    pub fn sig_weight_at(&self, row: usize, col: usize) -> u32 {
-        self.significand.weight(self.bits_at(row, col))
+    pub fn sig_weight(&self, bits: u32) -> u32 {
+        self.significand.weight(bits)
     }
 
     /// The whole encoding plane, row-major: what the bus pass streams and
@@ -117,8 +121,7 @@ impl EncodedMatrix {
 
     /// Mean Hamming weight of the raw encodings (Fig. 8 statistic).
     pub fn mean_hamming_weight(&self) -> f64 {
-        let total: u64 = self.bits.iter().map(|b| u64::from(b.count_ones())).sum();
-        total as f64 / self.bits.len() as f64
+        slice_hamming_weight(&self.bits) as f64 / self.bits.len() as f64
     }
 }
 
@@ -192,9 +195,10 @@ mod tests {
             for (i, &v) in values.iter().enumerate() {
                 let (r, c) = (i / 2, i % 2);
                 assert_eq!(u64::from(e.bits_at(r, c)), q.encode(v), "{dtype} {v:e}");
+                let bits = e.bits_at(r, c);
                 assert_eq!(
-                    e.sig_weight_at(r, c),
-                    reference_weight(e.bits_at(r, c), dtype),
+                    e.sig_weight(bits),
+                    reference_weight(bits, dtype),
                     "{dtype} {v:e}"
                 );
             }
@@ -239,7 +243,7 @@ mod tests {
         for dtype in DType::ALL {
             let e = EncodedMatrix::encode(&m, dtype);
             assert!(e.words().iter().all(|&w| w == 0), "{dtype}");
-            assert_eq!(e.sig_weight_at(1, 1), 0);
+            assert_eq!(e.sig_weight(e.bits_at(1, 1)), 0);
             assert_eq!(e.mean_hamming_weight(), 0.0);
         }
     }

@@ -1,22 +1,38 @@
 //! The sampled GEMM execution engine.
 //!
 //! For each sampled output element `(i, j)` the engine walks the complete
-//! K-reduction in kernel order, simultaneously:
-//!
-//! * computing the dtype-faithful numeric result (verified against
-//!   [`crate::reference::reference_gemm`] in tests), and
-//! * counting operand-latch toggles, gated multiplier activity,
-//!   accumulator toggles, and the Fig. 8 alignment / Hamming statistics.
+//! K-reduction in kernel order, computing the dtype-faithful numeric
+//! result (verified against [`crate::reference::reference_gemm`] in tests)
+//! and counting operand-latch toggles, gated multiplier activity,
+//! accumulator toggles, and the Fig. 8 alignment / Hamming statistics.
 //!
 //! Latches are flushed between output elements (each lane context is
-//! independent), so cross-element transitions are never charged.
+//! independent), so cross-element transitions are never charged. An
+//! operand latch's toggles along K therefore depend on its row or column
+//! alone, and so do its Hamming weight and the significand weights that
+//! scale the multiplier term. Each is counted once:
+//!
+//! * **per sampled A row and B column** (`KVectors`): the latch toggles
+//!   along K, the Hamming weight and each element's significand weight.
+//!   Each row's sums meet every sampled column, so they count once per
+//!   column, and each column's once per row.
+//! * **per MAC** (`CrossTerms`): only what needs both operands — the
+//!   alignment XOR, the zero-operand gate, the multiplier term and the
+//!   accumulator. The `f64` multiplier sum adds in (i, j, k) order, so
+//!   it is bit-identical to a per-MAC walk.
+//!
+//! The popcount sums over whole rows and columns run two words per
+//! popcount (`wm-bits`' paired sums).
 
 use crate::activity::ActivityRecord;
 use crate::config::{GemmConfig, Sampling};
 use crate::encoded::EncodedMatrix;
 use crate::memory::{l2_replication, operand_bus_pass};
+use std::borrow::Cow;
+use wm_bits::{hamming_distance, slice_hamming_distance, slice_hamming_weight, stream_toggles};
 use wm_matrix::Matrix;
-use wm_numerics::Quantizer;
+use wm_numerics::codec::Accumulator;
+use wm_numerics::{DType, Quantizer};
 
 /// Borrowed inputs of one GEMM: `D = alpha * A x B + beta * C`.
 #[derive(Debug, Clone, Copy)]
@@ -52,8 +68,160 @@ pub struct GemmOutcome {
 
 /// Width of the multiplier significand datapath per dtype, used to
 /// normalize partial-product activity.
-fn sig_width(dtype: wm_numerics::DType) -> f64 {
+pub(crate) fn sig_width(dtype: DType) -> f64 {
     f64::from(dtype.mantissa_bits() + if dtype.is_float() { 1 } else { dtype.bits() })
+}
+
+/// One operand vector along K: its words, values and significand weights.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KVector<'a> {
+    words: &'a [u32],
+    values: &'a [f32],
+    sig: &'a [u8],
+}
+
+/// The sampled operand vectors along K of one operand — A rows, B
+/// columns, or GEMV's `x` — with what each contributes on its own, counted
+/// once per vector: the latch toggles along K, the Hamming weight, and the
+/// significand weight of every element.
+#[derive(Debug, Clone)]
+pub(crate) struct KVectors<'a> {
+    len: usize,
+    /// Where each vector starts in `words` and `values`.
+    starts: Vec<usize>,
+    words: Cow<'a, [u32]>,
+    values: Cow<'a, [f32]>,
+    /// `len` significand weights per vector, in vector order.
+    sig: Vec<u8>,
+    /// Latch toggles along K, summed over the vectors.
+    pub(crate) toggles: u64,
+    /// Hamming weight, summed over the vectors.
+    pub(crate) weight: u64,
+}
+
+impl<'a> KVectors<'a> {
+    /// The rows `idx` of an operand: `values` row-major, `e` its encoding.
+    /// Rows are contiguous, so they are borrowed in place.
+    pub(crate) fn rows(values: &'a [f32], e: &'a EncodedMatrix, idx: &[usize]) -> Self {
+        let len = e.cols();
+        let starts = idx.iter().map(|&i| i * len).collect();
+        Self::new(
+            len,
+            starts,
+            Cow::Borrowed(e.words()),
+            Cow::Borrowed(values),
+            e,
+        )
+    }
+
+    /// The columns `idx` of an operand, gathered into contiguous runs.
+    pub(crate) fn cols(values: &[f32], e: &EncodedMatrix, idx: &[usize]) -> Self {
+        let (len, stride) = (e.rows(), e.cols());
+        let gather = |j: usize| (0..len).map(move |k| k * stride + j);
+        let words = idx
+            .iter()
+            .flat_map(|&j| gather(j).map(|x| e.words()[x]))
+            .collect();
+        let column_values = idx
+            .iter()
+            .flat_map(|&j| gather(j).map(|x| values[x]))
+            .collect();
+        let starts = (0..idx.len()).map(|v| v * len).collect();
+        Self::new(len, starts, Cow::Owned(words), Cow::Owned(column_values), e)
+    }
+
+    fn new(
+        len: usize,
+        starts: Vec<usize>,
+        words: Cow<'a, [u32]>,
+        values: Cow<'a, [f32]>,
+        e: &EncodedMatrix,
+    ) -> Self {
+        let mut sig = Vec::with_capacity(starts.len() * len);
+        let (mut toggles, mut weight) = (0, 0);
+        for &s in &starts {
+            let run = &words[s..s + len];
+            toggles += stream_toggles(run);
+            weight += slice_hamming_weight(run);
+            // At most 24 bits (FP32's implicit bit and mantissa).
+            sig.extend(run.iter().map(|&w| e.sig_weight(w) as u8));
+        }
+        Self {
+            len,
+            starts,
+            words,
+            values,
+            sig,
+            toggles,
+            weight,
+        }
+    }
+
+    /// Vector `v`, in the order of the indices it was built from.
+    pub(crate) fn get(&self, v: usize) -> KVector<'_> {
+        let (s, len) = (self.starts[v], self.len);
+        KVector {
+            words: &self.words[s..s + len],
+            values: &self.values[s..s + len],
+            sig: &self.sig[v * len..(v + 1) * len],
+        }
+    }
+}
+
+/// The per-MAC sums of a walk: the terms that need both operands of a MAC,
+/// summed output by output in walk order.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CrossTerms {
+    /// Bits in which the two operands differ (Fig. 8 alignment).
+    pub(crate) align_distance: u64,
+    /// MACs whose operands are both nonzero (not gated).
+    pub(crate) nonzero_macs: u64,
+    /// Partial-product activity, `HW(sig_a) * HW(sig_b) / sig_norm` per
+    /// ungated MAC.
+    pub(crate) mult_activity: f64,
+    /// Accumulator register toggles.
+    pub(crate) accum_toggles: u64,
+}
+
+impl CrossTerms {
+    /// Walk one output's K-reduction of `a` against `b` in kernel order:
+    /// add its cross terms and return the final accumulator. `images` is
+    /// scratch of at least K words for the accumulator's register images.
+    pub(crate) fn reduce(
+        &mut self,
+        q: Quantizer,
+        a: KVector<'_>,
+        b: KVector<'_>,
+        sig_norm: f64,
+        images: &mut [u32],
+    ) -> Accumulator {
+        let k = a.words.len();
+        let images = &mut images[..k];
+        let (a_values, a_sig) = (&a.values[..k], &a.sig[..k]);
+        let (b_values, b_sig) = (&b.values[..k], &b.sig[..k]);
+        self.align_distance += slice_hamming_distance(a.words, b.words);
+        let (mut nonzero, mut mult) = (self.nonzero_macs, self.mult_activity);
+        let mut acc = q.new_accumulator();
+        let start = acc.bits() as u32;
+        for x in 0..k {
+            let (av, bv) = (a_values[x], b_values[x]);
+            nonzero += u64::from(av != 0.0 && bv != 0.0);
+            // A zero operand's significand weight is 0, so a gated MAC adds
+            // +0.0, which leaves the non-negative sum's bits as they are.
+            mult += f64::from(a_sig[x]) * f64::from(b_sig[x]) / sig_norm;
+            // Hardware does not skip zero products, and adding a (+/-)0
+            // product leaves the accumulator bits unchanged, so gating falls
+            // out of the toggle count.
+            acc.add_product(q.product(av, bv));
+            images[x] = acc.bits() as u32;
+        }
+        (self.nonzero_macs, self.mult_activity) = (nonzero, mult);
+        if let Some(&first) = images.first() {
+            self.accum_toggles +=
+                u64::from(hamming_distance(start, first)) + stream_toggles(images);
+        }
+        acc
+    }
 }
 
 /// Run one GEMM, returning numeric outputs and the activity record:
@@ -121,73 +289,20 @@ pub fn simulate_encoded(
         ),
     };
 
+    // B's column j is the stored pattern's row j when B is transposed.
+    let a_rows = KVectors::rows(inputs.a.as_slice(), ea, &row_idx);
+    let b_cols = if config.b_transposed {
+        KVectors::rows(inputs.b_stored.as_slice(), eb, &col_idx)
+    } else {
+        KVectors::cols(inputs.b_stored.as_slice(), eb, &col_idx)
+    };
+
     let mut outputs = Vec::with_capacity(row_idx.len() * col_idx.len());
-    let mut op_a_toggles = 0u64;
-    let mut op_b_toggles = 0u64;
-    let mut acc_toggles = 0u64;
-    let mut mult_activity = 0.0f64;
-    let mut nonzero_macs = 0u64;
-    let mut align_distance = 0u64;
-    let mut hw_a = 0u64;
-    let mut hw_b = 0u64;
-    let mut sampled_macs = 0u64;
-
-    for &i in &row_idx {
-        let a_row = inputs.a.row(i);
-        for &j in &col_idx {
-            let mut acc = q.new_accumulator();
-            let mut prev_acc_bits = acc.bits() as u32;
-            let mut prev_a: Option<u32> = None;
-            let mut prev_b: Option<u32> = None;
-            // When B is transposed, row j of the stored pattern streams
-            // contiguously along K — fetch it once.
-            let b_row = if config.b_transposed {
-                Some(inputs.b_stored.row(j))
-            } else {
-                None
-            };
-            for k in 0..dims.k {
-                let a_bits = ea.bits_at(i, k);
-                let (b_bits, b_val, b_sig) = if let Some(br) = b_row {
-                    (eb.bits_at(j, k), br[k], eb.sig_weight_at(j, k))
-                } else {
-                    (
-                        eb.bits_at(k, j),
-                        inputs.b_stored.get(k, j),
-                        eb.sig_weight_at(k, j),
-                    )
-                };
-                let a_val = a_row[k];
-
-                if let Some(p) = prev_a {
-                    op_a_toggles += u64::from((p ^ a_bits).count_ones());
-                }
-                if let Some(p) = prev_b {
-                    op_b_toggles += u64::from((p ^ b_bits).count_ones());
-                }
-                prev_a = Some(a_bits);
-                prev_b = Some(b_bits);
-
-                align_distance += u64::from((a_bits ^ b_bits).count_ones());
-                hw_a += u64::from(a_bits.count_ones());
-                hw_b += u64::from(b_bits.count_ones());
-
-                if a_val != 0.0 && b_val != 0.0 {
-                    nonzero_macs += 1;
-                    mult_activity +=
-                        f64::from(ea.sig_weight_at(i, k)) * f64::from(b_sig) / sig_norm;
-                }
-
-                // Numeric path: hardware does not skip zero products, and
-                // adding a (+/-)0 product leaves the accumulator bits
-                // unchanged, so gating falls out of the toggle count.
-                acc.add_product(q.product(a_val, b_val));
-                let acc_bits = acc.bits() as u32;
-                acc_toggles += u64::from((prev_acc_bits ^ acc_bits).count_ones());
-                prev_acc_bits = acc_bits;
-            }
-            sampled_macs += dims.k as u64;
-
+    let mut cross = CrossTerms::default();
+    let mut images = vec![0u32; dims.k];
+    for (r, &i) in row_idx.iter().enumerate() {
+        for (c, &j) in col_idx.iter().enumerate() {
+            let acc = cross.reduce(q, a_rows.get(r), b_cols.get(c), sig_norm, &mut images);
             let c_val = inputs.c.map_or(0.0, |c| c.get(i, j));
             let d = q.quantize(config.alpha * acc.value() + config.beta * c_val);
             outputs.push(SampledOutput {
@@ -198,6 +313,8 @@ pub fn simulate_encoded(
         }
     }
 
+    let (sampled_rows, sampled_cols) = (row_idx.len() as u64, col_idx.len() as u64);
+    let sampled_macs = sampled_rows * sampled_cols * dims.k as u64;
     let macs = sampled_macs.max(1) as f64;
     let bus = operand_bus_pass(ea, eb);
     let activity = ActivityRecord {
@@ -208,14 +325,15 @@ pub fn simulate_encoded(
         total_macs: dims.macs(),
         sampled_macs,
         sampled_outputs: outputs.len() as u64,
-        operand_a_toggles_per_mac: op_a_toggles as f64 / macs,
-        operand_b_toggles_per_mac: op_b_toggles as f64 / macs,
-        mult_activity_per_mac: mult_activity / macs,
-        accum_toggles_per_mac: acc_toggles as f64 / macs,
-        nonzero_mac_fraction: nonzero_macs as f64 / macs,
-        mean_bit_alignment: 1.0 - (align_distance as f64 / macs) / word_bits,
-        mean_hamming_weight_a: hw_a as f64 / macs,
-        mean_hamming_weight_b: hw_b as f64 / macs,
+        // Each sampled row meets every sampled column, and vice versa.
+        operand_a_toggles_per_mac: (a_rows.toggles * sampled_cols) as f64 / macs,
+        operand_b_toggles_per_mac: (b_cols.toggles * sampled_rows) as f64 / macs,
+        mult_activity_per_mac: cross.mult_activity / macs,
+        accum_toggles_per_mac: cross.accum_toggles as f64 / macs,
+        nonzero_mac_fraction: cross.nonzero_macs as f64 / macs,
+        mean_bit_alignment: 1.0 - (cross.align_distance as f64 / macs) / word_bits,
+        mean_hamming_weight_a: (a_rows.weight * sampled_cols) as f64 / macs,
+        mean_hamming_weight_b: (b_cols.weight * sampled_rows) as f64 / macs,
         dram_toggles: bus.toggles,
         dram_words: bus.words,
         dram_weight: bus.weight,
@@ -226,7 +344,7 @@ pub fn simulate_encoded(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::Sampling;
     use crate::reference::reference_gemm;
@@ -234,6 +352,200 @@ mod tests {
     use wm_gpu::GemmDims;
     use wm_numerics::DType;
     use wm_patterns::{PatternKind, PatternSpec};
+
+    /// NaN events a reference walk met: the inputs reach the NaN rule.
+    #[derive(Debug, Default)]
+    pub(crate) struct NanEvents {
+        /// Products of two NaN operands.
+        pub(crate) products: u64,
+        /// NaN products added into a NaN accumulator.
+        pub(crate) sums: u64,
+    }
+
+    impl NanEvents {
+        /// Count the events of one MAC: `a * b` added into `acc`.
+        pub(crate) fn count(&mut self, a: f32, b: f32, product: f32, acc: f32) {
+            self.products += u64::from(a.is_nan() && b.is_nan());
+            self.sums += u64::from(product.is_nan() && acc.is_nan());
+        }
+    }
+
+    /// The patterns a MAC-loop change must reproduce bit for bit: random
+    /// exponent bits (NaN × NaN products, NaN accumulators) from the MSB
+    /// randomization at half the word and from bit flips, plus Gaussian
+    /// and sparse operands.
+    pub(crate) fn mac_loop_patterns(dtype: DType) -> [PatternSpec; 4] {
+        [
+            PatternKind::RandomMsbs {
+                count: dtype.bits() / 2,
+            },
+            PatternKind::BitFlips { probability: 0.5 },
+            PatternKind::Gaussian,
+            PatternKind::Sparse { sparsity: 0.5 },
+        ]
+        .map(PatternSpec::new)
+    }
+
+    /// The MAC loop as first written: one (i, j, k) walk that counts every
+    /// statistic per MAC.
+    fn reference_simulate(
+        inputs: &GemmInputs<'_>,
+        ea: &EncodedMatrix,
+        eb: &EncodedMatrix,
+        config: &GemmConfig,
+        nan: &mut NanEvents,
+    ) -> GemmOutcome {
+        let dims = config.dims;
+        let q = Quantizer::new(config.dtype);
+        let word_bits = f64::from(config.dtype.bits());
+        let sig_norm = sig_width(config.dtype);
+        let (row_idx, col_idx) = match config.sampling {
+            Sampling::Full => ((0..dims.n).collect(), (0..dims.m).collect()),
+            Sampling::Lattice { rows, cols } => (
+                Sampling::lattice_indices(dims.n, rows),
+                Sampling::lattice_indices(dims.m, cols),
+            ),
+        };
+        let mut outputs = Vec::new();
+        let (mut op_a_toggles, mut op_b_toggles, mut acc_toggles) = (0u64, 0u64, 0u64);
+        let mut mult_activity = 0.0f64;
+        let (mut nonzero_macs, mut align_distance, mut hw_a, mut hw_b) = (0u64, 0u64, 0u64, 0u64);
+        let mut sampled_macs = 0u64;
+        for &i in &row_idx {
+            for &j in &col_idx {
+                let mut acc = q.new_accumulator();
+                let mut prev_acc_bits = acc.bits() as u32;
+                let (mut prev_a, mut prev_b) = (None::<u32>, None::<u32>);
+                for k in 0..dims.k {
+                    let a_bits = ea.bits_at(i, k);
+                    let a_val = inputs.a.get(i, k);
+                    let (b_bits, b_val) = if config.b_transposed {
+                        (eb.bits_at(j, k), inputs.b_stored.get(j, k))
+                    } else {
+                        (eb.bits_at(k, j), inputs.b_stored.get(k, j))
+                    };
+                    if let Some(p) = prev_a {
+                        op_a_toggles += u64::from((p ^ a_bits).count_ones());
+                    }
+                    if let Some(p) = prev_b {
+                        op_b_toggles += u64::from((p ^ b_bits).count_ones());
+                    }
+                    prev_a = Some(a_bits);
+                    prev_b = Some(b_bits);
+                    align_distance += u64::from((a_bits ^ b_bits).count_ones());
+                    hw_a += u64::from(a_bits.count_ones());
+                    hw_b += u64::from(b_bits.count_ones());
+                    if a_val != 0.0 && b_val != 0.0 {
+                        nonzero_macs += 1;
+                        mult_activity += f64::from(ea.sig_weight(a_bits))
+                            * f64::from(eb.sig_weight(b_bits))
+                            / sig_norm;
+                    }
+                    let product = q.product(a_val, b_val);
+                    nan.count(a_val, b_val, product, acc.value());
+                    acc.add_product(product);
+                    let acc_bits = acc.bits() as u32;
+                    acc_toggles += u64::from((prev_acc_bits ^ acc_bits).count_ones());
+                    prev_acc_bits = acc_bits;
+                }
+                sampled_macs += dims.k as u64;
+                let c_val = inputs.c.map_or(0.0, |c| c.get(i, j));
+                let value = q.quantize(config.alpha * acc.value() + config.beta * c_val);
+                outputs.push(SampledOutput {
+                    row: i,
+                    col: j,
+                    value,
+                });
+            }
+        }
+        let macs = sampled_macs.max(1) as f64;
+        let bus = operand_bus_pass(ea, eb);
+        let activity = ActivityRecord {
+            kernel: crate::activity::KernelClass::Gemm,
+            dtype: config.dtype,
+            dims,
+            b_transposed: config.b_transposed,
+            total_macs: dims.macs(),
+            sampled_macs,
+            sampled_outputs: outputs.len() as u64,
+            operand_a_toggles_per_mac: op_a_toggles as f64 / macs,
+            operand_b_toggles_per_mac: op_b_toggles as f64 / macs,
+            mult_activity_per_mac: mult_activity / macs,
+            accum_toggles_per_mac: acc_toggles as f64 / macs,
+            nonzero_mac_fraction: nonzero_macs as f64 / macs,
+            mean_bit_alignment: 1.0 - (align_distance as f64 / macs) / word_bits,
+            mean_hamming_weight_a: hw_a as f64 / macs,
+            mean_hamming_weight_b: hw_b as f64 / macs,
+            dram_toggles: bus.toggles,
+            dram_words: bus.words,
+            dram_weight: bus.weight,
+            l2_passes: l2_replication(dims, config.tile),
+        };
+        GemmOutcome { activity, outputs }
+    }
+
+    #[test]
+    fn hoisted_statistics_match_the_per_mac_walk_bit_for_bit() {
+        let dims = GemmDims {
+            n: 48,
+            m: 40,
+            k: 72,
+        };
+        let mut nan = NanEvents::default();
+        for dtype in DType::EXTENDED {
+            for (p, spec) in mac_loop_patterns(dtype).into_iter().enumerate() {
+                for b_transposed in [true, false] {
+                    let mut rng = Xoshiro256pp::seed_from_u64(100 + p as u64);
+                    let (b_rows, b_cols) = if b_transposed {
+                        (dims.m, dims.k)
+                    } else {
+                        (dims.k, dims.m)
+                    };
+                    let a = spec.generate(dtype, dims.n, dims.k, &mut rng.fork(0));
+                    let b = spec.generate(dtype, b_rows, b_cols, &mut rng.fork(1));
+                    let c = gaussian_matrix(dims.n, dims.m, dtype, 7);
+                    let (ea, eb) = (
+                        EncodedMatrix::encode(&a, dtype),
+                        EncodedMatrix::encode(&b, dtype),
+                    );
+                    let inputs = GemmInputs {
+                        a: &a,
+                        b_stored: &b,
+                        c: Some(&c),
+                    };
+                    for sampling in [Sampling::Full, Sampling::Lattice { rows: 5, cols: 3 }] {
+                        let config = GemmConfig::new(dims, dtype)
+                            .with_b_transposed(b_transposed)
+                            .with_sampling(sampling)
+                            .with_scalars(1.0, 0.5);
+                        let got = simulate_encoded(&inputs, &ea, &eb, &config);
+                        let want = reference_simulate(&inputs, &ea, &eb, &config, &mut nan);
+                        let what = format!(
+                            "{dtype} {} b_transposed={b_transposed} {sampling:?}",
+                            spec.label()
+                        );
+                        assert_eq!(
+                            got.activity.field_bits(),
+                            want.activity.field_bits(),
+                            "{what}"
+                        );
+                        let bits = |o: &GemmOutcome| -> Vec<(usize, usize, u32)> {
+                            o.outputs
+                                .iter()
+                                .map(|s| (s.row, s.col, s.value.to_bits()))
+                                .collect()
+                        };
+                        assert_eq!(bits(&got), bits(&want), "{what}");
+                    }
+                }
+            }
+        }
+        assert!(nan.products > 0, "no NaN x NaN product: {nan:?}");
+        assert!(
+            nan.sums > 0,
+            "no NaN product added to a NaN accumulator: {nan:?}"
+        );
+    }
 
     fn gaussian_matrix(rows: usize, cols: usize, dtype: DType, seed: u64) -> Matrix {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);

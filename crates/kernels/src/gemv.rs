@@ -14,6 +14,7 @@
 use crate::activity::{ActivityRecord, KernelClass};
 use crate::config::Sampling;
 use crate::encoded::EncodedMatrix;
+use crate::engine::{sig_width, CrossTerms, KVectors};
 use crate::memory::bus_pass;
 use wm_gpu::GemmDims;
 use wm_matrix::Matrix;
@@ -111,8 +112,7 @@ pub fn simulate_gemv_encoded(
     let q = Quantizer::new(dtype);
     let x_values: Vec<f32> = x.iter().map(|&v| q.quantize(v)).collect();
     let word_bits = f64::from(dtype.bits());
-    let sig_norm =
-        f64::from(dtype.mantissa_bits() + if dtype.is_float() { 1 } else { dtype.bits() });
+    let sig_norm = sig_width(dtype);
 
     let rows = if config.sample_rows == usize::MAX {
         (0..a.rows()).collect::<Vec<_>>()
@@ -120,51 +120,23 @@ pub fn simulate_gemv_encoded(
         Sampling::lattice_indices(a.rows(), config.sample_rows)
     };
 
+    // x's latch toggles, weight and significand weights are counted once,
+    // then charged once per sampled row.
+    let a_rows = KVectors::rows(a.as_slice(), ea, &rows);
+    let x_vector = KVectors::cols(&x_values, ex, &[0]);
     let mut outputs = Vec::with_capacity(rows.len());
-    let (mut op_a, mut op_x, mut acc_tog) = (0u64, 0u64, 0u64);
-    let mut mult_activity = 0.0f64;
-    let (mut nonzero, mut align_distance, mut hw_a, mut hw_x) = (0u64, 0u64, 0u64, 0u64);
-    let mut sampled_macs = 0u64;
-
-    for &i in &rows {
-        let a_row = a.row(i);
-        let mut acc = q.new_accumulator();
-        let mut prev_acc = acc.bits() as u32;
-        let mut prev_a: Option<u32> = None;
-        let mut prev_x: Option<u32> = None;
-        for (k, &a_val) in a_row.iter().enumerate() {
-            let a_bits = ea.bits_at(i, k);
-            let x_bits = ex.bits_at(k, 0);
-            if let Some(p) = prev_a {
-                op_a += u64::from((p ^ a_bits).count_ones());
-            }
-            if let Some(p) = prev_x {
-                op_x += u64::from((p ^ x_bits).count_ones());
-            }
-            prev_a = Some(a_bits);
-            prev_x = Some(x_bits);
-            align_distance += u64::from((a_bits ^ x_bits).count_ones());
-            hw_a += u64::from(a_bits.count_ones());
-            hw_x += u64::from(x_bits.count_ones());
-            let x_val = x_values[k];
-            if a_val != 0.0 && x_val != 0.0 {
-                nonzero += 1;
-                mult_activity += f64::from(ea.sig_weight_at(i, k))
-                    * f64::from(ex.sig_weight_at(k, 0))
-                    / sig_norm;
-            }
-            acc.add_product(q.product(a_val, x_val));
-            let bits = acc.bits() as u32;
-            acc_tog += u64::from((prev_acc ^ bits).count_ones());
-            prev_acc = bits;
-        }
-        sampled_macs += a.cols() as u64;
+    let mut cross = CrossTerms::default();
+    let mut images = vec![0u32; a.cols()];
+    for (r, &i) in rows.iter().enumerate() {
+        let acc = cross.reduce(q, a_rows.get(r), x_vector.get(0), sig_norm, &mut images);
         let y_prev = y0.map_or(0.0, |y| y[i]);
         outputs.push((
             i,
             q.quantize(config.alpha * acc.value() + config.beta * y_prev),
         ));
     }
+    let sampled_rows = rows.len() as u64;
+    let sampled_macs = sampled_rows * a.cols() as u64;
 
     let macs = sampled_macs.max(1) as f64;
     // Memory side: A streams once (no reuse — the defining GEMV property);
@@ -183,14 +155,14 @@ pub fn simulate_gemv_encoded(
         total_macs: (a.rows() * a.cols()) as u64,
         sampled_macs,
         sampled_outputs: outputs.len() as u64,
-        operand_a_toggles_per_mac: op_a as f64 / macs,
-        operand_b_toggles_per_mac: op_x as f64 / macs,
-        mult_activity_per_mac: mult_activity / macs,
-        accum_toggles_per_mac: acc_tog as f64 / macs,
-        nonzero_mac_fraction: nonzero as f64 / macs,
-        mean_bit_alignment: 1.0 - (align_distance as f64 / macs) / word_bits,
-        mean_hamming_weight_a: hw_a as f64 / macs,
-        mean_hamming_weight_b: hw_x as f64 / macs,
+        operand_a_toggles_per_mac: a_rows.toggles as f64 / macs,
+        operand_b_toggles_per_mac: (x_vector.toggles * sampled_rows) as f64 / macs,
+        mult_activity_per_mac: cross.mult_activity / macs,
+        accum_toggles_per_mac: cross.accum_toggles as f64 / macs,
+        nonzero_mac_fraction: cross.nonzero_macs as f64 / macs,
+        mean_bit_alignment: 1.0 - (cross.align_distance as f64 / macs) / word_bits,
+        mean_hamming_weight_a: a_rows.weight as f64 / macs,
+        mean_hamming_weight_b: (x_vector.weight * sampled_rows) as f64 / macs,
         dram_toggles: bus_a.toggles + bus_x.toggles,
         dram_words: bus_a.words + bus_x.words,
         dram_weight: bus_a.weight + bus_x.weight,
@@ -217,9 +189,149 @@ pub fn reference_gemv(a: &Matrix, x: &[f32], y0: Option<&[f32]>, config: &GemvCo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{mac_loop_patterns, NanEvents};
     use wm_bits::Xoshiro256pp;
     use wm_numerics::Gaussian;
     use wm_patterns::{PatternKind, PatternSpec};
+
+    /// The GEMV loop as first written: one (i, k) walk that counts every
+    /// statistic per MAC, x's toggles and weight once per row.
+    fn reference_simulate_gemv(
+        a: &Matrix,
+        ea: &EncodedMatrix,
+        x: &[f32],
+        ex: &EncodedMatrix,
+        y0: Option<&[f32]>,
+        config: &GemvConfig,
+        nan: &mut NanEvents,
+    ) -> GemvOutcome {
+        let dtype = config.dtype;
+        let q = Quantizer::new(dtype);
+        let x_values: Vec<f32> = x.iter().map(|&v| q.quantize(v)).collect();
+        let word_bits = f64::from(dtype.bits());
+        let sig_norm = sig_width(dtype);
+        let rows = if config.sample_rows == usize::MAX {
+            (0..a.rows()).collect::<Vec<_>>()
+        } else {
+            Sampling::lattice_indices(a.rows(), config.sample_rows)
+        };
+        let mut outputs = Vec::new();
+        let (mut op_a, mut op_x, mut acc_tog) = (0u64, 0u64, 0u64);
+        let mut mult_activity = 0.0f64;
+        let (mut nonzero, mut align_distance, mut hw_a, mut hw_x) = (0u64, 0u64, 0u64, 0u64);
+        let mut sampled_macs = 0u64;
+        for &i in &rows {
+            let mut acc = q.new_accumulator();
+            let mut prev_acc = acc.bits() as u32;
+            let (mut prev_a, mut prev_x) = (None::<u32>, None::<u32>);
+            for (k, &a_val) in a.row(i).iter().enumerate() {
+                let a_bits = ea.bits_at(i, k);
+                let x_bits = ex.bits_at(k, 0);
+                if let Some(p) = prev_a {
+                    op_a += u64::from((p ^ a_bits).count_ones());
+                }
+                if let Some(p) = prev_x {
+                    op_x += u64::from((p ^ x_bits).count_ones());
+                }
+                prev_a = Some(a_bits);
+                prev_x = Some(x_bits);
+                align_distance += u64::from((a_bits ^ x_bits).count_ones());
+                hw_a += u64::from(a_bits.count_ones());
+                hw_x += u64::from(x_bits.count_ones());
+                let x_val = x_values[k];
+                if a_val != 0.0 && x_val != 0.0 {
+                    nonzero += 1;
+                    mult_activity += f64::from(ea.sig_weight(a_bits))
+                        * f64::from(ex.sig_weight(x_bits))
+                        / sig_norm;
+                }
+                let product = q.product(a_val, x_val);
+                nan.count(a_val, x_val, product, acc.value());
+                acc.add_product(product);
+                let bits = acc.bits() as u32;
+                acc_tog += u64::from((prev_acc ^ bits).count_ones());
+                prev_acc = bits;
+            }
+            sampled_macs += a.cols() as u64;
+            let y_prev = y0.map_or(0.0, |y| y[i]);
+            outputs.push((
+                i,
+                q.quantize(config.alpha * acc.value() + config.beta * y_prev),
+            ));
+        }
+        let macs = sampled_macs.max(1) as f64;
+        let (bus_a, bus_x) = (bus_pass(ea), bus_pass(ex));
+        let activity = ActivityRecord {
+            kernel: KernelClass::Gemv,
+            dtype,
+            dims: GemmDims {
+                n: a.rows(),
+                m: 1,
+                k: a.cols(),
+            },
+            b_transposed: false,
+            total_macs: (a.rows() * a.cols()) as u64,
+            sampled_macs,
+            sampled_outputs: outputs.len() as u64,
+            operand_a_toggles_per_mac: op_a as f64 / macs,
+            operand_b_toggles_per_mac: op_x as f64 / macs,
+            mult_activity_per_mac: mult_activity / macs,
+            accum_toggles_per_mac: acc_tog as f64 / macs,
+            nonzero_mac_fraction: nonzero as f64 / macs,
+            mean_bit_alignment: 1.0 - (align_distance as f64 / macs) / word_bits,
+            mean_hamming_weight_a: hw_a as f64 / macs,
+            mean_hamming_weight_b: hw_x as f64 / macs,
+            dram_toggles: bus_a.toggles + bus_x.toggles,
+            dram_words: bus_a.words + bus_x.words,
+            dram_weight: bus_a.weight + bus_x.weight,
+            l2_passes: 1.0,
+        };
+        GemvOutcome { activity, outputs }
+    }
+
+    #[test]
+    fn hoisted_x_statistics_match_the_per_mac_walk_bit_for_bit() {
+        let (n, k) = (56, 96);
+        let mut nan = NanEvents::default();
+        for dtype in DType::EXTENDED {
+            for (p, spec) in mac_loop_patterns(dtype).into_iter().enumerate() {
+                let mut rng = Xoshiro256pp::seed_from_u64(200 + p as u64);
+                let a = spec.generate(dtype, n, k, &mut rng.fork(0));
+                let x = spec
+                    .generate(dtype, k, 1, &mut rng.fork(1))
+                    .as_slice()
+                    .to_vec();
+                let ea = EncodedMatrix::encode(&a, dtype);
+                let ex = EncodedMatrix::encode(&Matrix::from_vec(k, 1, x.clone()), dtype);
+                let y0: Vec<f32> = (0..n).map(|i| i as f32 - 20.0).collect();
+                for sample_rows in [usize::MAX, 7] {
+                    let config = GemvConfig {
+                        sample_rows,
+                        beta: 0.5,
+                        ..GemvConfig::new(dtype)
+                    };
+                    let got = simulate_gemv_encoded(&a, &ea, &x, &ex, Some(&y0), &config);
+                    let want =
+                        reference_simulate_gemv(&a, &ea, &x, &ex, Some(&y0), &config, &mut nan);
+                    let what = format!("{dtype} {} rows={sample_rows}", spec.label());
+                    assert_eq!(
+                        got.activity.field_bits(),
+                        want.activity.field_bits(),
+                        "{what}"
+                    );
+                    let bits = |o: &GemvOutcome| -> Vec<(usize, u32)> {
+                        o.outputs.iter().map(|&(i, y)| (i, y.to_bits())).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "{what}");
+                }
+            }
+        }
+        assert!(nan.products > 0, "no NaN x NaN product: {nan:?}");
+        assert!(
+            nan.sums > 0,
+            "no NaN product added to a NaN accumulator: {nan:?}"
+        );
+    }
 
     fn inputs(dim: usize, dtype: DType, seed: u64) -> (Matrix, Vec<f32>) {
         let mut root = Xoshiro256pp::seed_from_u64(seed);

@@ -12,6 +12,7 @@
 
 /// Convert an `f32` to the nearest bfloat16 pattern
 /// (round-to-nearest, ties-to-even). NaNs are quietized.
+#[inline]
 pub fn f32_to_bf16_bits(value: f32) -> u16 {
     let bits = value.to_bits();
     if value.is_nan() {

@@ -12,10 +12,28 @@
 //! * [`Quantizer::quantize_slice`] / [`Quantizer::encode_slice`] — the
 //!   same two maps over whole buffers, with the dtype chosen once per
 //!   call instead of once per element.
+//! * [`Quantizer::map_words`] — rewrite buffers through their encodings
+//!   (encode, edit the word, decode), the dtype again chosen once per call.
 //! * [`Quantizer::product`] / [`Accumulator`] — the multiply-accumulate
 //!   semantics of each pipeline (SIMT FMA vs. tensor core), so the
 //!   simulated GEMM produces numerically faithful outputs *and* faithful
 //!   accumulator bit streams.
+//!
+//! ## NaN propagation
+//!
+//! IEEE 754 leaves open which NaN an operation on two NaNs returns. x86
+//! returns the NaN in the destination register, and the compiler decides
+//! which operand it puts there, so `a * b` and `acc + p` would leave the
+//! payload to code generation. The payload matters here: operands with
+//! random exponent bits carry NaNs (the §IV.B MSB randomization does), and
+//! the toggle engine counts the accumulator's bits. So the products and
+//! the F32 and F16 accumulators pin the rule: **if an operand is NaN, the
+//! result is the first NaN operand with its quiet bit (bit 22) set**, where
+//! [`Quantizer::product`] checks `b` before `a` and
+//! [`Accumulator::add_product`] checks the product before the accumulator.
+//! FP16 SIMT applies it to the product before rounding it to half. An
+//! invalid operation on non-NaN operands (`0 * inf`, `inf - inf`) returns
+//! the hardware's default NaN, which no operand order can change.
 
 use crate::bf16::{bf16_bits_to_f32, f32_to_bf16_bits, round_f32_to_bf16};
 use crate::dtype::DType;
@@ -132,7 +150,46 @@ impl Quantizer {
             DType::Fp32 => f32::from_bits(bits as u32),
             DType::Fp16 | DType::Fp16Tensor => f16_bits_to_f32(bits as u16),
             DType::Bf16 => bf16_bits_to_f32(bits as u16),
-            DType::Int8 => (bits as u8 as i8) as f32,
+            DType::Int8 => int8_value(bits),
+        }
+    }
+
+    /// Replace every value `v` of `values` with
+    /// `decode(edit(encode(v)))`, in order: [`Quantizer::encode`] and
+    /// [`Quantizer::decode`] with the dtype chosen once per call, so each
+    /// dtype runs one loop with no per-element `match`.
+    pub fn map_words(self, values: &mut [f32], mut edit: impl FnMut(u64) -> u64) {
+        #[inline(always)]
+        fn each(
+            values: &mut [f32],
+            encode: impl Fn(f32) -> u64,
+            decode: impl Fn(u64) -> f32,
+            edit: &mut impl FnMut(u64) -> u64,
+        ) {
+            for v in values {
+                *v = decode(edit(encode(*v)));
+            }
+        }
+        match self.dtype {
+            DType::Fp32 => each(
+                values,
+                |v| u64::from(v.to_bits()),
+                |w| f32::from_bits(w as u32),
+                &mut edit,
+            ),
+            DType::Fp16 | DType::Fp16Tensor => each(
+                values,
+                |v| u64::from(f32_to_f16_bits(v)),
+                |w| f16_bits_to_f32(w as u16),
+                &mut edit,
+            ),
+            DType::Bf16 => each(
+                values,
+                |v| u64::from(f32_to_bf16_bits(v)),
+                |w| bf16_bits_to_f32(w as u16),
+                &mut edit,
+            ),
+            DType::Int8 => each(values, |v| u64::from(int8_bits(v)), int8_value, &mut edit),
         }
     }
 
@@ -145,14 +202,18 @@ impl Quantizer {
     /// * FP16 tensor-op: the half product feeds the FP32 accumulator
     ///   un-rounded (tensor cores keep full product precision).
     /// * INT8: exact integer product.
+    ///
+    /// A NaN operand propagates by the [module rule](self#nan-propagation),
+    /// `b` checked before `a`.
     #[inline]
     pub fn product(self, a: f32, b: f32) -> f32 {
+        let p = nan_pinned(b, a, a * b);
         match self.dtype {
-            DType::Fp32 => a * b,
-            DType::Fp16 => round_f32_to_f16(a * b),
-            DType::Fp16Tensor => a * b, // exact: 11-bit x 11-bit fits in f32
-            DType::Bf16 => a * b,       // exact: 8-bit x 8-bit significands
-            DType::Int8 => a * b,       // exact: |a*b| <= 16384 < 2^24
+            DType::Fp32 => p,
+            DType::Fp16 => round_f32_to_f16(p),
+            DType::Fp16Tensor => p, // exact: 11-bit x 11-bit fits in f32
+            DType::Bf16 => p,       // exact: 8-bit x 8-bit significands
+            DType::Int8 => p,       // exact: |a*b| <= 16384 < 2^24
         }
     }
 
@@ -201,6 +262,34 @@ fn int8_bits(value: f32) -> u8 {
     (quantize_int8(value) + 12_582_912.0).to_bits() as u8
 }
 
+/// [`Quantizer::decode`] for INT8: the value of the low byte.
+#[inline]
+fn int8_value(bits: u64) -> f32 {
+    f32::from(bits as u8 as i8)
+}
+
+/// `result`, the outcome of an operation on `first` and `second`, with
+/// the [NaN rule](self#nan-propagation) applied: the first NaN operand,
+/// quieted, if either is NaN.
+#[inline(always)]
+fn nan_pinned(first: f32, second: f32, result: f32) -> f32 {
+    if !result.is_nan() {
+        result
+    } else if first.is_nan() {
+        quieted(first)
+    } else if second.is_nan() {
+        quieted(second)
+    } else {
+        result
+    }
+}
+
+/// `nan` with its quiet bit (bit 22) set.
+#[inline(always)]
+fn quieted(nan: f32) -> f32 {
+    f32::from_bits(nan.to_bits() | 0x0040_0000)
+}
+
 /// A running K-reduction accumulator with dtype-faithful rounding, plus the
 /// raw bit image the toggle engine charges for accumulator register writes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -215,12 +304,16 @@ pub enum Accumulator {
 
 impl Accumulator {
     /// Add a pipeline product (from [`Quantizer::product`]) into the
-    /// accumulator, applying the pipeline's rounding.
+    /// accumulator, applying the pipeline's rounding. A NaN propagates by
+    /// the [module rule](self#nan-propagation), the product checked before
+    /// the accumulator.
     #[inline]
     pub fn add_product(&mut self, product: f32) {
         match self {
-            Accumulator::F32(acc) => *acc += product,
-            Accumulator::F16(acc) => *acc = round_f32_to_f16(*acc + product),
+            Accumulator::F32(acc) => *acc = nan_pinned(product, *acc, *acc + product),
+            Accumulator::F16(acc) => {
+                *acc = round_f32_to_f16(nan_pinned(product, *acc, *acc + product))
+            }
             Accumulator::I32(acc) => *acc = acc.wrapping_add(product as i32),
         }
     }
@@ -429,6 +522,106 @@ mod tests {
             AccumKind::F32
         );
         assert_eq!(Quantizer::new(DType::Int8).accum_kind(), AccumKind::I32);
+    }
+
+    /// NaNs of both signs, quiet and signalling, with distinct payloads.
+    fn nan_probes() -> [f32; 8] {
+        [
+            0x7FC0_0000u32,
+            0xFFC0_0000,
+            0x7FC0_1234,
+            0xFFE0_0001,
+            0x7F80_0001,
+            0xFF80_4321,
+            0x7FA0_2000,
+            0xFFBF_FFFF,
+        ]
+        .map(f32::from_bits)
+    }
+
+    /// The module's NaN rule: the first NaN of `first`, `second`, with its
+    /// quiet bit set.
+    fn first_nan_quieted(first: f32, second: f32) -> f32 {
+        let nan = if first.is_nan() { first } else { second };
+        f32::from_bits(nan.to_bits() | 0x0040_0000)
+    }
+
+    #[test]
+    fn nan_products_return_b_then_a_quieted() {
+        let finite = [0.0f32, -0.0, -1.5, 3.0, f32::INFINITY];
+        for dtype in DType::EXTENDED {
+            let q = Quantizer::new(dtype);
+            // FP16 SIMT rounds the product, NaN included, to half.
+            let pipeline = |p: f32| match dtype {
+                DType::Fp16 => round_f32_to_f16(p),
+                _ => p,
+            };
+            let mut cases = Vec::new();
+            for a in nan_probes() {
+                cases.extend(nan_probes().map(|b| (a, b)));
+                cases.extend(finite.iter().flat_map(|&f| [(a, f), (f, a)]));
+            }
+            for (a, b) in cases {
+                let want = pipeline(first_nan_quieted(b, a));
+                assert_eq!(
+                    q.product(a, b).to_bits(),
+                    want.to_bits(),
+                    "{dtype}: {:#010x} * {:#010x}",
+                    a.to_bits(),
+                    b.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn nan_sums_return_the_product_then_the_accumulator_quieted() {
+        let finite = [0.0f32, -0.0, 2.5, -65504.0, f32::NEG_INFINITY];
+        let mut cases = Vec::new();
+        for x in nan_probes() {
+            cases.extend(nan_probes().map(|y| (x, y)));
+            cases.extend(finite.iter().flat_map(|&f| [(x, f), (f, x)]));
+        }
+        for (held, product) in cases {
+            let want = first_nan_quieted(product, held);
+            let mut acc = Accumulator::F32(held);
+            acc.add_product(product);
+            assert_eq!(
+                acc.value().to_bits(),
+                want.to_bits(),
+                "F32: {:#010x} + {:#010x}",
+                held.to_bits(),
+                product.to_bits()
+            );
+            // The F16 register holds a half value; its NaN keeps the f32
+            // NaN's sign and top payload bits.
+            let held = round_f32_to_f16(held);
+            let want = round_f32_to_f16(first_nan_quieted(product, held));
+            let mut acc = Accumulator::F16(held);
+            acc.add_product(product);
+            assert_eq!(
+                acc.value().to_bits(),
+                want.to_bits(),
+                "F16: {:#010x} + {:#010x}",
+                held.to_bits(),
+                product.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn map_words_is_the_per_value_round_trip() {
+        let values = probe_values();
+        for dtype in DType::EXTENDED {
+            let q = Quantizer::new(dtype);
+            let edit = |w: u64| (w ^ 0x5A5A_5A5A) & ((1 << dtype.bits()) - 1);
+            let mut mapped = values.clone();
+            q.map_words(&mut mapped, edit);
+            for (&v, &got) in values.iter().zip(&mapped) {
+                let want = q.decode(edit(q.encode(v)));
+                assert_eq!(got.to_bits(), want.to_bits(), "{dtype} {v:e}");
+            }
+        }
     }
 
     #[test]

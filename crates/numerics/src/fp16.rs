@@ -75,6 +75,7 @@ pub fn f32_to_f16_bits(value: f32) -> u16 {
 /// Every binary16 value is exactly representable in binary32, so this
 /// direction is lossless. Like [`f32_to_f16_bits`], it selects between
 /// its cases without branching on the value.
+#[inline]
 pub fn f16_bits_to_f32(bits: u16) -> f32 {
     let bits = u32::from(bits);
     let exp16 = (bits >> F16_MANT_BITS) & 0x1F;

@@ -18,14 +18,11 @@ use wm_bits::{BitSurgeon, Xoshiro256pp};
 use wm_matrix::Matrix;
 use wm_numerics::{DType, Quantizer};
 
-/// Apply an encoding-level transform to every element of a matrix.
+/// Apply an encoding-level transform to every element of a matrix, in
+/// order, with the dtype resolved once ([`Quantizer::map_words`]).
 fn rewrite_bits(m: &mut Matrix, dtype: DType, mut f: impl FnMut(u64, &BitSurgeon) -> u64) {
-    let q = Quantizer::new(dtype);
     let surgeon = BitSurgeon::new(dtype.bits());
-    m.map_in_place(|v| {
-        let bits = q.encode(v);
-        q.decode(f(bits, &surgeon))
-    });
+    Quantizer::new(dtype).map_words(m.as_mut_slice(), |bits| f(bits, &surgeon));
 }
 
 /// Flip each bit of each element independently with probability

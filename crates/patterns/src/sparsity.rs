@@ -25,25 +25,21 @@ pub fn apply_sparsity(m: &mut Matrix, sparsity: f64, rng: &mut Xoshiro256pp) {
     let n = m.len();
     let k = (sparsity * n as f64).round() as usize;
     let data = m.as_mut_slice();
-    for idx in rng.choose_indices(n, k) {
-        data[idx] = 0.0;
-    }
+    rng.choose_indices(n, k, |idx| data[idx] = 0.0);
 }
 
 /// Zero the `count` least-significant bits of every element's encoding
 /// (Fig. 6c: "sparsity in least significant bits").
 pub fn zero_lsbs(m: &mut Matrix, dtype: DType, count: u32) {
-    let q = Quantizer::new(dtype);
     let s = BitSurgeon::new(dtype.bits());
-    m.map_in_place(|v| q.decode(s.zero_lsbs(q.encode(v), count)));
+    Quantizer::new(dtype).map_words(m.as_mut_slice(), |w| s.zero_lsbs(w, count));
 }
 
 /// Zero the `count` most-significant bits of every element's encoding
 /// (Fig. 6d: "sparsity in most significant bits").
 pub fn zero_msbs(m: &mut Matrix, dtype: DType, count: u32) {
-    let q = Quantizer::new(dtype);
     let s = BitSurgeon::new(dtype.bits());
-    m.map_in_place(|v| q.decode(s.zero_msbs(q.encode(v), count)));
+    Quantizer::new(dtype).map_words(m.as_mut_slice(), |w| s.zero_msbs(w, count));
 }
 
 #[cfg(test)]
